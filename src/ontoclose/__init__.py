@@ -30,8 +30,8 @@ from .questions import (
 from .tptp import MangleTable, TptpProblem, emit_problem, to_fof
 from .prover import (
     ConsistencyReport, InconsistencyError, ProverConfig, ProverError,
-    ProverOutcome, Verdict, check_consistency_signals, evaluate_cq,
-    oracle_entails, oracle_run_batch, oracle_verdict, run_batch, run_prover,
+    ProverOutcome, Verdict, check_consistency_signals, oracle_entails,
+    oracle_run_batch, oracle_verdict, run_batch, run_prover,
     vampire_reference_config,
 )
 from .reports import competency_report, efficiency_report

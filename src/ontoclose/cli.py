@@ -25,15 +25,6 @@ ENV_PROVER_COMMAND = "ONTOCLOSE_PROVER_COMMAND"
 ENV_TIME_LIMIT = "ONTOCLOSE_TIME_LIMIT"
 ENV_MEMORY_LIMIT = "ONTOCLOSE_MEMORY_LIMIT"
 
-_PAIR_KIND_OPTIONS = {
-    "hyponymy": lexicon.HYPONYMY,
-    "antonymy": lexicon.ANTONYMY,
-    "meronymy-part": lexicon.MERONYMY_PART,
-    "meronymy-member": lexicon.MERONYMY_MEMBER,
-    "meronymy-substance": lexicon.MERONYMY_SUBSTANCE,
-}
-
-
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -87,11 +78,17 @@ def cmd_stats(args) -> int:
                                            prune=prune)
             label = f"{args.mode} ({'pruned' if prune else 'unpruned'})"
             labeled.append((label, kif.count_metrics(closed)))
-    text = reports.render_size_stats_csv(labeled)
-    if args.csv:
-        _write(args.csv, text)
-    sys.stdout.write(text)
+    sys.stdout.write(_write_size_stats(labeled, args.csv))
     return EXIT_OK
+
+
+def _write_size_stats(labeled, path: "str | Path | None") -> str:
+    """Size metrics table of (label, SizeStats) rows as CSV, written to
+    ``path`` when one is given."""
+    text = reports.render_size_stats_csv(labeled)
+    if path:
+        _write(path, text)
+    return text
 
 
 def cmd_close(args) -> int:
@@ -148,25 +145,25 @@ def _load_template(path: str) -> questions.QpTemplate:
         s2_relations=relations("s2-relations"))
 
 
-def cmd_gen_cqs(args) -> int:
-    mapping = lexicon.MappingIndex(lexicon.load_mapping(_read(args.mapping)))
-    all_questions: list[questions.CompetencyQuestion] = []
-    skipped = 0
-    if args.hyponymy:
-        pairs = lexicon.load_synset_relations(_read(args.hyponymy),
+def _generate_questions(mapping_path: str, hyponymy: "str | None",
+                        antonymy: "str | None", templates=()
+                        ) -> tuple[list[questions.CompetencyQuestion], int]:
+    """Questions from the relation pair files, in corpus order (hyponymy
+    QP1 and QP2, antonymy, then one template at a time), and the number of
+    pairs skipped because a synset is unmapped. ``templates`` holds
+    ``TEMPLATE_FILE:PAIRS_FILE`` specs."""
+    mapping = lexicon.MappingIndex(lexicon.load_mapping(_read(mapping_path)))
+    results: list[questions.GenerationResult] = []
+    if hyponymy:
+        pairs = lexicon.load_synset_relations(_read(hyponymy),
                                               lexicon.HYPONYMY)
-        for generator in (questions.gen_hyponymy_qp1,
-                          questions.gen_hyponymy_qp2):
-            result = generator(pairs, mapping)
-            all_questions.extend(result.questions)
-            skipped += result.skipped_count
-    if args.antonymy:
-        pairs = lexicon.load_synset_relations(_read(args.antonymy),
+        results.append(questions.gen_hyponymy_qp1(pairs, mapping))
+        results.append(questions.gen_hyponymy_qp2(pairs, mapping))
+    if antonymy:
+        pairs = lexicon.load_synset_relations(_read(antonymy),
                                               lexicon.ANTONYMY)
-        result = questions.gen_antonymy_cqs(pairs, mapping)
-        all_questions.extend(result.questions)
-        skipped += result.skipped_count
-    for spec in args.template or ():
+        results.append(questions.gen_antonymy_cqs(pairs, mapping))
+    for spec in templates:
         template_path, _, pairs_path = spec.partition(":")
         if not pairs_path:
             raise questions.TemplateError(
@@ -174,9 +171,14 @@ def cmd_gen_cqs(args) -> int:
         template = _load_template(template_path)
         pairs = lexicon.load_synset_relations(_read(pairs_path),
                                               template.pair_kind)
-        result = questions.gen_template_cqs(pairs, mapping, template)
-        all_questions.extend(result.questions)
-        skipped += result.skipped_count
+        results.append(questions.gen_template_cqs(pairs, mapping, template))
+    return ([cq for result in results for cq in result.questions],
+            sum(result.skipped_count for result in results))
+
+
+def cmd_gen_cqs(args) -> int:
+    all_questions, skipped = _generate_questions(
+        args.mapping, args.hyponymy, args.antonymy, args.template or ())
     if args.split_dir:
         for pattern, group in questions.group_by_pattern(all_questions).items():
             safe = pattern.replace("(", "_").replace(")", "").strip("_")
@@ -200,10 +202,8 @@ def cmd_emit(args) -> int:
     index_lines = []
     for i, cq in enumerate(cqs):
         for polarity in (prover.TRUTH, prover.FALSITY):
-            formula = (cq.truth_test if polarity == prover.TRUTH
-                       else cq.falsity_test)
-            problem = tptp_problem(ontology, cq, formula, polarity,
-                                   args.mode_label)
+            problem = prover.cq_problem(ontology, cq, polarity,
+                                        args.mode_label)
             name = f"{i:05d}_{polarity}.p"
             _write(out_dir / name, problem.text)
             index_lines.append(json.dumps(
@@ -214,20 +214,15 @@ def cmd_emit(args) -> int:
     return EXIT_OK
 
 
-def tptp_problem(ontology, cq, formula, polarity, mode_label):
-    from . import tptp
-    return tptp.emit_problem(
-        ontology, formula,
-        metadata={"cq": cq.id, "pattern": cq.pattern,
-                  "polarity": polarity, "mode": mode_label or ""},
-        conjecture_name=f"cq_{polarity}")
-
-
 def _prover_config(args) -> prover.ProverConfig:
+    """Prover settings from ``args.prover_cmd``, ``time_limit``,
+    ``memory_limit`` and ``workers``; a set ``ONTOCLOSE_*`` variable wins
+    over the command, time limit and memory limit given there."""
     command = os.environ.get(ENV_PROVER_COMMAND) or args.prover_cmd
     if not command:
         raise prover.ProverError(
-            f"no prover command (use --prover-cmd or {ENV_PROVER_COMMAND})")
+            "no prover command (set --prover-cmd for run, prover.command "
+            f"for pipeline, or {ENV_PROVER_COMMAND})")
     time_limit = float(os.environ.get(ENV_TIME_LIMIT) or args.time_limit)
     memory = int(os.environ.get(ENV_MEMORY_LIMIT) or args.memory_limit)
     return prover.ProverConfig(command=command, time_limit=time_limit,
@@ -235,22 +230,19 @@ def _prover_config(args) -> prover.ProverConfig:
 
 
 def cmd_run(args) -> int:
-    if args.oracle:
-        if not (args.ontology and args.cqs):
-            raise prover.ProverError("--oracle needs an ontology and --cqs")
-        tax = taxonomy.build_taxonomy(_load_ontology(args.ontology))
-        cqs = questions.read_cq_corpus(_read(args.cqs))
-        verdicts = prover.oracle_run_batch(tax, cqs, args.journal)
+    if not (args.ontology and args.cqs):
+        raise prover.ProverError("run needs an ontology and --cqs")
+    config = None if args.oracle else _prover_config(args)
+    ontology = _load_ontology(args.ontology)
+    cqs = questions.read_cq_corpus(_read(args.cqs))
+    if config is None:
+        verdicts = prover.oracle_run_batch(taxonomy.build_taxonomy(ontology),
+                                           cqs, args.journal)
     else:
-        if not (args.ontology and args.cqs):
-            raise prover.ProverError("prover runs need an ontology and --cqs")
-        config = _prover_config(args)
-        ontology = _load_ontology(args.ontology)
-        cqs = questions.read_cq_corpus(_read(args.cqs))
         workdir = args.problems or str(Path(args.journal).parent / "problems")
-        verdicts = prover.run_batch(
-            ontology, cqs, config, args.journal, workdir,
-            short_circuit=not args.no_short_circuit)
+        verdicts = prover.run_batch(ontology, cqs, config, args.journal,
+                                    workdir,
+                                    short_circuit=not args.no_short_circuit)
     counts: dict[str, int] = {}
     for verdict in verdicts:
         counts[verdict.value] = counts.get(verdict.value, 0) + 1
@@ -259,25 +251,33 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _write_reports(records, baseline, expected_cqs,
+                   out_dir: "str | Path | None") -> dict[str, str]:
+    """Competency and efficiency tables as CSV and text, by file name,
+    written under ``out_dir`` when one is given."""
+    competency = reports.competency_report(records, baseline=baseline,
+                                           expected_cqs=expected_cqs)
+    efficiency = reports.efficiency_report(records)
+    tables = {
+        "competency.csv": reports.render_competency_csv(competency),
+        "competency.txt": reports.render_competency_text(competency),
+        "efficiency.csv": reports.render_efficiency_csv(efficiency),
+        "efficiency.txt": reports.render_efficiency_text(efficiency),
+    }
+    if out_dir:
+        for name, text in tables.items():
+            _write(Path(out_dir) / name, text)
+    return tables
+
+
 def cmd_report(args) -> int:
     records = prover.load_journal(args.journal)
     baseline = prover.load_journal(args.baseline) if args.baseline else None
     expected = (questions.read_cq_corpus(_read(args.cqs))
                 if args.cqs else None)
-    competency = reports.competency_report(records, baseline=baseline,
-                                           expected_cqs=expected)
-    efficiency = reports.efficiency_report(records)
-    comp_csv = reports.render_competency_csv(competency)
-    eff_csv = reports.render_efficiency_csv(efficiency)
-    comp_text = reports.render_competency_text(competency)
-    eff_text = reports.render_efficiency_text(efficiency)
-    if args.out_dir:
-        out = Path(args.out_dir)
-        _write(out / "competency.csv", comp_csv)
-        _write(out / "competency.txt", comp_text)
-        _write(out / "efficiency.csv", eff_csv)
-        _write(out / "efficiency.txt", eff_text)
-    sys.stdout.write(comp_text + "\n" + eff_text)
+    tables = _write_reports(records, baseline, expected, args.out_dir)
+    sys.stdout.write(tables["competency.txt"] + "\n"
+                     + tables["efficiency.txt"])
     return EXIT_OK
 
 
@@ -300,86 +300,56 @@ def load_config(path: str) -> dict[str, str]:
 
 def cmd_pipeline(args) -> int:
     config = load_config(args.config)
-    for required in ("ontology", "out"):
+    for required in ("ontology", "mapping", "out"):
         if required not in config:
             raise kif.KifError(f"pipeline config needs '{required}='")
     out = Path(config["out"])
-    ontology = _load_ontology(config["ontology"])
-    curation = _load_curation(config.get("curation"))
     modes = [m.strip() for m in
              config.get("modes", ",".join(closure.MODES)).split(",")
              if m.strip()]
     for mode in modes:
         if mode not in closure.MODES:
             raise kif.KifError(f"unknown mode in config: {mode!r}")
-
-    mapping = lexicon.MappingIndex(
-        lexicon.load_mapping(_read(config["mapping"])))
-    all_questions: list[questions.CompetencyQuestion] = []
-    for key, kind in _PAIR_KIND_OPTIONS.items():
-        path = config.get(f"pairs.{kind}")
-        if not path:
-            continue
-        pairs = lexicon.load_synset_relations(_read(path), kind)
-        if kind == lexicon.HYPONYMY:
-            all_questions.extend(
-                questions.gen_hyponymy_qp1(pairs, mapping).questions)
-            all_questions.extend(
-                questions.gen_hyponymy_qp2(pairs, mapping).questions)
-        elif kind == lexicon.ANTONYMY:
-            all_questions.extend(
-                questions.gen_antonymy_cqs(pairs, mapping).questions)
-        else:
+    for kind in lexicon.PAIR_KINDS:
+        if kind not in (lexicon.HYPONYMY, lexicon.ANTONYMY) \
+                and config.get(f"pairs.{kind}"):
             raise kif.KifError(
-                f"meronymy pairs need a template; configure template.{kind}")
-    _write(out / "cqs.kif", questions.write_cq_corpus(all_questions))
-    cqs = all_questions
+                f"{kind} pairs need a template; generate their questions "
+                "with gen-cqs --template")
+    prover_config = None
+    if config.get("oracle", "true").lower() not in ("1", "true", "yes"):
+        # the prover.* keys play the part of the run options
+        prover_config = _prover_config(argparse.Namespace(
+            prover_cmd=config.get("prover.command"),
+            time_limit=config.get("prover.time_limit", 300),
+            memory_limit=config.get("prover.memory_limit", 2048),
+            workers=int(config.get("prover.workers", 1))))
+    ontology = _load_ontology(config["ontology"])
+    curation = _load_curation(config.get("curation"))
+    cqs, _ = _generate_questions(config["mapping"],
+                                 config.get(f"pairs.{lexicon.HYPONYMY}"),
+                                 config.get(f"pairs.{lexicon.ANTONYMY}"))
+    _write(out / "cqs.kif", questions.write_cq_corpus(cqs))
 
-    use_oracle = config.get("oracle", "true").lower() in ("1", "true", "yes")
     labeled_stats = []
-    baseline_journal = None
+    baseline = None
     for mode in modes:
         mode_dir = out / mode.replace("+", "_")
         closed = closure.apply_closure(ontology, mode, curation)
         _write(mode_dir / "closed.kif", kif.serialize_kif(closed))
         labeled_stats.append((mode, kif.count_metrics(closed)))
-        journal_path = mode_dir / "journal.jsonl"
-        if use_oracle:
-            tax = taxonomy.build_taxonomy(closed)
-            prover.oracle_run_batch(tax, cqs, journal_path)
+        journal = mode_dir / "journal.jsonl"
+        if prover_config is None:
+            prover.oracle_run_batch(taxonomy.build_taxonomy(closed), cqs,
+                                    journal)
         else:
-            command = os.environ.get(ENV_PROVER_COMMAND) \
-                or config.get("prover.command")
-            if not command:
-                raise prover.ProverError(
-                    "pipeline without oracle=true needs prover.command")
-            prover_config = prover.ProverConfig(
-                command=command,
-                time_limit=float(os.environ.get(ENV_TIME_LIMIT)
-                                 or config.get("prover.time_limit", 300)),
-                memory_limit_mib=int(os.environ.get(ENV_MEMORY_LIMIT)
-                                     or config.get("prover.memory_limit", 2048)),
-                workers=int(config.get("prover.workers", 1)))
-            prover.run_batch(closed, cqs, prover_config, journal_path,
+            prover.run_batch(closed, cqs, prover_config, journal,
                              mode_dir / "problems")
-        records = prover.load_journal(journal_path)
-        baseline_records = (prover.load_journal(baseline_journal)
-                            if baseline_journal else None)
-        competency = reports.competency_report(records,
-                                               baseline=baseline_records,
-                                               expected_cqs=cqs)
-        efficiency = reports.efficiency_report(records)
-        _write(mode_dir / "competency.csv",
-               reports.render_competency_csv(competency))
-        _write(mode_dir / "competency.txt",
-               reports.render_competency_text(competency))
-        _write(mode_dir / "efficiency.csv",
-               reports.render_efficiency_csv(efficiency))
-        _write(mode_dir / "efficiency.txt",
-               reports.render_efficiency_text(efficiency))
-        if baseline_journal is None:
-            baseline_journal = journal_path
-    _write(out / "stats.csv", reports.render_size_stats_csv(labeled_stats))
+        records = prover.load_journal(journal)
+        _write_reports(records, baseline, cqs, mode_dir)
+        if baseline is None:
+            baseline = records
+    _write_size_stats(labeled_stats, out / "stats.csv")
     print(f"pipeline complete; outputs in {out}", file=sys.stderr)
     return EXIT_OK
 

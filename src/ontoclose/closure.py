@@ -62,11 +62,11 @@ class ClosureConflictError(ClosureError):
 # Curation files
 # ---------------------------------------------------------------------------
 
+# curation predicate (with or without "$") -> CurationFile field
 _CURATION_PREDICATES = {
-    "$nonDisjoint": "nondisjoint", "nonDisjoint": "nondisjoint",
-    "$inheritableNonDisjoint": "inheritable",
+    "nonDisjoint": "nondisjoint",
     "inheritableNonDisjoint": "inheritable",
-    "$disjoint": "disjoint", "disjoint": "disjoint",
+    "disjoint": "disjoint",
 }
 
 
@@ -114,7 +114,8 @@ def load_curation(text: str, source_name: str = "<curation>") -> CurationFile:
     buckets = {"nondisjoint": [], "inheritable": [], "disjoint": []}
     for ax in ontology:
         atom = kif.ground_atom(ax.formula)
-        kind = _CURATION_PREDICATES.get(atom.predicate) if atom else None
+        kind = (_CURATION_PREDICATES.get(atom.predicate.removeprefix("$"))
+                if atom else None)
         if atom is None or kind is None or len(atom.args) != 2:
             raise CurationError(
                 f"curation entries must be ($nonDisjoint A B), "

@@ -149,7 +149,7 @@ class Axiom:
 
 
 class Ontology:
-    """Immutable ordered axiom collection with a predicate index.
+    """Immutable ordered axiom collection.
 
     Axioms whose formulas are alpha-equivalent to an earlier axiom with the
     same provenance are dropped at construction.
@@ -169,11 +169,6 @@ class Ontology:
             seen_forms.add(key)
             kept.append(ax)
         self._axioms = tuple(kept)
-        index: dict[str, list[str]] = {}
-        for ax in self._axioms:
-            for pred in sorted(predicates_of(ax.formula)):
-                index.setdefault(pred, []).append(ax.id)
-        self._index = {p: tuple(ids) for p, ids in index.items()}
         self._by_id = {ax.id: ax for ax in self._axioms}
 
     @property
@@ -188,9 +183,6 @@ class Ontology:
 
     def axiom(self, axiom_id: str) -> Axiom:
         return self._by_id[axiom_id]
-
-    def axioms_for_predicate(self, predicate: str) -> tuple[str, ...]:
-        return self._index.get(predicate, ())
 
     def extended(self, more: "list[Axiom] | tuple[Axiom, ...]") -> "Ontology":
         return Ontology(list(self._axioms) + list(more))
@@ -252,16 +244,6 @@ def subformulas(formula: Formula) -> Iterator[Formula]:
         yield from subformulas(formula.right)
     elif isinstance(formula, (Forall, Exists)):
         yield from subformulas(formula.body)
-
-
-def predicates_of(formula: Formula) -> set[str]:
-    preds = set()
-    for sub in subformulas(formula):
-        if isinstance(sub, Atom):
-            preds.add(sub.predicate)
-        elif isinstance(sub, Equal):
-            preds.add("equal")
-    return preds
 
 
 def free_variables(formula: Formula) -> set[str]:

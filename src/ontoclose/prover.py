@@ -228,42 +228,16 @@ def _demangle_used(problem: tptp.TptpProblem,
                          used=mapped, szs=outcome.szs, detail=outcome.detail)
 
 
-def evaluate_cq(ontology: Ontology, cq: CompetencyQuestion,
-                config: ProverConfig, workdir: "str | Path",
-                short_circuit: bool = True,
-                mode_label: str = "") -> Verdict:
-    """Run the dual tests of one question through the external prover."""
-    workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    outcomes: dict[str, ProverOutcome | None] = {TRUTH: None, FALSITY: None}
-    for polarity in (TRUTH, FALSITY):
-        formula = cq.truth_test if polarity == TRUTH else cq.falsity_test
-        problem = tptp.emit_problem(
-            ontology, formula,
-            metadata={"cq": cq.id, "pattern": cq.pattern,
-                      "polarity": polarity, "mode": mode_label},
-            conjecture_name=f"cq_{polarity}")
-        path = workdir / f"{_safe_name(cq.id)}_{polarity}.p"
-        path.write_text(problem.text)
-        outcome = _demangle_used(problem, run_prover(path, config))
-        if outcome.status == ERROR:
-            logger.warning("prover error on %s %s test: %s",
-                           cq.id, polarity, outcome.detail)
-        outcomes[polarity] = outcome
-        if polarity == TRUTH and short_circuit and outcome.proved:
-            break
-    truth, falsity = outcomes[TRUTH], outcomes[FALSITY]
-    value = classify(truth.proved if truth else False,
-                     falsity.proved if falsity else False)
-    return Verdict(cq_id=cq.id, value=value, truth=truth, falsity=falsity)
-
-
-_SAFE_RE = re.compile(r"[^A-Za-z0-9_.-]+")
-
-
-def _safe_name(cq_id: str) -> str:
-    slug = _SAFE_RE.sub("_", cq_id).strip("_")[:120]
-    return f"{slug}_{abs(hash(cq_id)) % 10 ** 8:08d}" if not slug else slug
+def cq_problem(ontology: Ontology, cq: CompetencyQuestion, polarity: str,
+               mode_label: str = "") -> tptp.TptpProblem:
+    """The problem of one test of a question: the ontology's axioms and the
+    truth or falsity test as the conjecture ``cq_<polarity>``."""
+    formula = cq.truth_test if polarity == TRUTH else cq.falsity_test
+    return tptp.emit_problem(
+        ontology, formula,
+        metadata={"cq": cq.id, "pattern": cq.pattern,
+                  "polarity": polarity, "mode": mode_label},
+        conjecture_name=f"cq_{polarity}")
 
 
 # ---------------------------------------------------------------------------
@@ -296,20 +270,25 @@ def load_journal(path: "str | Path") -> dict[tuple[str, str], dict]:
     return records
 
 
+def _outcome_from_record(record: dict) -> ProverOutcome:
+    return ProverOutcome(status=record["status"], wall_time=record["seconds"],
+                         used=tuple(record.get("used", ())))
+
+
+def _verdict(cq_id: str, truth: "ProverOutcome | None",
+             falsity: "ProverOutcome | None") -> Verdict:
+    value = classify(bool(truth and truth.proved),
+                     bool(falsity and falsity.proved))
+    return Verdict(cq_id=cq_id, value=value, truth=truth, falsity=falsity)
+
+
 def verdict_from_records(cq_id: str,
                          records: dict[tuple[str, str], dict]) -> Verdict:
     def outcome(polarity: str) -> "ProverOutcome | None":
         record = records.get((cq_id, polarity))
-        if record is None:
-            return None
-        return ProverOutcome(status=record["status"],
-                             wall_time=record["seconds"],
-                             used=tuple(record.get("used", ())))
+        return _outcome_from_record(record) if record is not None else None
 
-    truth, falsity = outcome(TRUTH), outcome(FALSITY)
-    value = classify(bool(truth and truth.proved),
-                     bool(falsity and falsity.proved))
-    return Verdict(cq_id=cq_id, value=value, truth=truth, falsity=falsity)
+    return _verdict(cq_id, outcome(TRUTH), outcome(FALSITY))
 
 
 def run_batch(ontology: Ontology, cqs, config: ProverConfig,
@@ -321,46 +300,38 @@ def run_batch(ontology: Ontology, cqs, config: ProverConfig,
     Results append to the journal as they complete, keyed by question and
     polarity, so an interrupted run resumes where it stopped.
     """
+    # imported here: hashlib loads OpenSSL, about 3.5 MiB of resident
+    # memory that oracle-only runs need not pay
+    import hashlib
+
     done = load_journal(journal_path)
     lock = threading.Lock()
 
-    def need(cq: CompetencyQuestion, polarity: str) -> bool:
-        return (cq.id, polarity) not in done
+    def run_test(cq: CompetencyQuestion, polarity: str) -> ProverOutcome:
+        problem = cq_problem(ontology, cq, polarity, mode_label)
+        # named by a digest of the id: distinct questions, distinct files
+        digest = hashlib.sha256(cq.id.encode("utf-8")).hexdigest()[:16]
+        path = Path(workdir) / f"{digest}_{polarity}.p"
+        path.write_text(problem.text)
+        outcome = _demangle_used(problem, run_prover(path, config))
+        if outcome.status == ERROR:
+            logger.warning("prover error on %s %s test: %s",
+                           cq.id, polarity, outcome.detail)
+        with lock:
+            append_journal(journal_path,
+                           journal_record(cq.id, polarity, outcome))
+        return outcome
 
     def evaluate(cq: CompetencyQuestion) -> Verdict:
         outcomes: dict[str, ProverOutcome | None] = {TRUTH: None, FALSITY: None}
         for polarity in (TRUTH, FALSITY):
-            if not need(cq, polarity):
-                record = done[(cq.id, polarity)]
-                outcomes[polarity] = ProverOutcome(
-                    status=record["status"], wall_time=record["seconds"],
-                    used=tuple(record.get("used", ())))
-            else:
-                formula = cq.truth_test if polarity == TRUTH else cq.falsity_test
-                problem = tptp.emit_problem(
-                    ontology, formula,
-                    metadata={"cq": cq.id, "pattern": cq.pattern,
-                              "polarity": polarity, "mode": mode_label},
-                    conjecture_name=f"cq_{polarity}")
-                path = Path(workdir) / f"{_safe_name(cq.id)}_{polarity}.p"
-                path.write_text(problem.text)
-                outcome = _demangle_used(problem, run_prover(path, config))
-                if outcome.status == ERROR:
-                    logger.warning("prover error on %s %s test: %s",
-                                   cq.id, polarity, outcome.detail)
-                outcomes[polarity] = outcome
-                with lock:
-                    append_journal(journal_path,
-                                   journal_record(cq.id, polarity, outcome))
-            truth_outcome = outcomes[TRUTH]
-            if polarity == TRUTH and short_circuit and truth_outcome \
-                    and truth_outcome.proved:
+            record = done.get((cq.id, polarity))
+            outcome = (_outcome_from_record(record) if record is not None
+                       else run_test(cq, polarity))
+            outcomes[polarity] = outcome
+            if polarity == TRUTH and short_circuit and outcome.proved:
                 break
-        truth, falsity = outcomes[TRUTH], outcomes[FALSITY]
-        return Verdict(cq_id=cq.id,
-                       value=classify(bool(truth and truth.proved),
-                                      bool(falsity and falsity.proved)),
-                       truth=truth, falsity=falsity)
+        return _verdict(cq.id, outcomes[TRUTH], outcomes[FALSITY])
 
     Path(workdir).mkdir(parents=True, exist_ok=True)
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
@@ -380,12 +351,10 @@ def run_batch(ontology: Ontology, cqs, config: ProverConfig,
 # Structural oracle
 # ---------------------------------------------------------------------------
 
-_INSTANCE_PREDICATES = {"$instance", "instance"}
-
-
 def _as_instance_atom(formula) -> "tuple[str, str] | None":
     """(variable, class) of an instance atom with a constant class."""
-    if isinstance(formula, Atom) and formula.predicate in _INSTANCE_PREDICATES \
+    if isinstance(formula, Atom) \
+            and formula.predicate.removeprefix("$") == "instance" \
             and len(formula.args) == 2 \
             and formula.args[0].kind == kif.VARIABLE \
             and formula.args[1].kind == kif.CONSTANT:

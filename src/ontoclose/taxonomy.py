@@ -20,23 +20,11 @@ NONDISJOINT = "nondisjoint"
 OPEN = "open"
 CONFLICT = "conflict"
 
-# predicate spellings accepted for each structural relation
-_STRUCTURAL = {
-    "subclass": "subclass",
-    "$subclass": "subclass",
-    "disjoint": "disjoint",
-    "$disjoint": "disjoint",
-    "instance": "instance",
-    "$instance": "instance",
-    "nonDisjoint": "nonDisjoint",
-    "$nonDisjoint": "nonDisjoint",
-    "inheritableNonDisjoint": "inheritableNonDisjoint",
-    "$inheritableNonDisjoint": "inheritableNonDisjoint",
-    "partition": "partition",
-    "$partition": "partition",
-    "disjointDecomposition": "disjointDecomposition",
-    "$disjointDecomposition": "disjointDecomposition",
-}
+# structural relations, each accepted with or without a leading "$"
+_STRUCTURAL = frozenset({
+    "subclass", "disjoint", "instance", "nonDisjoint",
+    "inheritableNonDisjoint", "partition", "disjointDecomposition",
+})
 
 
 class TaxonomyError(kif.KifError):
@@ -312,8 +300,8 @@ def build_taxonomy(ontology: kif.Ontology) -> Taxonomy:
         atom = kif.ground_atom(ax.formula)
         if atom is None:
             continue
-        relation = _STRUCTURAL.get(atom.predicate)
-        if relation is None:
+        relation = atom.predicate.removeprefix("$")
+        if relation not in _STRUCTURAL:
             continue
         if relation == "subclass":
             sub, sup = binary(atom, ax)

@@ -21,7 +21,7 @@ from ontoclose.closure import (
 )
 from ontoclose.prover import (
     COUNTER_SATISFIABLE, ERROR, NON_PASSING, PASSING, PROVED, TIMEOUT,
-    TRUTH, UNKNOWN, ProverConfig, evaluate_cq, oracle_verdict, run_prover,
+    TRUTH, UNKNOWN, ProverConfig, oracle_verdict, run_batch, run_prover,
 )
 from ontoclose.reports import efficiency_report
 from ontoclose.taxonomy import DISJOINT, NONDISJOINT, OPEN, build_taxonomy
@@ -102,8 +102,9 @@ def test_criterion_01_trichotomy(organism_process, tmp_path):
     if prover_config is not None:
         for mode, value in expected.items():
             closed = apply_closure(organism_process, mode)
-            verdict = evaluate_cq(closed, cq, prover_config,
-                                  tmp_path / mode.replace("+", "_"))
+            workdir = tmp_path / mode.replace("+", "_")
+            [verdict] = run_batch(closed, [cq], prover_config,
+                                  workdir / "journal.jsonl", workdir)
             assert verdict.value == value, f"prover disagrees in mode {mode}"
         checked_with = "oracle and external prover"
     elapsed = time.perf_counter() - started

@@ -349,6 +349,91 @@ def test_pipeline_is_deterministic(tmp_path, lexical_files):
     assert outputs[0] == outputs[1]
 
 
+def _journal_without_seconds(path):
+    return sorted(json.dumps({k: v for k, v in json.loads(line).items()
+                              if k != "seconds"}, sort_keys=True)
+                  for line in path.read_text().splitlines())
+
+
+def test_pipeline_matches_the_stages_run_by_hand(tmp_path, lexical_files):
+    mapping, antonymy, hyponymy = lexical_files
+    curation = tmp_path / "curation.kif"
+    curation.write_text("($nonDisjoint Breathing Digesting)\n")
+    modes = ["owa", "subclass-only", "subclass+disjointness",
+             "subclass+nondisjointness"]
+    out = tmp_path / "pipeline"
+    config = tmp_path / "run.conf"
+    config.write_text(
+        f"ontology={ONTOLOGY}\ncuration={curation}\nmapping={mapping}\n"
+        f"pairs.hyponymy={hyponymy}\npairs.antonymy={antonymy}\n"
+        f"out={out}\noracle=true\nmodes={','.join(modes)}\n")
+    assert run_cli("pipeline", config) == EXIT_OK
+
+    by_hand = tmp_path / "by_hand"
+    cqs = by_hand / "cqs.kif"
+    assert run_cli("gen-cqs", "--mapping", mapping, "--hyponymy", hyponymy,
+                   "--antonymy", antonymy, "--out", cqs) == EXIT_OK
+    assert (out / "cqs.kif").read_bytes() == cqs.read_bytes()
+    first_journal = None
+    for mode in modes:
+        mode_dir = by_hand / mode.replace("+", "_")
+        closed = mode_dir / "closed.kif"
+        journal = mode_dir / "journal.jsonl"
+        assert run_cli("close", ONTOLOGY, "--mode", mode, "--curation",
+                       curation, "--out", closed) == EXIT_OK
+        assert run_cli("run", closed, "--oracle", "--cqs", cqs,
+                       "--journal", journal) == EXIT_OK
+        baseline = ("--baseline", first_journal) if first_journal else ()
+        assert run_cli("report", "--journal", journal, "--cqs", cqs,
+                       *baseline, "--out-dir", mode_dir) == EXIT_OK
+        first_journal = first_journal or journal
+        piped = out / mode.replace("+", "_")
+        for name in ("closed.kif", "competency.csv"):
+            assert (piped / name).read_bytes() == \
+                (mode_dir / name).read_bytes(), (mode, name)
+        assert _journal_without_seconds(piped / "journal.jsonl") == \
+            _journal_without_seconds(journal), mode
+
+
+def test_pipeline_with_stub_prover(tmp_path, lexical_files, monkeypatch):
+    mapping, antonymy, hyponymy = lexical_files
+    stub = stub_provers.stub_config(tmp_path, stub_provers.COUNTER_SATISFIABLE)
+    monkeypatch.setenv("ONTOCLOSE_PROVER_COMMAND", stub.command)
+    modes = ["subclass-only", "subclass+disjointness"]
+    out = tmp_path / "results"
+    config = tmp_path / "run.conf"
+    config.write_text(
+        f"ontology={ONTOLOGY}\nmapping={mapping}\n"
+        f"pairs.hyponymy={hyponymy}\npairs.antonymy={antonymy}\n"
+        f"out={out}\noracle=false\nmodes={','.join(modes)}\n"
+        "prover.command=/no/such/prover {problem}\n"
+        "prover.workers=2\nprover.time_limit=10\n")
+    assert run_cli("pipeline", config) == EXIT_OK
+    cq_ids = list_corpus_ids(out / "cqs.kif")
+    assert cq_ids
+    for mode in modes:
+        mode_dir = out / mode.replace("+", "_")
+        records = [json.loads(line) for line in
+                   (mode_dir / "journal.jsonl").read_text().splitlines()]
+        assert sorted((r["cq"], r["polarity"]) for r in records) == \
+            sorted((cq_id, polarity) for cq_id in cq_ids
+                   for polarity in ("truth", "falsity"))
+        assert {r["status"] for r in records} == {"counter-satisfiable"}
+        assert len(list((mode_dir / "problems").glob("*.p"))) == len(records)
+
+
+def test_pipeline_rejects_meronymy_pairs(tmp_path, lexical_files, capsys):
+    mapping, _, _ = lexical_files
+    parts = tmp_path / "parts.tsv"
+    parts.write_text("birth#n#2\tdeath#n#1\n")
+    config = tmp_path / "run.conf"
+    config.write_text(
+        f"ontology={ONTOLOGY}\nmapping={mapping}\n"
+        f"pairs.meronymy-part={parts}\nout={tmp_path / 'results'}\n")
+    assert run_cli("pipeline", config) == EXIT_DATA
+    assert "gen-cqs --template" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["close", str(ONTOLOGY)])  # --mode missing

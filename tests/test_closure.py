@@ -255,11 +255,17 @@ def test_curation_round_trip():
     text = serialize_curation(cur)
     assert load_curation(text) == cur
     assert load_curation("") == CurationFile.empty()
+    plain = ("(nonDisjoint Organism SentientAgent)\n"
+             "(inheritableNonDisjoint Birth Death)\n"
+             "(disjoint RedBloodCell WhiteBloodCell)\n")
+    assert load_curation(plain) == cur
 
 
 def test_curation_rejects_bad_entries():
     with pytest.raises(CurationError):
         load_curation("($subclass A B)")
+    with pytest.raises(CurationError):
+        load_curation("($$nonDisjoint A B)")
     with pytest.raises(CurationError):
         load_curation("($nonDisjoint A B)\n($disjoint A B)")
     with pytest.raises(CurationError):

@@ -280,14 +280,10 @@ def test_normalize_keeps_implication_direction():
     assert kif.normalize(a) != kif.normalize(b)
 
 
-def test_predicate_index():
+def test_axiom_lookup_by_id():
     ontology = kif.parse_kif(
         "($disjoint A B)\n($subclass A C)\n"
         "(forall (?X) (=> ($subclass ?X A) (equal ?X A)))")
-    assert ontology.axioms_for_predicate("$disjoint") == ("orig_1",)
-    assert ontology.axioms_for_predicate("$subclass") == ("orig_2", "orig_3")
-    assert ontology.axioms_for_predicate("equal") == ("orig_3",)
-    assert ontology.axioms_for_predicate("$instance") == ()
     assert ontology.axiom("orig_1").formula.predicate == "$disjoint"
 
 

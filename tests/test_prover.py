@@ -1,5 +1,6 @@
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -13,7 +14,7 @@ from ontoclose.prover import (
     UNKNOWN, InconsistencyError, ProverConfig,
     ProverError, ProverOutcome, UnrecognizedShapeError, Verdict,
     append_journal, check_consistency_signals, classify, emit_axioms_only,
-    evaluate_cq, journal_record, load_journal, oracle_entails,
+    journal_record, load_journal, oracle_entails,
     oracle_run_batch, oracle_verdict, parse_prover_output, recognize_shape,
     run_batch, run_prover, vampire_reference_config, verdict_from_records,
 )
@@ -165,27 +166,30 @@ def test_classify_matrix():
     assert classify(True, True) == CONTRADICTORY
 
 
-def test_evaluate_cq_short_circuits(tmp_path, organism_process):
+def test_run_batch_short_circuits(tmp_path, organism_process):
     config = stub_provers.stub_config(tmp_path, stub_provers.THEOREM)
     cq = antonymy_cq("Birth", "Death")
-    verdict = evaluate_cq(organism_process, cq, config, tmp_path / "work")
+    [verdict] = run_batch(organism_process, [cq], config,
+                          tmp_path / "j.jsonl", tmp_path / "work")
     assert verdict.value == PASSING
     assert verdict.truth.proved
     assert verdict.falsity is None  # skipped after the truth test proved
 
 
-def test_evaluate_cq_detects_contradiction(tmp_path, organism_process):
+def test_run_batch_detects_contradiction(tmp_path, organism_process):
     config = stub_provers.stub_config(tmp_path, stub_provers.THEOREM)
     cq = antonymy_cq("Birth", "Death")
-    verdict = evaluate_cq(organism_process, cq, config, tmp_path / "work",
-                          short_circuit=False)
+    [verdict] = run_batch(organism_process, [cq], config,
+                          tmp_path / "j.jsonl", tmp_path / "work",
+                          short_circuit=False, abort_on_contradiction=False)
     assert verdict.value == CONTRADICTORY
 
 
-def test_evaluate_cq_unknown(tmp_path, organism_process):
+def test_run_batch_unknown(tmp_path, organism_process):
     config = stub_provers.stub_config(tmp_path, stub_provers.COUNTER_SATISFIABLE)
     cq = antonymy_cq("Birth", "Death")
-    verdict = evaluate_cq(organism_process, cq, config, tmp_path / "work")
+    [verdict] = run_batch(organism_process, [cq], config,
+                          tmp_path / "j.jsonl", tmp_path / "work")
     assert verdict.value == UNKNOWN
     assert verdict.truth.status == COUNTER_SATISFIABLE
     assert verdict.falsity.status == COUNTER_SATISFIABLE
@@ -244,6 +248,32 @@ def test_run_batch_aborts_on_contradiction(tmp_path, organism_process):
     assert cq.id in err.value.cq_ids
 
 
+def test_run_batch_problem_files_are_distinct_per_question(tmp_path,
+                                                          organism_process):
+    # ids that differ only in characters a file-name slug would flatten
+    classes = {"antonymy-1:a#n#1:b#n#1:A:B": ("Birth", "Death"),
+               "antonymy-1:a_n_1:b_n_1:A:B": ("Breathing", "Mating")}
+    cqs = [replace(antonymy_cq(c1, c2), id=cq_id)
+           for cq_id, (c1, c2) in classes.items()]
+    config = stub_provers.stub_config(tmp_path, stub_provers.COUNTER_SATISFIABLE,
+                                      workers=2)
+    problems = tmp_path / "problems"
+    run_batch(organism_process, cqs, config, tmp_path / "j.jsonl", problems,
+              short_circuit=False)
+    files = sorted(problems.glob("*.p"))
+    assert len(files) == 4
+    tests = set()
+    for path in files:
+        lines = path.read_text().splitlines()
+        cq_id = lines[0].removeprefix("% cq: ")
+        tests.add((cq_id, lines[3].removeprefix("% polarity: ")))
+        conjecture = next(line for line in lines if ", conjecture, " in line)
+        for name in classes[cq_id]:
+            assert f"c__{name.lower()}" in conjecture, (path, cq_id)
+    assert tests == {(cq_id, polarity) for cq_id in classes
+                     for polarity in (TRUTH, FALSITY)}
+
+
 def test_run_batch_flags_total_failure(tmp_path, organism_process):
     config = ProverConfig(command="/no/such/prover {problem}")
     with pytest.raises(ProverError):
@@ -259,6 +289,9 @@ def test_recognize_shapes():
     assert recognize_shape(overlap_cq("A", "B").conjecture) == ("overlap", "A", "B")
     assert recognize_shape(subset_cq("A", "B").conjecture) == ("subset", "A", "B")
     assert recognize_shape(antonymy_cq("A", "B").conjecture) == ("distinct", "A", "B")
+    assert recognize_shape(kif.parse_formula_text(
+        "(forall (X) (=> (instance X A) (instance X B)))")) == \
+        ("subset", "A", "B")
     with pytest.raises(UnrecognizedShapeError):
         recognize_shape(kif.parse_formula_text(
             "(exists (X Y) (and ($instance X A) (part X Y)))"))
@@ -271,6 +304,15 @@ def test_oracle_overlap_with_explicit_compatibility():
     tax = build_taxonomy(kif.parse_kif(
         "($inheritableNonDisjoint PoliticalOrganization GroupOfPeople)"))
     cq = overlap_cq("PoliticalOrganization", "GroupOfPeople")
+    assert oracle_entails(tax, cq) == TRUTH_PROVED
+
+
+def test_oracle_decides_plain_instance_spelling():
+    tax = build_taxonomy(kif.parse_kif("($subclass Birth OrganismProcess)"))
+    cq = replace(subset_cq("Birth", "OrganismProcess"),
+                 conjecture=kif.parse_formula_text(
+                     "(forall (X) (=> (instance X Birth) "
+                     "(instance X OrganismProcess)))"))
     assert oracle_entails(tax, cq) == TRUTH_PROVED
 
 

@@ -47,9 +47,11 @@ def test_empty_ontology_gives_empty_taxonomy():
 
 
 def test_dollar_and_plain_spellings_are_synonyms():
-    tax = tax_of("($subclass A B)\n(subclass C B)\n(disjoint A C)")
+    tax = tax_of("($subclass A B)\n(subclass C B)\n(disjoint A C)\n"
+                 "($$subclass D B)")
     assert tax.direct_subclasses("B") == {"A", "C"}
     assert tax.explicit_disjoint == {("A", "C")}
+    assert "D" not in tax.classes  # only one "$" is a spelling
 
 
 def test_quantified_axioms_are_not_harvested():
