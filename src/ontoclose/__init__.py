@@ -29,9 +29,8 @@ from .questions import (
 )
 from .tptp import MangleTable, TptpProblem, emit_problem, to_fof
 from .prover import (
-    ConsistencyReport, InconsistencyError, ProverConfig, ProverError,
-    ProverOutcome, Verdict, check_consistency_signals, oracle_entails,
-    oracle_run_batch, oracle_verdict, run_batch, run_prover,
+    InconsistencyError, ProverConfig, ProverError, ProverOutcome, Verdict,
+    oracle_entails, oracle_run_batch, oracle_verdict, run_batch, run_prover,
     vampire_reference_config,
 )
 from .reports import competency_report, efficiency_report

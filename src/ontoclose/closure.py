@@ -13,6 +13,10 @@ Three generators:
 ``apply_closure`` stitches these into the four ontology variants. Curated
 facts are a separate input file of unit clauses, never invented here;
 ``suggest_curation`` only proposes candidates.
+
+All pair reasoning (derived status, explicit compatibility, clashing
+descendants, what pruning may drop) is asked of :class:`Taxonomy`; this
+module only decides which pairs to ask about.
 """
 
 from __future__ import annotations
@@ -136,14 +140,17 @@ def serialize_curation(curation: CurationFile) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _merge_curation(tax: Taxonomy, curation: CurationFile) -> Taxonomy:
-    merged = tax.with_facts(disjoint=curation.disjoint,
-                            nondisjoint=curation.nondisjoint,
-                            inheritable_nondisjoint=curation.inheritable)
-    conflicts = merged.find_conflicts()
+def _conflict_free(tax: Taxonomy) -> Taxonomy:
+    conflicts = tax.find_conflicts()
     if conflicts:
         raise ClosureConflictError(conflicts)
-    return merged
+    return tax
+
+
+def _merge_curation(tax: Taxonomy, curation: CurationFile) -> Taxonomy:
+    return _conflict_free(tax.with_facts(
+        disjoint=curation.disjoint, nondisjoint=curation.nondisjoint,
+        inheritable_nondisjoint=curation.inheritable))
 
 
 # ---------------------------------------------------------------------------
@@ -199,22 +206,8 @@ def complete_subclass(tax: Taxonomy) -> list[Axiom]:
 
 
 # ---------------------------------------------------------------------------
-# Shared sibling-pair machinery
+# Sibling pairs
 # ---------------------------------------------------------------------------
-
-def _explicitly_compatible(tax: Taxonomy, c1: str, c2: str) -> bool:
-    """Compatibility derivable from asserted pair facts (not merely from a
-    shared subclass), i.e. something an external prover can also see."""
-    down1, down2 = tax.down(c1), tax.down(c2)
-    for m1, m2 in tax.explicit_nondisjoint:
-        if (m1 in down1 and m2 in down2) or (m1 in down2 and m2 in down1):
-            return True
-    for i1, i2 in tax.explicit_inheritable:
-        di1, di2 = tax.down(i1), tax.down(i2)
-        if (down1 & di1 and down2 & di2) or (down1 & di2 and down2 & di1):
-            return True
-    return False
-
 
 def _curation_gaps(tax: Taxonomy) -> list[tuple[tuple[str, str], str]]:
     """Sibling pairs whose compatibility rests only on a shared subclass,
@@ -225,42 +218,13 @@ def _curation_gaps(tax: Taxonomy) -> list[tuple[tuple[str, str], str]]:
             continue
         if tax.subclass_closed(a, b) or tax.subclass_closed(b, a):
             continue
-        if _explicitly_compatible(tax, a, b):
+        if tax.explicitly_nondisjoint(a, b):
             continue
-        if _has_disjoint_descendants(tax, a, b):
+        if tax.has_pair_meeting(a, b, tax.explicit_disjoint):
             gaps.append(((a, b), "$nonDisjoint"))
         else:
             gaps.append(((a, b), "$inheritableNonDisjoint"))
     return gaps
-
-
-def _has_disjoint_descendants(tax: Taxonomy, c1: str, c2: str) -> bool:
-    return any(tax.derived_disjoint(x, y)
-               for x in tax.down(c1) for y in tax.down(c2) if x != y)
-
-
-def _covers_down(tax: Taxonomy, p: tuple[str, str], q: tuple[str, str]) -> bool:
-    """q reaches p by downward inheritance: both members of p sit below q."""
-    (a, b), (q1, q2) = p, q
-    up1, up2 = tax.up(a), tax.up(b)
-    return (q1 in up1 and q2 in up2) or (q1 in up2 and q2 in up1)
-
-
-def _covers_up(tax: Taxonomy, p: tuple[str, str], q: tuple[str, str]) -> bool:
-    """q reaches p by upward inheritance: both members of p sit above q."""
-    (a, b), (q1, q2) = p, q
-    down1, down2 = tax.down(a), tax.down(b)
-    return (q1 in down1 and q2 in down2) or (q1 in down2 and q2 in down1)
-
-
-def _covers_inheritable(tax: Taxonomy, p: tuple[str, str],
-                        q: tuple[str, str]) -> bool:
-    """An inheritable pair q decides p whenever each member of p shares a
-    descendant with one argument of q."""
-    (a, b), (q1, q2) = p, q
-    down1, down2 = tax.down(a), tax.down(b)
-    dq1, dq2 = tax.down(q1), tax.down(q2)
-    return bool((down1 & dq1 and down2 & dq2) or (down1 & dq2 and down2 & dq1))
 
 
 def _unit(pred: str, p: tuple[str, str], prefix: str, provenance: str) -> Axiom:
@@ -297,8 +261,7 @@ def assume_disjointness(tax: Taxonomy, curation: CurationFile,
     if prune:
         pool = set(emitted) | merged.explicit_disjoint
         emitted = [p for p in emitted
-                   if not any(q != p and _covers_down(merged, p, q)
-                              for q in sorted(pool))]
+                   if not merged.has_pair_above(*p, pool - {p})]
     return [_unit("$disjoint", p, "cwad", "cwa-disjoint") for p in emitted]
 
 
@@ -324,7 +287,7 @@ def assume_nondisjointness(tax: Taxonomy, curation: CurationFile,
         if p in visited:
             return
         visited.add(p)
-        if not _has_disjoint_descendants(merged, c1, c2):
+        if not merged.has_pair_meeting(c1, c2, merged.explicit_disjoint):
             inheritable.add(p)
             return
         plain.add(p)
@@ -345,15 +308,12 @@ def assume_nondisjointness(tax: Taxonomy, curation: CurationFile,
     if prune:
         ind_pool = inheritable | merged.explicit_inheritable
         kept_ind = {p for p in inheritable
-                    if not any(q != p and _covers_down(merged, p, q)
-                               for q in sorted(ind_pool))}
+                    if not merged.has_pair_above(*p, ind_pool - {p})}
         ind_cover = kept_ind | merged.explicit_inheritable
         nd_pool = plain | merged.explicit_nondisjoint
         kept_nd = {p for p in plain
-                   if not any(_covers_inheritable(merged, p, q)
-                              for q in sorted(ind_cover))
-                   and not any(q != p and _covers_up(merged, p, q)
-                               for q in sorted(nd_pool))}
+                   if not merged.has_pair_meeting(*p, ind_cover)
+                   and not merged.has_pair_below(*p, nd_pool - {p})}
         inheritable, plain = kept_ind, kept_nd
 
     axioms = [_unit("$inheritableNonDisjoint", p, "cwan_ind", "cwa-nondisjoint")
@@ -382,10 +342,12 @@ def suggest_curation(tax: Taxonomy, mode: str) -> CurationAdvice:
     descendants clash, the inheritable one otherwise). Non-disjointness
     mode: nothing can be proposed automatically; report the sibling pairs
     the closure would default to compatible so a curator can pick out the
-    genuinely disjoint ones.
+    genuinely disjoint ones. A conflicted taxonomy raises
+    :class:`ClosureConflictError`, as the generators do.
     """
     if mode not in (SUBCLASS_DISJOINT, SUBCLASS_NONDISJOINT):
         raise ValueError(f"no curation advice for mode {mode!r}")
+    _conflict_free(tax)
     if mode == SUBCLASS_DISJOINT:
         gaps = _curation_gaps(tax)
         nd = [p for p, kind in gaps if kind == "$nonDisjoint"]

@@ -164,7 +164,8 @@ def run_prover(problem_path: "str | Path", config: ProverConfig) -> ProverOutcom
     try:
         process = subprocess.Popen(
             argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            text=True, start_new_session=True, preexec_fn=cap_resources)
+            encoding="utf-8", errors="replace", start_new_session=True,
+            preexec_fn=cap_resources)
     except OSError as exc:
         return ProverOutcome(status=ERROR, wall_time=time.perf_counter() - start,
                              detail=f"spawn failed: {exc}")
@@ -452,53 +453,3 @@ def oracle_run_batch(tax: Taxonomy, cqs,
     if contradictory and abort_on_contradiction:
         raise InconsistencyError(contradictory)
     return verdicts
-
-
-# ---------------------------------------------------------------------------
-# Consistency signals
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    contradictory: tuple[str, ...]
-    satisfiability: "str | None" = None
-    resolved_inclusion_ok: "bool | None" = None
-    regressions: tuple[str, ...] = ()
-
-    @property
-    def clean(self) -> bool:
-        return not self.contradictory and not self.regressions \
-            and self.satisfiability != "Unsatisfiable"
-
-
-def emit_axioms_only(ontology: Ontology) -> str:
-    """Axioms-only problem text for a satisfiability run."""
-    table = tptp.MangleTable()
-    lines = [f"fof({table.axiom_name(ax.id)}, axiom, "
-             f"{tptp.to_fof(ax.formula, table)})." for ax in ontology]
-    return "\n".join(lines) + "\n"
-
-
-def check_consistency_signals(verdicts, baseline=None,
-                              sat_outcome: "ProverOutcome | None" = None
-                              ) -> ConsistencyReport:
-    """Summarize inconsistency evidence in a completed batch.
-
-    With a baseline batch, also checks that every question it resolved is
-    still resolved (entailment only grows with added axioms)."""
-    contradictory = tuple(sorted(v.cq_id for v in verdicts
-                                 if v.value == CONTRADICTORY))
-    inclusion_ok = None
-    regressions: tuple[str, ...] = ()
-    if baseline is not None:
-        resolved = {v.cq_id for v in verdicts
-                    if v.value in (PASSING, NON_PASSING)}
-        base_resolved = {v.cq_id for v in baseline
-                         if v.value in (PASSING, NON_PASSING)}
-        regressions = tuple(sorted(base_resolved - resolved))
-        inclusion_ok = not regressions
-    return ConsistencyReport(
-        contradictory=contradictory,
-        satisfiability=sat_outcome.szs if sat_outcome else None,
-        resolved_inclusion_ok=inclusion_ok,
-        regressions=regressions)

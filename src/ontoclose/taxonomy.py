@@ -11,7 +11,7 @@ pair reaches every class that shares a descendant with one of its arguments.
 from __future__ import annotations
 
 import warnings
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from . import kif
 
@@ -45,7 +45,8 @@ def pair(a: str, b: str) -> tuple[str, str]:
 
 
 class Taxonomy:
-    """Immutable class graph; all queries are pure and cached eagerly."""
+    """Immutable class graph; all queries are pure. Reachability is cached
+    eagerly, the sets of classes meeting a class on first use."""
 
     def __init__(self, classes: Iterable[str],
                  subclass_edges: Iterable[tuple[str, str]] = (),
@@ -98,6 +99,7 @@ class Taxonomy:
         self._check_acyclic()
         self._down = self._close(self._children)
         self._up = self._close(self._parents)
+        self._met: dict[str, frozenset[str]] = {}
 
     def _check_acyclic(self):
         state: dict[str, int] = {}
@@ -176,27 +178,66 @@ class Taxonomy:
                     seen.add(pair(a, b))
         yield from sorted(seen)
 
+    # -- pair queries -------------------------------------------------------
+    #
+    # Every derived pair status asks one question of a set of pairs: does
+    # some pair have one member related to c1 and the other to c2? Only the
+    # relation differs.
+
+    def _has_pair(self, related, c1: str, c2: str,
+                  pairs: Collection[tuple[str, str]]) -> bool:
+        self._require(c1, c2)
+        if not pairs:
+            return False
+        r1, r2 = related(c1), related(c2)
+        for a, b in pairs:
+            if (a in r1 and b in r2) or (a in r2 and b in r1):
+                return True
+        return False
+
+    def has_pair_above(self, c1: str, c2: str,
+                       pairs: Collection[tuple[str, str]]) -> bool:
+        """Some pair has one member at or above c1 and the other at or
+        above c2: how disjointness descends to subclasses."""
+        return self._has_pair(self._up.__getitem__, c1, c2, pairs)
+
+    def has_pair_below(self, c1: str, c2: str,
+                       pairs: Collection[tuple[str, str]]) -> bool:
+        """Some pair has one member at or below c1 and the other at or
+        below c2: how non-disjointness rises to superclasses."""
+        return self._has_pair(self._down.__getitem__, c1, c2, pairs)
+
+    def has_pair_meeting(self, c1: str, c2: str,
+                         pairs: Collection[tuple[str, str]]) -> bool:
+        """Some pair has one member sharing a descendant with c1 and the
+        other sharing one with c2: how an inheritableNonDisjoint pair
+        spreads."""
+        return self._has_pair(self._meeting, c1, c2, pairs)
+
+    def _meeting(self, c: str) -> frozenset[str]:
+        """Every class that shares a descendant with c (built on first use)."""
+        met = self._met.get(c)
+        if met is None:
+            met = self._met[c] = frozenset().union(
+                *(self._up[x] for x in self._down[c]))
+        return met
+
     # -- derived relations --------------------------------------------------
 
     def derived_disjoint(self, c1: str, c2: str) -> bool:
-        self._require(c1, c2)
-        up1, up2 = self._up[c1], self._up[c2]
-        return any((d1 in up1 and d2 in up2) or (d1 in up2 and d2 in up1)
-                   for d1, d2 in self.explicit_disjoint)
+        return self.has_pair_above(c1, c2, self.explicit_disjoint)
 
     def derived_nondisjoint(self, c1: str, c2: str) -> bool:
         self._require(c1, c2)
-        down1, down2 = self._down[c1], self._down[c2]
-        if down1 & down2:
-            return True
-        for m1, m2 in self.explicit_nondisjoint:
-            if (m1 in down1 and m2 in down2) or (m1 in down2 and m2 in down1):
-                return True
-        for i1, i2 in self.explicit_inheritable:
-            di1, di2 = self._down[i1], self._down[i2]
-            if (down1 & di1 and down2 & di2) or (down1 & di2 and down2 & di1):
-                return True
-        return False
+        return (not self._down[c1].isdisjoint(self._down[c2])
+                or self.explicitly_nondisjoint(c1, c2))
+
+    def explicitly_nondisjoint(self, c1: str, c2: str) -> bool:
+        """Non-disjointness that follows from the explicit compatibility
+        pairs, not merely from a shared descendant: what an external prover
+        given those facts can also derive."""
+        return (self.has_pair_below(c1, c2, self.explicit_nondisjoint)
+                or self.has_pair_meeting(c1, c2, self.explicit_inheritable))
 
     def pair_status(self, c1: str, c2: str) -> str:
         dis = self.derived_disjoint(c1, c2)

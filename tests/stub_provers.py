@@ -31,6 +31,13 @@ import sys
 print("% SZS status Telepathy for " + sys.argv[1])
 """
 
+NON_UTF8 = """
+import sys
+sys.stdout.buffer.write(b"\\xff\\xfe not utf-8\\n")
+sys.stdout.buffer.flush()
+print("% SZS status Theorem for " + sys.argv[1])
+"""
+
 # A genuinely sound (if nearly useless) decision procedure: the conjecture
 # is entailed when it appears verbatim among the axioms.
 TRIVIAL_ENTAILMENT = """

@@ -114,6 +114,17 @@ def test_suggest_curation_output(tmp_path):
     assert "; undecided: RedBloodCell WhiteBloodCell" in out.read_text()
 
 
+def test_suggest_curation_rejects_conflicted_taxonomy(tmp_path, capsys):
+    conflicted = tmp_path / "conflicted.kif"
+    conflicted.write_text("($subclass A P) ($subclass B P)\n"
+                          "($subclass X A) ($subclass X B)\n($disjoint A B)\n")
+    out = tmp_path / "curation.kif"
+    assert run_cli("suggest-curation", conflicted, "--mode",
+                   "subclass+disjointness", "--out", out) == EXIT_DATA
+    assert "conflicting pairs: A/B" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # gen-cqs / emit / run / report
 # ---------------------------------------------------------------------------

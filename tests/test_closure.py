@@ -300,6 +300,16 @@ def test_suggest_curation_nondisjoint_mode_reports(blood_cell_ontology):
     assert advice.undecided == (("RedBloodCell", "WhiteBloodCell"),)
 
 
+def test_suggest_curation_rejects_conflicted_taxonomy():
+    tax = build_taxonomy(kif.parse_kif(
+        "($subclass A P) ($subclass B P)\n"
+        "($subclass X A) ($subclass X B)\n($disjoint A B)"))
+    for mode in (SUBCLASS_DISJOINT, SUBCLASS_NONDISJOINT):
+        with pytest.raises(ClosureConflictError) as err:
+            suggest_curation(tax, mode)
+        assert err.value.pairs == (("A", "B"),)
+
+
 def test_suggest_curation_mode_validation(organism_process):
     tax = build_taxonomy(organism_process)
     with pytest.raises(ValueError):

@@ -12,9 +12,8 @@ from ontoclose.prover import (
     CONTRADICTORY, COUNTER_SATISFIABLE, ERROR, FALSITY, FALSITY_PROVED,
     GAVE_UP, NON_PASSING, PASSING, PROVED, TIMEOUT, TRUTH, TRUTH_PROVED,
     UNKNOWN, InconsistencyError, ProverConfig,
-    ProverError, ProverOutcome, UnrecognizedShapeError, Verdict,
-    append_journal, check_consistency_signals, classify, emit_axioms_only,
-    journal_record, load_journal, oracle_entails,
+    ProverError, ProverOutcome, UnrecognizedShapeError,
+    append_journal, classify, journal_record, load_journal, oracle_entails,
     oracle_run_batch, oracle_verdict, parse_prover_output, recognize_shape,
     run_batch, run_prover, vampire_reference_config, verdict_from_records,
 )
@@ -127,6 +126,13 @@ def test_unknown_status_stub(tmp_path, problem_file):
     outcome = run_prover(problem_file, config)
     assert outcome.status == ERROR
     assert "Telepathy" in outcome.detail
+
+
+def test_non_utf8_output_stub(tmp_path, problem_file):
+    config = stub_provers.stub_config(tmp_path, stub_provers.NON_UTF8)
+    outcome = run_prover(problem_file, config)
+    assert outcome.status == PROVED
+    assert outcome.szs == "Theorem"
 
 
 def test_spawn_failure(problem_file):
@@ -401,42 +407,3 @@ def test_oracle_monotone_under_closure(organism_process):
         tax = build_taxonomy(apply_closure(organism_process, mode))
         resolved = {cq.id for cq in cqs if oracle_entails(tax, cq) != UNKNOWN}
         assert base_resolved <= resolved
-
-
-# ---------------------------------------------------------------------------
-# Consistency signals
-# ---------------------------------------------------------------------------
-
-def _verdict(cq_id, value):
-    return Verdict(cq_id=cq_id, value=value, truth=None, falsity=None)
-
-
-def test_consistency_clean_batch():
-    report = check_consistency_signals([_verdict("a", PASSING),
-                                        _verdict("b", UNKNOWN)])
-    assert report.contradictory == ()
-    assert report.clean
-
-
-def test_consistency_names_contradictory_cq():
-    report = check_consistency_signals([_verdict("bad-cq", CONTRADICTORY)])
-    assert report.contradictory == ("bad-cq",)
-    assert not report.clean
-
-
-def test_consistency_resolved_inclusion():
-    baseline = [_verdict("a", PASSING), _verdict("b", UNKNOWN)]
-    current = [_verdict("a", PASSING), _verdict("b", NON_PASSING)]
-    report = check_consistency_signals(current, baseline=baseline)
-    assert report.resolved_inclusion_ok
-    regressed = check_consistency_signals(baseline, baseline=current)
-    assert not regressed.resolved_inclusion_ok
-    assert regressed.regressions == ("b",)
-
-
-def test_emit_axioms_only(organism_process):
-    text = emit_axioms_only(organism_process)
-    lines = [l for l in text.splitlines() if l.strip()]
-    assert len(lines) == len(organism_process)
-    assert all(", axiom, " in line for line in lines)
-    assert "conjecture" not in text

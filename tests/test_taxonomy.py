@@ -216,6 +216,21 @@ def test_status_invariants_on_random_dags():
                 if tax.derived_nondisjoint(a, b):
                     for p in tax.up(a):
                         assert tax.derived_nondisjoint(p, b)
+                clashing_descendants = any(
+                    tax.derived_disjoint(x, y)
+                    for x in tax.down(a) for y in tax.down(b) if x != y)
+                assert tax.has_pair_meeting(
+                    a, b, tax.explicit_disjoint) == clashing_descendants
+                for pairs in (tax.explicit_disjoint, tax.explicit_nondisjoint,
+                              tax.explicit_inheritable):
+                    assert tax.has_pair_above(a, b, pairs) == any(
+                        (a in tax.down(p) and b in tax.down(q))
+                        or (a in tax.down(q) and b in tax.down(p))
+                        for p, q in pairs)
+                    assert tax.has_pair_below(a, b, pairs) == any(
+                        (a in tax.up(p) and b in tax.up(q))
+                        or (a in tax.up(q) and b in tax.up(p))
+                        for p, q in pairs)
 
 
 def test_pair_status_equals_witness_enumeration_on_random_dags():
