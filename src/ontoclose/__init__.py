@@ -30,7 +30,7 @@ from .questions import (
 from .tptp import MangleTable, TptpProblem, emit_problem, to_fof
 from .prover import (
     InconsistencyError, ProverConfig, ProverError, ProverOutcome, Verdict,
-    oracle_entails, oracle_run_batch, oracle_verdict, run_batch, run_prover,
+    oracle_run_batch, oracle_verdict, run_batch, run_prover,
     vampire_reference_config,
 )
 from .reports import competency_report, efficiency_report

@@ -344,7 +344,7 @@ def cmd_pipeline(args) -> int:
                                     journal)
         else:
             prover.run_batch(closed, cqs, prover_config, journal,
-                             mode_dir / "problems")
+                             mode_dir / "problems", mode_label=mode)
         records = prover.load_journal(journal)
         _write_reports(records, baseline, cqs, mode_dir)
         if baseline is None:

@@ -281,29 +281,26 @@ def assume_nondisjointness(tax: Taxonomy, curation: CurationFile,
     inheritable: set[tuple[str, str]] = set()
     plain: set[tuple[str, str]] = set()
     visited: set[tuple[str, str]] = set()
-
-    def process(c1: str, c2: str):
-        p = pair(c1, c2)
+    # a worklist, not recursion: chains can be deeper than the call stack;
+    # each pair's outcome depends on the pair alone, not the visiting order
+    pending = [p for p in merged.sibling_pairs()
+               if not merged.derived_disjoint(*p)]
+    while pending:
+        p = pending.pop()
         if p in visited:
-            return
+            continue
         visited.add(p)
+        c1, c2 = p
         if not merged.has_pair_meeting(c1, c2, merged.explicit_disjoint):
             inheritable.add(p)
-            return
+            continue
         plain.add(p)
-        level1 = sorted(merged.direct_subclasses(c1) | {c1})
-        level2 = sorted(merged.direct_subclasses(c2) | {c2})
-        for x in level1:
-            for y in level2:
-                if x == y or pair(x, y) == p:
-                    continue
-                if merged.derived_disjoint(x, y):
-                    continue
-                process(x, y)
-
-    for a, b in merged.sibling_pairs():
-        if not merged.derived_disjoint(a, b):
-            process(a, b)
+        for x in merged.direct_subclasses(c1) | {c1}:
+            for y in merged.direct_subclasses(c2) | {c2}:
+                q = pair(x, y)
+                if x != y and q != p and q not in visited \
+                        and not merged.derived_disjoint(x, y):
+                    pending.append(q)
 
     if prune:
         ind_pool = inheritable | merged.explicit_inheritable

@@ -44,9 +44,6 @@ NON_PASSING = "non-passing"
 UNKNOWN = "unknown"
 CONTRADICTORY = "contradictory"
 
-TRUTH_PROVED = "truth-proved"
-FALSITY_PROVED = "falsity-proved"
-
 logger = logging.getLogger(__name__)
 
 _SZS_RE = re.compile(r"SZS\s+status\s+([A-Za-z]+)")
@@ -194,8 +191,7 @@ def run_prover(problem_path: "str | Path", config: ProverConfig) -> ProverOutcom
     if status is None:
         return ProverOutcome(status=ERROR, wall_time=wall, szs=szs,
                              detail=f"unrecognized SZS status {szs!r}")
-    return ProverOutcome(status=status, wall_time=wall, szs=szs,
-                         used=used if status == PROVED else ())
+    return ProverOutcome(status=status, wall_time=wall, szs=szs, used=used)
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +246,12 @@ def journal_record(cq_id: str, polarity: str, outcome: ProverOutcome) -> dict:
             "seconds": round(outcome.wall_time, 6), "used": list(outcome.used)}
 
 
-def append_journal(path: "str | Path", record: dict) -> None:
+def append_journal(path: "str | Path", records) -> None:
+    """Append records to the journal, one JSON line each, through one
+    open file."""
     with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
+        for record in records:
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def load_journal(path: "str | Path") -> dict[tuple[str, str], dict]:
@@ -283,19 +282,16 @@ def _verdict(cq_id: str, truth: "ProverOutcome | None",
     return Verdict(cq_id=cq_id, value=value, truth=truth, falsity=falsity)
 
 
-def verdict_from_records(cq_id: str,
-                         records: dict[tuple[str, str], dict]) -> Verdict:
-    def outcome(polarity: str) -> "ProverOutcome | None":
-        record = records.get((cq_id, polarity))
-        return _outcome_from_record(record) if record is not None else None
-
-    return _verdict(cq_id, outcome(TRUTH), outcome(FALSITY))
+def _raise_on_contradiction(verdicts: list[Verdict]) -> None:
+    contradictory = [v.cq_id for v in verdicts if v.value == CONTRADICTORY]
+    if contradictory:
+        raise InconsistencyError(contradictory)
 
 
 def run_batch(ontology: Ontology, cqs, config: ProverConfig,
               journal_path: "str | Path", workdir: "str | Path",
-              short_circuit: bool = True, mode_label: str = "",
-              abort_on_contradiction: bool = True) -> list[Verdict]:
+              short_circuit: bool = True,
+              mode_label: str = "") -> list[Verdict]:
     """Evaluate many questions with a fixed-size worker pool.
 
     Results append to the journal as they complete, keyed by question and
@@ -320,7 +316,7 @@ def run_batch(ontology: Ontology, cqs, config: ProverConfig,
                            cq.id, polarity, outcome.detail)
         with lock:
             append_journal(journal_path,
-                           journal_record(cq.id, polarity, outcome))
+                           [journal_record(cq.id, polarity, outcome)])
         return outcome
 
     def evaluate(cq: CompetencyQuestion) -> Verdict:
@@ -342,9 +338,7 @@ def run_batch(ontology: Ontology, cqs, config: ProverConfig,
                         for v in verdicts
                         for o in (v.truth, v.falsity) if o):
         raise ProverError("every prover invocation failed; check the command")
-    contradictory = [v.cq_id for v in verdicts if v.value == CONTRADICTORY]
-    if contradictory and abort_on_contradiction:
-        raise InconsistencyError(contradictory)
+    _raise_on_contradiction(verdicts)
     return verdicts
 
 
@@ -408,20 +402,6 @@ def _oracle_routes(tax: Taxonomy, conjecture) -> tuple[bool, bool]:
     return tax.derived_disjoint(c1, c2), tax.derived_nondisjoint(c1, c2)
 
 
-def oracle_entails(tax: Taxonomy, cq: CompetencyQuestion) -> str:
-    """Decide a question from the graph alone: which test holds, if either.
-
-    On a conflict-free taxonomy this is sound with respect to any sound
-    prover given the matching first-order machinery.
-    """
-    truth, falsity = _oracle_routes(tax, cq.conjecture)
-    if truth and not falsity:
-        return TRUTH_PROVED
-    if falsity and not truth:
-        return FALSITY_PROVED
-    return UNKNOWN
-
-
 def oracle_verdict(tax: Taxonomy, cq: CompetencyQuestion) -> Verdict:
     """Verdict-shaped oracle answer; both routes firing (possible only on a
     conflicted taxonomy) surfaces as a contradictory verdict."""
@@ -435,21 +415,17 @@ def oracle_verdict(tax: Taxonomy, cq: CompetencyQuestion) -> Verdict:
 
 
 def oracle_run_batch(tax: Taxonomy, cqs,
-                     journal_path: "str | Path | None" = None,
-                     abort_on_contradiction: bool = True) -> list[Verdict]:
-    """Sequential oracle evaluation with the same journal format."""
-    done = load_journal(journal_path) if journal_path else {}
-    verdicts = []
-    for cq in cqs:
-        verdict = oracle_verdict(tax, cq)
-        verdicts.append(verdict)
-        if journal_path:
-            for polarity, outcome in ((TRUTH, verdict.truth),
-                                      (FALSITY, verdict.falsity)):
-                if (cq.id, polarity) not in done:
-                    append_journal(journal_path,
-                                   journal_record(cq.id, polarity, outcome))
-    contradictory = [v.cq_id for v in verdicts if v.value == CONTRADICTORY]
-    if contradictory and abort_on_contradiction:
-        raise InconsistencyError(contradictory)
+                     journal_path: "str | Path | None" = None) -> list[Verdict]:
+    """Sequential oracle evaluation with the same journal format. Every
+    verdict is recomputed, so the journal is rewritten with this run's
+    records."""
+    verdicts = [oracle_verdict(tax, cq) for cq in cqs]
+    if journal_path:
+        Path(journal_path).unlink(missing_ok=True)
+        append_journal(journal_path,
+                       (journal_record(v.cq_id, polarity, outcome)
+                        for v in verdicts
+                        for polarity, outcome in ((TRUTH, v.truth),
+                                                  (FALSITY, v.falsity))))
+    _raise_on_contradiction(verdicts)
     return verdicts

@@ -96,13 +96,15 @@ class Taxonomy:
             self._parents[sub].add(sup)
             self._children[sup].add(sub)
 
-        self._check_acyclic()
-        self._down = self._close(self._children)
-        self._up = self._close(self._parents)
+        order = self._check_acyclic()
+        self._down = self._close(order, self._children)
+        self._up = self._close(reversed(order), self._parents)
         self._met: dict[str, frozenset[str]] = {}
 
-    def _check_acyclic(self):
+    def _check_acyclic(self) -> list[str]:
+        """Every class in post-order: after all of its subclasses."""
         state: dict[str, int] = {}
+        order: list[str] = []
         for root in self.classes:
             if state.get(root):
                 continue
@@ -123,22 +125,21 @@ class Taxonomy:
                         break
                 if not advanced:
                     state[node] = 2
+                    order.append(node)
                     stack.pop()
+        return order
 
-    def _close(self, neighbors: dict[str, set[str]]) -> dict[str, frozenset[str]]:
+    @staticmethod
+    def _close(order: Iterable[str], neighbors: dict[str, set[str]]
+               ) -> dict[str, frozenset[str]]:
+        """Each class with everything reachable over ``neighbors``; ``order``
+        lists every class after all of its neighbors."""
         closed: dict[str, frozenset[str]] = {}
-
-        def visit(c: str) -> frozenset[str]:
-            if c in closed:
-                return closed[c]
+        for c in order:
             acc = {c}
             for n in neighbors[c]:
-                acc |= visit(n)
+                acc |= closed[n]
             closed[c] = frozenset(acc)
-            return closed[c]
-
-        for c in sorted(self.classes):
-            visit(c)
         return closed
 
     # -- basic queries ------------------------------------------------------

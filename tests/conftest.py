@@ -1,4 +1,7 @@
+import contextlib
+import inspect
 import pathlib
+import sys
 
 import pytest
 
@@ -10,6 +13,26 @@ DATA_DIR = pathlib.Path(__file__).parent / "data"
 @pytest.fixture(scope="session")
 def data_dir() -> pathlib.Path:
     return DATA_DIR
+
+
+@contextlib.contextmanager
+def call_depth_limit(frames: int):
+    """Allow at most ``frames`` more nested Python calls than the caller
+    has, so code that recurses once per taxonomy level fails on a shallow
+    chain instead of only on one deeper than the default limit."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def subclass_chain(top: str, prefix: str, depth: int) -> str:
+    """KIF text of the chain prefix1 < top, prefix2 < prefix1, and so on."""
+    names = [top] + [f"{prefix}{i}" for i in range(1, depth + 1)]
+    return "".join(f"($subclass {sub} {sup})\n"
+                   for sup, sub in zip(names, names[1:]))
 
 
 def load_ontology(name: str) -> kif.Ontology:

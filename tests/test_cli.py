@@ -360,6 +360,33 @@ def test_pipeline_is_deterministic(tmp_path, lexical_files):
     assert outputs[0] == outputs[1]
 
 
+def test_pipeline_rerun_reports_the_new_ontology(tmp_path, lexical_files):
+    mapping, antonymy, _ = lexical_files
+    ontology = tmp_path / "onto.kif"
+    ontology.write_text(ONTOLOGY.read_text())
+    out = tmp_path / "results"
+    config = tmp_path / "run.conf"
+    config.write_text(
+        f"ontology={ontology}\nmapping={mapping}\n"
+        f"pairs.antonymy={antonymy}\nout={out}\noracle=true\n"
+        "modes=subclass+disjointness\n")
+
+    def competency():
+        assert run_cli("pipeline", config) == EXIT_OK
+        header, *rows = (out / "subclass_disjointness" / "competency.csv"
+                         ).read_text().splitlines()
+        return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+    [row] = [r for r in competency() if r["pattern"] == "antonymy-1"]
+    assert (row["truth_proved"], row["falsity_proved"]) == ("1", "0")
+    # the same config again, now over an ontology where the pair is
+    # compatible: the reports describe this run, not the last one
+    with ontology.open("a") as handle:
+        handle.write("($nonDisjoint Birth Death)\n")
+    [row] = [r for r in competency() if r["pattern"] == "antonymy-1"]
+    assert (row["truth_proved"], row["falsity_proved"]) == ("0", "1")
+
+
 def _journal_without_seconds(path):
     return sorted(json.dumps({k: v for k, v in json.loads(line).items()
                               if k != "seconds"}, sort_keys=True)
@@ -430,7 +457,10 @@ def test_pipeline_with_stub_prover(tmp_path, lexical_files, monkeypatch):
             sorted((cq_id, polarity) for cq_id in cq_ids
                    for polarity in ("truth", "falsity"))
         assert {r["status"] for r in records} == {"counter-satisfiable"}
-        assert len(list((mode_dir / "problems").glob("*.p"))) == len(records)
+        problems = list((mode_dir / "problems").glob("*.p"))
+        assert len(problems) == len(records)
+        for path in problems:
+            assert f"% mode: {mode}" in path.read_text().splitlines(), path
 
 
 def test_pipeline_rejects_meronymy_pairs(tmp_path, lexical_files, capsys):

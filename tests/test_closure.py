@@ -13,6 +13,7 @@ from ontoclose.closure import (
 from ontoclose.kif import Forall, Implies, Or
 from ontoclose.taxonomy import DISJOINT, NONDISJOINT, build_taxonomy
 
+from conftest import call_depth_limit, subclass_chain
 import witness_oracle
 
 
@@ -226,6 +227,22 @@ def test_assume_nondisjointness_recurses_past_clashing_subclasses(
     assert ("Breathing", "RadiatingSound") in by_pred["$nonDisjoint"]
     assert ("Breathing", "Reciting") not in by_pred.get("$nonDisjoint", set())
     assert "$inheritableNonDisjoint" not in by_pred
+
+
+def test_assume_nondisjointness_needs_no_call_per_level():
+    # the chain's bottom is disjoint with its leaf sibling B, so each
+    # (Ai, B) clashes below and the walk goes down all 300 levels
+    ontology = kif.parse_kif(subclass_chain("Root", "A", 300)
+                             + "($subclass B Root)\n($disjoint A300 B)\n")
+    tax = build_taxonomy(ontology)
+    with call_depth_limit(100):
+        unpruned = assume_nondisjointness(tax, CurationFile.empty(),
+                                          prune=False)
+        pruned = assume_nondisjointness(tax, CurationFile.empty())
+    assert sorted(kif.serialize_formula(ax.formula) for ax in unpruned) == \
+        sorted(f"($nonDisjoint A{i} B)" for i in range(1, 300))
+    assert [kif.serialize_formula(ax.formula) for ax in pruned] == \
+        ["($nonDisjoint A299 B)"]
 
 
 def test_assume_nondisjointness_respects_curated_disjointness(

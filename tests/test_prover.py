@@ -9,13 +9,12 @@ from ontoclose.closure import (
     OWA, SUBCLASS_DISJOINT, SUBCLASS_NONDISJOINT, SUBCLASS_ONLY, apply_closure,
 )
 from ontoclose.prover import (
-    CONTRADICTORY, COUNTER_SATISFIABLE, ERROR, FALSITY, FALSITY_PROVED,
-    GAVE_UP, NON_PASSING, PASSING, PROVED, TIMEOUT, TRUTH, TRUTH_PROVED,
-    UNKNOWN, InconsistencyError, ProverConfig,
-    ProverError, ProverOutcome, UnrecognizedShapeError,
-    append_journal, classify, journal_record, load_journal, oracle_entails,
-    oracle_run_batch, oracle_verdict, parse_prover_output, recognize_shape,
-    run_batch, run_prover, vampire_reference_config, verdict_from_records,
+    CONTRADICTORY, COUNTER_SATISFIABLE, ERROR, FALSITY, GAVE_UP, NON_PASSING,
+    PASSING, PROVED, TIMEOUT, TRUTH, UNKNOWN, InconsistencyError,
+    ProverConfig, ProverError, ProverOutcome, UnrecognizedShapeError,
+    append_journal, classify, journal_record, load_journal, oracle_run_batch,
+    oracle_verdict, parse_prover_output, recognize_shape, run_batch,
+    run_prover, vampire_reference_config,
 )
 from ontoclose.taxonomy import build_taxonomy
 
@@ -182,15 +181,6 @@ def test_run_batch_short_circuits(tmp_path, organism_process):
     assert verdict.falsity is None  # skipped after the truth test proved
 
 
-def test_run_batch_detects_contradiction(tmp_path, organism_process):
-    config = stub_provers.stub_config(tmp_path, stub_provers.THEOREM)
-    cq = antonymy_cq("Birth", "Death")
-    [verdict] = run_batch(organism_process, [cq], config,
-                          tmp_path / "j.jsonl", tmp_path / "work",
-                          short_circuit=False, abort_on_contradiction=False)
-    assert verdict.value == CONTRADICTORY
-
-
 def test_run_batch_unknown(tmp_path, organism_process):
     config = stub_provers.stub_config(tmp_path, stub_provers.COUNTER_SATISFIABLE)
     cq = antonymy_cq("Birth", "Death")
@@ -208,14 +198,13 @@ def test_run_batch_unknown(tmp_path, organism_process):
 def test_journal_round_trip(tmp_path):
     journal = tmp_path / "results.jsonl"
     outcome = ProverOutcome(status=PROVED, wall_time=1.25, used=("orig_1",))
-    append_journal(journal, journal_record("cq-1", TRUTH, outcome))
-    append_journal(journal, journal_record("cq-1", FALSITY,
-                                           ProverOutcome(GAVE_UP, 0.5)))
+    append_journal(journal, [journal_record("cq-1", TRUTH, outcome)])
+    append_journal(journal, [journal_record("cq-1", FALSITY,
+                                            ProverOutcome(GAVE_UP, 0.5))])
     records = load_journal(journal)
     assert records[("cq-1", TRUTH)]["status"] == PROVED
     assert records[("cq-1", TRUTH)]["used"] == ["orig_1"]
-    verdict = verdict_from_records("cq-1", records)
-    assert verdict.value == PASSING
+    assert records[("cq-1", FALSITY)]["status"] == GAVE_UP
 
 
 def test_load_journal_missing_file(tmp_path):
@@ -248,10 +237,16 @@ def test_run_batch_resumes(tmp_path, organism_process):
 def test_run_batch_aborts_on_contradiction(tmp_path, organism_process):
     config = stub_provers.stub_config(tmp_path, stub_provers.THEOREM)
     cq = antonymy_cq("Birth", "Death")
+    journal = tmp_path / "j.jsonl"
     with pytest.raises(InconsistencyError) as err:
-        run_batch(organism_process, [cq], config, tmp_path / "j.jsonl",
+        run_batch(organism_process, [cq], config, journal,
                   tmp_path / "problems", short_circuit=False)
     assert cq.id in err.value.cq_ids
+    # both proved records are journaled before the run aborts
+    records = load_journal(journal)
+    assert {polarity: records[(cq.id, polarity)]["status"]
+            for polarity in (TRUTH, FALSITY)} == {TRUTH: PROVED,
+                                                  FALSITY: PROVED}
 
 
 def test_run_batch_problem_files_are_distinct_per_question(tmp_path,
@@ -310,7 +305,7 @@ def test_oracle_overlap_with_explicit_compatibility():
     tax = build_taxonomy(kif.parse_kif(
         "($inheritableNonDisjoint PoliticalOrganization GroupOfPeople)"))
     cq = overlap_cq("PoliticalOrganization", "GroupOfPeople")
-    assert oracle_entails(tax, cq) == TRUTH_PROVED
+    assert oracle_verdict(tax, cq).value == PASSING
 
 
 def test_oracle_decides_plain_instance_spelling():
@@ -319,26 +314,26 @@ def test_oracle_decides_plain_instance_spelling():
                  conjecture=kif.parse_formula_text(
                      "(forall (X) (=> (instance X Birth) "
                      "(instance X OrganismProcess)))"))
-    assert oracle_entails(tax, cq) == TRUTH_PROVED
+    assert oracle_verdict(tax, cq).value == PASSING
 
 
 def test_oracle_subset_with_edge():
     tax = build_taxonomy(kif.parse_kif(
         "($subclass Poisoning TherapeuticProcess)"))
-    assert oracle_entails(tax, subset_cq("Poisoning", "TherapeuticProcess")) \
-        == TRUTH_PROVED
-    assert oracle_entails(tax, subset_cq("TherapeuticProcess", "Poisoning")) \
-        == UNKNOWN
+    assert oracle_verdict(
+        tax, subset_cq("Poisoning", "TherapeuticProcess")).value == PASSING
+    assert oracle_verdict(
+        tax, subset_cq("TherapeuticProcess", "Poisoning")).value == UNKNOWN
 
 
 def test_oracle_distinctness_unknown_without_facts(organism_process):
     tax = build_taxonomy(organism_process)
-    assert oracle_entails(tax, antonymy_cq("Birth", "Death")) == UNKNOWN
+    assert oracle_verdict(tax, antonymy_cq("Birth", "Death")).value == UNKNOWN
 
 
 def test_oracle_unknown_classes_stay_unknown(organism_process):
     tax = build_taxonomy(organism_process)
-    assert oracle_entails(tax, antonymy_cq("Ghost", "Spirit")) == UNKNOWN
+    assert oracle_verdict(tax, antonymy_cq("Ghost", "Spirit")).value == UNKNOWN
 
 
 def test_oracle_trichotomy_over_modes(organism_process):
@@ -376,6 +371,21 @@ def test_oracle_run_batch_journals_and_aborts(tmp_path, organism_process):
         oracle_run_batch(bad_tax, [antonymy_cq("A", "B")])
 
 
+def test_oracle_run_batch_rewrites_its_journal(tmp_path):
+    journal = tmp_path / "oracle.jsonl"
+    cq = antonymy_cq("Birth", "Death")
+    disjoint = build_taxonomy(kif.parse_kif("($disjoint Birth Death)"))
+    [first] = oracle_run_batch(disjoint, [cq], journal)
+    assert first.value == PASSING
+    compatible = build_taxonomy(kif.parse_kif("($nonDisjoint Birth Death)"))
+    [second] = oracle_run_batch(compatible, [cq], journal)
+    assert second.value == NON_PASSING
+    assert len(journal.read_text().splitlines()) == 2
+    records = load_journal(journal)
+    assert records[(cq.id, TRUTH)]["status"] == GAVE_UP
+    assert records[(cq.id, FALSITY)]["status"] == PROVED
+
+
 def test_oracle_agrees_with_witness_enumeration_on_random_dags():
     rng = random.Random(8080)
     for _ in range(10):
@@ -387,11 +397,11 @@ def test_oracle_agrees_with_witness_enumeration_on_random_dags():
             for b in ordered[i + 1:]:
                 semantic = witness_oracle.brute_pair_status(
                     tax, a, b, placements, demands)
-                answer = oracle_entails(tax, antonymy_cq(a, b))
+                answer = oracle_verdict(tax, antonymy_cq(a, b)).value
                 if semantic == "disjoint":
-                    assert answer == TRUTH_PROVED
+                    assert answer == PASSING
                 elif semantic == "nondisjoint":
-                    assert answer == FALSITY_PROVED
+                    assert answer == NON_PASSING
                 else:
                     assert answer == UNKNOWN
 
@@ -402,8 +412,9 @@ def test_oracle_monotone_under_closure(organism_process):
            subset_cq("Birth", "OrganismProcess")]
     base_tax = build_taxonomy(organism_process)
     base_resolved = {cq.id for cq in cqs
-                     if oracle_entails(base_tax, cq) != UNKNOWN}
+                     if oracle_verdict(base_tax, cq).value != UNKNOWN}
     for mode in (SUBCLASS_ONLY, SUBCLASS_DISJOINT, SUBCLASS_NONDISJOINT):
         tax = build_taxonomy(apply_closure(organism_process, mode))
-        resolved = {cq.id for cq in cqs if oracle_entails(tax, cq) != UNKNOWN}
+        resolved = {cq.id for cq in cqs
+                    if oracle_verdict(tax, cq).value != UNKNOWN}
         assert base_resolved <= resolved

@@ -9,7 +9,7 @@ from ontoclose.taxonomy import (
     build_taxonomy, pair,
 )
 
-from conftest import ORGANISM_SUBCLASSES
+from conftest import ORGANISM_SUBCLASSES, call_depth_limit, subclass_chain
 import witness_oracle
 
 
@@ -70,6 +70,16 @@ def test_instance_facts_collected_but_objects_are_not_classes():
 def test_cycle_is_rejected():
     with pytest.raises(SubclassCycleError):
         tax_of("($subclass A B)\n($subclass B C)\n($subclass C A)")
+
+
+def test_reachability_needs_no_call_per_level():
+    ontology = kif.parse_kif(subclass_chain("Top", "C", 300))
+    with call_depth_limit(100):
+        tax = build_taxonomy(ontology)
+    assert len(tax.down("Top")) == 301
+    assert len(tax.up("C300")) == 301
+    assert tax.subclass_closed("C300", "Top")
+    assert not tax.subclass_closed("Top", "C1")
 
 
 def test_reflexive_edge_is_ignored():
