@@ -181,6 +181,16 @@ def test_run_batch_short_circuits(tmp_path, organism_process):
     assert verdict.falsity is None  # skipped after the truth test proved
 
 
+def test_run_batch_detects_contradiction(tmp_path, organism_process):
+    config = stub_provers.stub_config(tmp_path, stub_provers.THEOREM)
+    cqs = [antonymy_cq("Birth", "Death"), overlap_cq("Birth", "Death")]
+    with pytest.raises(InconsistencyError) as err:
+        run_batch(organism_process, cqs, config, tmp_path / "j.jsonl",
+                  tmp_path / "work", short_circuit=False)
+    # every contradictory question of the batch is named, not only the first
+    assert err.value.cq_ids == tuple(cq.id for cq in cqs)
+
+
 def test_run_batch_unknown(tmp_path, organism_process):
     config = stub_provers.stub_config(tmp_path, stub_provers.COUNTER_SATISFIABLE)
     cq = antonymy_cq("Birth", "Death")
