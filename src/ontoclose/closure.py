@@ -303,11 +303,13 @@ def assume_nondisjointness(tax: Taxonomy, curation: CurationFile,
                     pending.append(q)
 
     if prune:
-        ind_pool = inheritable | merged.explicit_inheritable
+        # prune only against facts the closed ontology holds: this mode
+        # writes no curated compatibility facts, so those are not in it
+        ind_pool = inheritable | tax.explicit_inheritable
         kept_ind = {p for p in inheritable
                     if not merged.has_pair_above(*p, ind_pool - {p})}
-        ind_cover = kept_ind | merged.explicit_inheritable
-        nd_pool = plain | merged.explicit_nondisjoint
+        ind_cover = kept_ind | tax.explicit_inheritable
+        nd_pool = plain | tax.explicit_nondisjoint
         kept_nd = {p for p in plain
                    if not merged.has_pair_meeting(*p, ind_cover)
                    and not merged.has_pair_below(*p, nd_pool - {p})}

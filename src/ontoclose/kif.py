@@ -9,6 +9,8 @@ variable list (and references to them inside the quantifier body).
 
 from __future__ import annotations
 
+import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -362,95 +364,67 @@ def normalize(formula: Formula) -> Formula:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_CONNECTIVES = {"and", "or", "not", "=>", "<=>", "forall", "exists"}
-
-
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append(_Token(ch, line, col))
-            col += 1
-            i += 1
-        elif ch == '"':
-            start_line, start_col = line, col
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    line += 1
-                    col = 0
-                j += 1
-                col += 1
-            if j >= n:
-                raise KifSyntaxError("unterminated string", start_line, start_col)
-            tokens.append(_Token(text[i:j + 1], start_line, start_col))
-            col += 2
-            i = j + 1
-        else:
-            start_col = col
-            j = i
-            while j < n and text[j] not in ' \t\r\n();"':
-                j += 1
-                col += 1
-            tokens.append(_Token(text[i:j], line, start_col))
-            i = j
-    return tokens
+# every character starts one of: a whitespace run, a comment, a
+# parenthesis, a string (the closing quote is missing only at the end of
+# an unterminated one) or a symbol
+_TOKEN = re.compile(r'[ \t\r\n]+|;[^\n]*|[()]|"[^"]*"?|[^ \t\r\n();"]+')
 
 
 class _SexpSymbol(str):
-    line: int = 0
-    column: int = 0
+    """A symbol, a string or a closing parenthesis, with its 1-based line
+    and column."""
+
+    def __new__(cls, text: str, line: int, column: int):
+        sym = super().__new__(cls, text)
+        sym.line = line
+        sym.column = column
+        return sym
 
 
-def _read_sexprs(tokens: list[_Token]):
-    """Group a token stream into nested lists of symbols."""
+def _read_sexprs(text: str):
+    """Group the text into nested lists of symbols in one scan. Each
+    top-level form comes with its closing parenthesis (itself for a bare
+    symbol)."""
     forms = []
     stack: list[list] = []
-    open_positions: list[_Token] = []
-    for tok in tokens:
-        if tok.text == "(":
+    open_positions: list[tuple[int, int]] = []
+    # an unterminated string is reported before any unbalanced ')' found
+    # earlier, as the error for the whole text
+    unbalanced = None
+    # line_start: offset of the newline ending the line before (or -1)
+    line, line_start = 1, -1
+    for m in _TOKEN.finditer(text):
+        tok = m.group()
+        ch = tok[0]
+        column = m.start() - line_start
+        if ch == "(":
             stack.append([])
-            open_positions.append(tok)
-        elif tok.text == ")":
-            if not stack:
-                raise KifSyntaxError("unbalanced ')'", tok.line, tok.column)
+            open_positions.append((line, column))
+        elif ch == ")" and not stack:
+            unbalanced = unbalanced or KifSyntaxError(
+                "unbalanced ')'", line, column)
+        elif ch == ")":
             done = stack.pop()
             open_positions.pop()
             if stack:
                 stack[-1].append(done)
             else:
-                forms.append((done, tok))
-        else:
-            sym = _SexpSymbol(tok.text)
-            sym.line = tok.line
-            sym.column = tok.column
+                forms.append((done, _SexpSymbol(ch, line, column)))
+        elif ch not in " \t\r\n;":
+            if ch == '"' and (len(tok) == 1 or tok[-1] != '"'):
+                raise KifSyntaxError("unterminated string", line, column)
+            sym = _SexpSymbol(tok, line, column)
             if stack:
                 stack[-1].append(sym)
             else:
-                forms.append((sym, tok))
+                forms.append((sym, sym))
+        if "\n" in tok:  # only whitespace and strings span lines
+            line += tok.count("\n")
+            line_start = m.start() + tok.rindex("\n")
+    if unbalanced:
+        raise unbalanced
     if stack:
-        tok = open_positions[-1]
-        raise KifSyntaxError("unbalanced '('", tok.line, tok.column)
+        raise KifSyntaxError("unbalanced '('", *open_positions[-1])
     return forms
 
 
@@ -462,7 +436,7 @@ def _is_uppercase_token(name: str) -> bool:
     return name.isupper() and any(c.isalpha() for c in name)
 
 
-def _form_position(form, fallback: _Token) -> tuple[int, int]:
+def _form_position(form, fallback: _SexpSymbol) -> tuple[int, int]:
     node = form
     while isinstance(node, list) and node:
         node = node[0]
@@ -471,7 +445,7 @@ def _form_position(form, fallback: _Token) -> tuple[int, int]:
     return fallback.line, fallback.column
 
 
-def _parse_term(form, bound: frozenset[str], close_tok: _Token) -> Term:
+def _parse_term(form, bound: frozenset[str], close_tok: _SexpSymbol) -> Term:
     if isinstance(form, list):
         line, col = _form_position(form, close_tok)
         raise KifSyntaxError("expected a term, found a nested expression",
@@ -484,7 +458,7 @@ def _parse_term(form, bound: frozenset[str], close_tok: _Token) -> Term:
     return Term(CONSTANT, name)
 
 
-def _parse_formula(form, bound: frozenset[str], close_tok: _Token) -> Formula:
+def _parse_formula(form, bound: frozenset[str], close_tok: _SexpSymbol) -> Formula:
     if not isinstance(form, list):
         raise KifSyntaxError(f"expected a formula, found bare symbol {form!r}",
                              form.line, form.column)
@@ -551,7 +525,7 @@ def _parse_formula(form, bound: frozenset[str], close_tok: _Token) -> Formula:
 
 def parse_kif(text: str, source_name: str = "<string>") -> Ontology:
     """Parse top-level S-expressions into an ontology of original axioms."""
-    forms = _read_sexprs(_tokenize(text))
+    forms = _read_sexprs(text)
     axioms = []
     for i, (form, close_tok) in enumerate(forms, start=1):
         if not isinstance(form, list):
@@ -641,47 +615,28 @@ def serialize_kif(ontology: Ontology) -> str:
 # Size metrics
 # ---------------------------------------------------------------------------
 
-def count_formula_metrics(formula: Formula) -> SizeStats:
-    atoms = foralls = exists = iffs = implies = ands = ors = nots = equals = 0
-    for sub in subformulas(formula):
-        if isinstance(sub, Atom):
-            atoms += 1
-        elif isinstance(sub, Equal):
-            atoms += 1
-            equals += 1
-        elif isinstance(sub, Not):
-            nots += 1
-        elif isinstance(sub, And):
-            ands += 1
-        elif isinstance(sub, Or):
-            ors += 1
-        elif isinstance(sub, Implies):
-            implies += 1
-        elif isinstance(sub, Iff):
-            iffs += 1
-        elif isinstance(sub, Forall):
-            foralls += 1
-        elif isinstance(sub, Exists):
-            exists += 1
-    unit = is_unit_clause(formula)
+def _size_stats(formulas: "list[Formula]") -> SizeStats:
+    nodes = Counter(type(sub) for f in formulas for sub in subformulas(f))
+    units = sum(map(is_unit_clause, formulas))
     return SizeStats(
-        axiom_count=1,
-        unit_clause_count=1 if unit else 0,
-        formula_count=0 if unit else 1,
-        atom_count=atoms,
-        forall_block_count=foralls,
-        exists_block_count=exists,
-        iff_count=iffs,
-        implies_count=implies,
-        and_count=ands,
-        or_count=ors,
-        not_count=nots,
-        equality_count=equals,
+        axiom_count=len(formulas),
+        unit_clause_count=units,
+        formula_count=len(formulas) - units,
+        atom_count=nodes[Atom] + nodes[Equal],
+        forall_block_count=nodes[Forall],
+        exists_block_count=nodes[Exists],
+        iff_count=nodes[Iff],
+        implies_count=nodes[Implies],
+        and_count=nodes[And],
+        or_count=nodes[Or],
+        not_count=nodes[Not],
+        equality_count=nodes[Equal],
     )
 
 
+def count_formula_metrics(formula: Formula) -> SizeStats:
+    return _size_stats([formula])
+
+
 def count_metrics(ontology: Ontology) -> SizeStats:
-    total = SizeStats()
-    for ax in ontology:
-        total = total + count_formula_metrics(ax.formula)
-    return total
+    return _size_stats([ax.formula for ax in ontology])

@@ -255,11 +255,14 @@ def append_journal(path: "str | Path", records) -> None:
 
 
 def load_journal(path: "str | Path") -> dict[tuple[str, str], dict]:
+    """The journal's records by (question, polarity). An unterminated last
+    line, torn by a kill mid-append, is skipped."""
     records: dict[tuple[str, str], dict] = {}
     path = Path(path)
     if not path.exists():
         return records
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    lines = path.read_text().split("\n")[:-1]
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         try:
@@ -268,6 +271,19 @@ def load_journal(path: "str | Path") -> dict[tuple[str, str], dict]:
             raise ProverError(f"{path}:{lineno}: bad journal line: {exc}")
         records[(record["cq"], record["polarity"])] = record
     return records
+
+
+def _drop_torn_tail(path: "str | Path") -> None:
+    """Cut an unterminated last line off the journal, so that the next
+    record appended starts a line of its own."""
+    try:
+        handle = open(path, "r+b")
+    except FileNotFoundError:
+        return
+    with handle:
+        data = handle.read()
+        if not data.endswith(b"\n"):
+            handle.truncate(data.rfind(b"\n") + 1)
 
 
 def _outcome_from_record(record: dict) -> ProverOutcome:
@@ -302,6 +318,7 @@ def run_batch(ontology: Ontology, cqs, config: ProverConfig,
     import hashlib
 
     done = load_journal(journal_path)
+    _drop_torn_tail(journal_path)
     lock = threading.Lock()
 
     def run_test(cq: CompetencyQuestion, polarity: str) -> ProverOutcome:

@@ -11,7 +11,7 @@ pair reaches every class that shares a descendant with one of its arguments.
 from __future__ import annotations
 
 import warnings
-from typing import Collection, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from . import kif
 
@@ -45,8 +45,8 @@ def pair(a: str, b: str) -> tuple[str, str]:
 
 
 class Taxonomy:
-    """Immutable class graph; all queries are pure. Reachability is cached
-    eagerly, the sets of classes meeting a class on first use."""
+    """Immutable class graph; all queries are pure. Reachability and the
+    sets of classes meeting each class are built eagerly."""
 
     def __init__(self, classes: Iterable[str],
                  subclass_edges: Iterable[tuple[str, str]] = (),
@@ -97,9 +97,11 @@ class Taxonomy:
             self._children[sup].add(sub)
 
         order = self._check_acyclic()
-        self._down = self._close(order, self._children)
-        self._up = self._close(reversed(order), self._parents)
-        self._met: dict[str, frozenset[str]] = {}
+        self._down = self._close(order, self._children, lambda c: (c,))
+        self._up = self._close(reversed(order), self._parents, lambda c: (c,))
+        # the classes sharing a descendant with c: c's ancestors, and every
+        # class meeting one of its direct subclasses
+        self._met = self._close(order, self._children, self._up.__getitem__)
 
     def _check_acyclic(self) -> list[str]:
         """Every class in post-order: after all of its subclasses."""
@@ -130,13 +132,15 @@ class Taxonomy:
         return order
 
     @staticmethod
-    def _close(order: Iterable[str], neighbors: dict[str, set[str]]
+    def _close(order: Iterable[str], neighbors: dict[str, set[str]],
+               seed: Callable[[str], Iterable[str]]
                ) -> dict[str, frozenset[str]]:
-        """Each class with everything reachable over ``neighbors``; ``order``
-        lists every class after all of its neighbors."""
+        """Each class with its ``seed`` and the seeds of everything reachable
+        over ``neighbors``; ``order`` lists every class after all of its
+        neighbors."""
         closed: dict[str, frozenset[str]] = {}
         for c in order:
-            acc = {c}
+            acc = set(seed(c))
             for n in neighbors[c]:
                 acc |= closed[n]
             closed[c] = frozenset(acc)
@@ -213,15 +217,7 @@ class Taxonomy:
         """Some pair has one member sharing a descendant with c1 and the
         other sharing one with c2: how an inheritableNonDisjoint pair
         spreads."""
-        return self._has_pair(self._meeting, c1, c2, pairs)
-
-    def _meeting(self, c: str) -> frozenset[str]:
-        """Every class that shares a descendant with c (built on first use)."""
-        met = self._met.get(c)
-        if met is None:
-            met = self._met[c] = frozenset().union(
-                *(self._up[x] for x in self._down[c]))
-        return met
+        return self._has_pair(self._met.__getitem__, c1, c2, pairs)
 
     # -- derived relations --------------------------------------------------
 

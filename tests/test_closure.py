@@ -186,10 +186,14 @@ def test_pruning_preserves_pair_status_on_random_dags():
                     p = tuple(t.name for t in ax.formula.args)
                     {"$disjoint": dis, "$nonDisjoint": nd,
                      "$inheritableNonDisjoint": ind}[ax.formula.predicate].append(p)
+                # the curated facts apply_closure writes in this mode
+                written = (advice.candidates if mode_fn is assume_disjointness
+                           else CurationFile.from_pairs(
+                               disjoint=advice.candidates.disjoint))
                 base = tax.with_facts(
-                    disjoint=advice.candidates.disjoint,
-                    nondisjoint=advice.candidates.nondisjoint,
-                    inheritable_nondisjoint=advice.candidates.inheritable)
+                    disjoint=written.disjoint,
+                    nondisjoint=written.nondisjoint,
+                    inheritable_nondisjoint=written.inheritable)
                 return base.with_facts(dis, nd, ind)
 
             full = merged_with(unpruned)
@@ -253,6 +257,17 @@ def test_assume_nondisjointness_respects_curated_disjointness(
         ["($inheritableNonDisjoint RedBloodCell WhiteBloodCell)"]
     fix = CurationFile.from_pairs(disjoint=[("RedBloodCell", "WhiteBloodCell")])
     assert assume_nondisjointness(tax, fix) == []
+
+
+def test_nondisjointness_pruning_ignores_curated_facts_it_does_not_write():
+    # this mode writes only curated $disjoint facts, so the curated
+    # (X2, y) compatibility cannot stand in for the (x, y) fact
+    ontology = kif.parse_kif("($subclass x P)\n($subclass y P)\n($subclass x X2)")
+    curation = load_curation("($inheritableNonDisjoint X2 y)")
+    for prune in (True, False):
+        closed = apply_closure(ontology, SUBCLASS_NONDISJOINT, curation,
+                               prune=prune)
+        assert build_taxonomy(closed).pair_status("x", "y") == NONDISJOINT
 
 
 def test_assume_nondisjointness_single_class():

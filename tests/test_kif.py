@@ -90,6 +90,31 @@ def test_syntax_errors_carry_position(text, line):
     assert err.value.column >= 1
 
 
+@pytest.mark.parametrize("text,message,line,column", [
+    # columns after a string that spans lines count from its last line
+    ('($p "a\nb" )x', "top-level symbol 'x'", 2, 5),
+    ('($p "a\n\nbc"\n  ) )', "unbalanced ')'", 4, 5),
+    # the whole text is scanned before any ')' is matched
+    ('($p A)) "open\n', "unterminated string", 1, 9),
+    ("\r\n\t(($p A))", "expression head", 2, 4),
+])
+def test_syntax_error_positions(text, message, line, column):
+    with pytest.raises(KifSyntaxError) as err:
+        kif.parse_kif(text)
+    assert message in str(err.value)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_only_space_tab_cr_and_lf_separate_symbols():
+    atom = kif.parse_formula_text("($p a\x0bb c\x0c \u00a0)")
+    assert atom.args == (const("a\x0bb"), const("c\x0c"), const("\u00a0"))
+
+
+def test_axiom_source_is_the_line_of_the_first_symbol():
+    ontology = kif.parse_kif('; c\n($p "x\ny")\n\n(\n  $q A)', "f.kif")
+    assert [ax.source for ax in ontology] == ["f.kif:2", "f.kif:6"]
+
+
 def test_comments_and_strings():
     ontology = kif.parse_kif(
         '; header\n($documentation Birth "a birth event") ; trailing\n')

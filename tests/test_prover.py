@@ -244,6 +244,23 @@ def test_run_batch_resumes(tmp_path, organism_process):
     assert [v.value for v in verdicts] == [UNKNOWN, UNKNOWN]
 
 
+def test_run_batch_resumes_after_a_torn_last_line(tmp_path, organism_process):
+    config = stub_provers.stub_config(tmp_path, stub_provers.COUNTER_SATISFIABLE)
+    journal = tmp_path / "journal.jsonl"
+    cqs = [antonymy_cq("Birth", "Death"), antonymy_cq("Breathing", "Mating")]
+    run_batch(organism_process, cqs, config, journal, tmp_path / "problems")
+    whole = journal.read_text()
+    # a kill mid-append leaves part of the last record and no newline
+    journal.write_text(whole[:-10])
+    assert len(load_journal(journal)) == 3
+    verdicts = run_batch(organism_process, cqs, config, journal,
+                         tmp_path / "problems")
+    assert [v.value for v in verdicts] == [UNKNOWN, UNKNOWN]
+    lines = journal.read_text().splitlines()
+    assert len(lines) == 4  # the torn record was run again, on a line of its own
+    assert len(load_journal(journal)) == 4
+
+
 def test_run_batch_aborts_on_contradiction(tmp_path, organism_process):
     config = stub_provers.stub_config(tmp_path, stub_provers.THEOREM)
     cq = antonymy_cq("Birth", "Death")
