@@ -8,7 +8,6 @@ Every stage is its own subcommand; ``pipeline`` chains them from a flat
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -197,20 +196,13 @@ def cmd_gen_cqs(args) -> int:
 def cmd_emit(args) -> int:
     ontology = _load_ontology(args.ontology)
     cqs = questions.read_cq_corpus(_read(args.cqs))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    index_lines = []
-    for i, cq in enumerate(cqs):
+    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    for cq in cqs:
         for polarity in (prover.TRUTH, prover.FALSITY):
-            problem = prover.cq_problem(ontology, cq, polarity,
-                                        args.mode_label)
-            name = f"{i:05d}_{polarity}.p"
-            _write(out_dir / name, problem.text)
-            index_lines.append(json.dumps(
-                {"file": name, "cq": cq.id, "polarity": polarity,
-                 "pattern": cq.pattern}, sort_keys=True))
-    _write(out_dir / "index.jsonl", "\n".join(index_lines) + "\n")
-    print(f"emitted {2 * len(cqs)} problems to {out_dir}", file=sys.stderr)
+            prover.write_problem(ontology, cq, polarity, args.out_dir,
+                                 args.mode_label)
+    print(f"emitted {2 * len(cqs)} problems to {args.out_dir}",
+          file=sys.stderr)
     return EXIT_OK
 
 

@@ -151,27 +151,15 @@ class Axiom:
 
 
 class Ontology:
-    """Immutable ordered axiom collection.
-
-    Axioms whose formulas are alpha-equivalent to an earlier axiom with the
-    same provenance are dropped at construction.
-    """
+    """Immutable ordered axiom collection with unique axiom ids."""
 
     def __init__(self, axioms: "list[Axiom] | tuple[Axiom, ...]" = ()):
-        kept: list[Axiom] = []
-        seen_ids: set[str] = set()
-        seen_forms: set[tuple[str, str]] = set()
-        for ax in axioms:
-            if ax.id in seen_ids:
+        self._axioms = tuple(axioms)
+        self._by_id: dict[str, Axiom] = {}
+        for ax in self._axioms:
+            if ax.id in self._by_id:
                 raise KifError(f"duplicate axiom id: {ax.id}")
-            key = (ax.provenance, alpha_key(ax.formula))
-            if key in seen_forms:
-                continue
-            seen_ids.add(ax.id)
-            seen_forms.add(key)
-            kept.append(ax)
-        self._axioms = tuple(kept)
-        self._by_id = {ax.id: ax for ax in self._axioms}
+            self._by_id[ax.id] = ax
 
     @property
     def axioms(self) -> tuple[Axiom, ...]:
@@ -187,7 +175,7 @@ class Ontology:
         return self._by_id[axiom_id]
 
     def extended(self, more: "list[Axiom] | tuple[Axiom, ...]") -> "Ontology":
-        return Ontology(list(self._axioms) + list(more))
+        return Ontology(self._axioms + tuple(more))
 
     def structurally_equal(self, other: "Ontology") -> bool:
         if len(self) != len(other):
@@ -216,10 +204,6 @@ class SizeStats:
         "implies_count", "and_count", "or_count", "not_count",
         "equality_count",
     )
-
-    def __add__(self, other: "SizeStats") -> "SizeStats":
-        return SizeStats(*(getattr(self, f) + getattr(other, f)
-                           for f in self.CSV_FIELDS))
 
     def as_csv_row(self) -> str:
         return ",".join(str(getattr(self, f)) for f in self.CSV_FIELDS)
@@ -523,8 +507,9 @@ def _parse_formula(form, bound: frozenset[str], close_tok: _SexpSymbol) -> Formu
     return Atom(name, tuple(_parse_term(a, bound, close_tok) for a in args))
 
 
-def parse_kif(text: str, source_name: str = "<string>") -> Ontology:
-    """Parse top-level S-expressions into an ontology of original axioms."""
+def parse_axioms(text: str, source_name: str = "<string>") -> list[Axiom]:
+    """Every top-level S-expression as an original axiom, in text order,
+    alpha-equivalent ones included."""
     forms = _read_sexprs(text)
     axioms = []
     for i, (form, close_tok) in enumerate(forms, start=1):
@@ -537,7 +522,16 @@ def parse_kif(text: str, source_name: str = "<string>") -> Ontology:
         axioms.append(Axiom(id=f"orig_{i}", formula=formula,
                             provenance="original",
                             source=f"{source_name}:{line}"))
-    return Ontology(axioms)
+    return axioms
+
+
+def parse_kif(text: str, source_name: str = "<string>") -> Ontology:
+    """Parse top-level S-expressions into an ontology of original axioms;
+    an axiom alpha-equivalent to an earlier one is dropped."""
+    first: dict[str, Axiom] = {}
+    for ax in parse_axioms(text, source_name):
+        first.setdefault(alpha_key(ax.formula), ax)
+    return Ontology(tuple(first.values()))
 
 
 def parse_formula_text(text: str) -> Formula:

@@ -22,7 +22,7 @@ import subprocess
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import kif, tptp
@@ -220,21 +220,31 @@ def _demangle_used(problem: tptp.TptpProblem,
                    outcome: ProverOutcome) -> ProverOutcome:
     if not outcome.used:
         return outcome
-    mapped = tuple(problem.axiom_id_for(name) or name for name in outcome.used)
-    return ProverOutcome(status=outcome.status, wall_time=outcome.wall_time,
-                         used=mapped, szs=outcome.szs, detail=outcome.detail)
+    return replace(outcome, used=tuple(problem.axiom_id_for(name) or name
+                                       for name in outcome.used))
 
 
-def cq_problem(ontology: Ontology, cq: CompetencyQuestion, polarity: str,
-               mode_label: str = "") -> tptp.TptpProblem:
-    """The problem of one test of a question: the ontology's axioms and the
-    truth or falsity test as the conjecture ``cq_<polarity>``."""
+def write_problem(ontology: Ontology, cq: CompetencyQuestion, polarity: str,
+                  workdir: "str | Path", mode_label: str = ""
+                  ) -> tuple[Path, tptp.TptpProblem]:
+    """Write the problem of one test of a question (the ontology's axioms,
+    then the test as the conjecture ``cq_<polarity>``) to
+    ``<workdir>/<first 16 hex digits of sha256(cq.id)>_<polarity>.p``, so
+    distinct questions never share a file; return the path and problem."""
+    # imported here: hashlib loads OpenSSL, about 3.5 MiB of resident
+    # memory that oracle-only runs need not pay
+    import hashlib
+
     formula = cq.truth_test if polarity == TRUTH else cq.falsity_test
-    return tptp.emit_problem(
+    problem = tptp.emit_problem(
         ontology, formula,
         metadata={"cq": cq.id, "pattern": cq.pattern,
                   "polarity": polarity, "mode": mode_label},
         conjecture_name=f"cq_{polarity}")
+    digest = hashlib.sha256(cq.id.encode("utf-8")).hexdigest()[:16]
+    path = Path(workdir) / f"{digest}_{polarity}.p"
+    path.write_text(problem.text, encoding="utf-8")
+    return path, problem
 
 
 # ---------------------------------------------------------------------------
@@ -313,20 +323,13 @@ def run_batch(ontology: Ontology, cqs, config: ProverConfig,
     Results append to the journal as they complete, keyed by question and
     polarity, so an interrupted run resumes where it stopped.
     """
-    # imported here: hashlib loads OpenSSL, about 3.5 MiB of resident
-    # memory that oracle-only runs need not pay
-    import hashlib
-
     done = load_journal(journal_path)
     _drop_torn_tail(journal_path)
     lock = threading.Lock()
 
     def run_test(cq: CompetencyQuestion, polarity: str) -> ProverOutcome:
-        problem = cq_problem(ontology, cq, polarity, mode_label)
-        # named by a digest of the id: distinct questions, distinct files
-        digest = hashlib.sha256(cq.id.encode("utf-8")).hexdigest()[:16]
-        path = Path(workdir) / f"{digest}_{polarity}.p"
-        path.write_text(problem.text)
+        path, problem = write_problem(ontology, cq, polarity, workdir,
+                                      mode_label)
         outcome = _demangle_used(problem, run_prover(path, config))
         if outcome.status == ERROR:
             logger.warning("prover error on %s %s test: %s",
@@ -350,10 +353,8 @@ def run_batch(ontology: Ontology, cqs, config: ProverConfig,
     Path(workdir).mkdir(parents=True, exist_ok=True)
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
         verdicts = list(pool.map(evaluate, cqs))
-    executed = [v for v in verdicts for o in (v.truth, v.falsity) if o]
-    if executed and all(o.status == ERROR
-                        for v in verdicts
-                        for o in (v.truth, v.falsity) if o):
+    executed = [o for v in verdicts for o in (v.truth, v.falsity) if o]
+    if executed and all(o.status == ERROR for o in executed):
         raise ProverError("every prover invocation failed; check the command")
     _raise_on_contradiction(verdicts)
     return verdicts

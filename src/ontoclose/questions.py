@@ -282,10 +282,9 @@ def group_by_pattern(questions) -> dict[str, list[CompetencyQuestion]]:
 
 def read_cq_corpus(text: str) -> list[CompetencyQuestion]:
     """Rebuild questions from a corpus file written by write_cq_corpus."""
-    ontology = kif.parse_kif(text)
     lines = text.splitlines()
     questions = []
-    for ax in ontology:
+    for ax in kif.parse_axioms(text):
         start_line = int(ax.source.rsplit(":", 1)[1])
         headers: dict[str, str] = {}
         for i in range(start_line - 2, -1, -1):

@@ -3,9 +3,11 @@
 Harvests ground ``subclass`` / ``disjoint`` / ``instance`` / ``nonDisjoint`` /
 ``inheritableNonDisjoint`` facts (``$``-prefixed or plain spellings) into an
 immutable graph, and answers derived disjointness and non-disjointness
-queries. Disjointness is inherited downward by subclasses; non-disjointness
-propagates upward through shared instances, so an ``inheritableNonDisjoint``
-pair reaches every class that shares a descendant with one of its arguments.
+queries. Disjointness is inherited downward by subclasses. Two classes are
+non-disjoint when they share a descendant, and non-disjointness rises to
+superclasses from a ``nonDisjoint`` pair or from an object that is an
+instance of both classes of a pair; an ``inheritableNonDisjoint`` pair
+reaches every class that shares a descendant with one of its arguments.
 """
 
 from __future__ import annotations
@@ -87,6 +89,13 @@ class Taxonomy:
                 "pairs declared both disjoint and non-disjoint: "
                 + ", ".join(f"{a}/{b}" for a, b in sorted(overlap)))
         self.instance_facts = frozenset(instance_facts)
+        # an object's classes are pairwise compatible, as nonDisjoint pairs
+        classes_of: dict[str, set[str]] = {}
+        for obj, c in self.instance_facts:
+            classes_of.setdefault(obj, set()).add(c)
+        self._instance_pairs = frozenset(
+            (a, b) for cs in classes_of.values() for a in cs for b in cs
+            if a < b)
 
         self._parents: dict[str, set[str]] = {c: set() for c in self.classes}
         self._children: dict[str, set[str]] = {c: set() for c in self.classes}
@@ -231,9 +240,10 @@ class Taxonomy:
 
     def explicitly_nondisjoint(self, c1: str, c2: str) -> bool:
         """Non-disjointness that follows from the explicit compatibility
-        pairs, not merely from a shared descendant: what an external prover
-        given those facts can also derive."""
+        pairs or a shared instance, not merely from a shared descendant:
+        what an external prover given those facts can also derive."""
         return (self.has_pair_below(c1, c2, self.explicit_nondisjoint)
+                or self.has_pair_below(c1, c2, self._instance_pairs)
                 or self.has_pair_meeting(c1, c2, self.explicit_inheritable))
 
     def pair_status(self, c1: str, c2: str) -> str:

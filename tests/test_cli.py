@@ -165,17 +165,44 @@ def _generate_corpus(tmp_path, lexical_files):
     return corpus
 
 
+def _problem_headers(path):
+    return dict(line[2:].split(": ", 1)
+                for line in path.read_text().splitlines()
+                if line.startswith("% ") and ": " in line)
+
+
 def test_emit_problem_files(tmp_path, lexical_files):
     corpus = _generate_corpus(tmp_path, lexical_files)
     out_dir = tmp_path / "problems"
     assert run_cli("emit", ONTOLOGY, "--cqs", corpus,
                    "--out-dir", out_dir) == EXIT_OK
-    index = [json.loads(line)
-             for line in (out_dir / "index.jsonl").read_text().splitlines()]
-    assert len(index) == 2 * len(list_corpus_ids(corpus))
-    first = out_dir / index[0]["file"]
-    assert first.exists()
-    assert ", conjecture, " in first.read_text()
+    files = sorted(out_dir.iterdir())
+    tests = set()
+    for path in files:
+        headers = _problem_headers(path)
+        assert path.name.endswith(f"_{headers['polarity']}.p")
+        assert ", conjecture, " in path.read_text()
+        tests.add((headers["cq"], headers["polarity"]))
+    assert len(files) == len(tests)
+    assert tests == {(cq_id, polarity) for cq_id in list_corpus_ids(corpus)
+                     for polarity in ("truth", "falsity")}
+
+
+def test_emit_writes_the_files_run_writes(tmp_path, lexical_files):
+    corpus = _generate_corpus(tmp_path, lexical_files)
+    emitted, ran = tmp_path / "emitted", tmp_path / "ran"
+    # counter-satisfiable truth tests: no falsity test is short-circuited
+    config = stub_provers.stub_config(tmp_path, stub_provers.COUNTER_SATISFIABLE)
+    assert run_cli("emit", ONTOLOGY, "--cqs", corpus,
+                   "--out-dir", emitted) == EXIT_OK
+    assert run_cli("run", ONTOLOGY, "--cqs", corpus, "--problems", ran,
+                   "--journal", tmp_path / "journal.jsonl",
+                   "--prover-cmd", config.command) == EXIT_OK
+    names = sorted(path.name for path in emitted.iterdir())
+    assert names == sorted(path.name for path in ran.iterdir())
+    assert len(names) == 2 * len(list_corpus_ids(corpus))
+    for name in names:
+        assert (emitted / name).read_bytes() == (ran / name).read_bytes()
 
 
 def list_corpus_ids(corpus):

@@ -144,6 +144,17 @@ def test_assume_disjointness_strict_raises(agent_ontology):
     assert ("Organism", "SentientAgent") in err.value.pairs
 
 
+def test_disjointness_closure_keeps_a_shared_instance_compatible():
+    ontology = kif.parse_kif("($subclass A Top)\n($subclass B Top)\n"
+                             "($instance o A)\n($instance o B)")
+    # strict: a pair that needed curation would raise
+    closed = apply_closure(ontology, SUBCLASS_DISJOINT, strict=True)
+    disjoint = [tuple(t.name for t in ax.formula.args) for ax in closed
+                if ax.provenance == "cwa-disjoint"]
+    assert ("A", "B") not in disjoint
+    assert build_taxonomy(closed).find_conflicts() == []
+
+
 def test_assume_disjointness_single_class():
     tax = build_taxonomy(kif.parse_kif("($instance x Only)"))
     assert assume_disjointness(tax, CurationFile.empty()) == []

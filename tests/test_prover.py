@@ -335,6 +335,13 @@ def test_oracle_overlap_with_explicit_compatibility():
     assert oracle_verdict(tax, cq).value == PASSING
 
 
+def test_oracle_overlap_through_a_shared_instance():
+    tax = build_taxonomy(kif.parse_kif(
+        "($subclass A Top)\n($subclass B Top)\n"
+        "($instance o A)\n($instance o B)"))
+    assert oracle_verdict(tax, overlap_cq("A", "B")).value == PASSING
+
+
 def test_oracle_decides_plain_instance_spelling():
     tax = build_taxonomy(kif.parse_kif("($subclass Birth OrganismProcess)"))
     cq = replace(subset_cq("Birth", "OrganismProcess"),

@@ -263,6 +263,19 @@ def test_corpus_round_trip():
         assert a.source_pair == b.source_pair
 
 
+def test_corpus_keeps_questions_with_the_same_conjecture():
+    # two synset pairs mapped to the same classes ask one conjecture under
+    # two ids; the corpus holds both
+    mapping = index_of("birth#n#2\tBirth=\ndeath#n#1\tDeath=\n"
+                       "birth#n#3\tBirth=\ndeath#n#2\tDeath=\n")
+    pairs = [BIRTH_PAIR, RelationPair(ANTONYMY, "birth#n#3", "death#n#2")]
+    questions = gen_antonymy_cqs(pairs, mapping).questions
+    assert len(questions) == 2
+    assert questions[0].conjecture == questions[1].conjecture
+    recovered = read_cq_corpus(write_cq_corpus(questions))
+    assert [cq.id for cq in recovered] == [cq.id for cq in questions]
+
+
 def test_corpus_empty():
     assert write_cq_corpus([]) == ""
     assert read_cq_corpus("") == []

@@ -274,6 +274,20 @@ def test_find_conflicts_detects_disjoint_with_common_subclass():
     assert not any("C" in s for s in placements)
 
 
+def test_find_conflicts_detects_disjoint_with_shared_instance():
+    tax = tax_of("($disjoint A B)\n($instance o A)\n($instance o B)")
+    assert tax.find_conflicts() == [("A", "B")]
+
+
+def test_shared_instance_makes_a_pair_nondisjoint_upward():
+    tax = tax_of("($subclass A Top)\n($subclass B Top)\n($subclass A1 A)\n"
+                 "($instance o A1)\n($instance o B)\n($instance p Top)")
+    assert tax.pair_status("A1", "B") == NONDISJOINT
+    assert tax.pair_status("A", "B") == NONDISJOINT
+    assert tax.explicitly_nondisjoint("A", "B")
+    assert tax.instance_facts == {("o", "A1"), ("o", "B"), ("p", "Top")}
+
+
 def test_empty_conflict_report_means_no_conflicting_status():
     rng = random.Random(404)
     for _ in range(20):
