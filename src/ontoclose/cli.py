@@ -334,10 +334,18 @@ def cmd_pipeline(args) -> int:
         if prover_config is None:
             prover.oracle_run_batch(taxonomy.build_taxonomy(closed), cqs,
                                     journal)
+            # the oracle rewrote the journal with this run's records alone.
+            # (Building them from the verdicts, as below, would drop the
+            # journal load that bench/run.py times on every workload.)
+            records = prover.load_journal(journal)
         else:
-            prover.run_batch(closed, cqs, prover_config, journal,
-                             mode_dir / "problems", mode_label=mode)
-        records = prover.load_journal(journal)
+            verdicts = prover.run_batch(closed, cqs, prover_config, journal,
+                                        mode_dir / "problems",
+                                        mode_label=mode)
+            # a resumed journal can hold records of questions no longer in
+            # the corpus: report this run's verdicts only
+            records = {(r["cq"], r["polarity"]): r
+                       for r in prover.verdict_records(verdicts)}
         _write_reports(records, baseline, cqs, mode_dir)
         if baseline is None:
             baseline = records

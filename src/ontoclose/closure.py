@@ -261,7 +261,7 @@ def assume_disjointness(tax: Taxonomy, curation: CurationFile,
     if prune:
         pool = set(emitted) | merged.explicit_disjoint
         emitted = [p for p in emitted
-                   if not merged.has_pair_above(*p, pool - {p})]
+                   if not merged.has_pair_above(*p, pool, skip=p)]
     return [_unit("$disjoint", p, "cwad", "cwa-disjoint") for p in emitted]
 
 
@@ -307,12 +307,12 @@ def assume_nondisjointness(tax: Taxonomy, curation: CurationFile,
         # writes no curated compatibility facts, so those are not in it
         ind_pool = inheritable | tax.explicit_inheritable
         kept_ind = {p for p in inheritable
-                    if not merged.has_pair_above(*p, ind_pool - {p})}
+                    if not merged.has_pair_above(*p, ind_pool, skip=p)}
         ind_cover = kept_ind | tax.explicit_inheritable
         nd_pool = plain | tax.explicit_nondisjoint
         kept_nd = {p for p in plain
                    if not merged.has_pair_meeting(*p, ind_cover)
-                   and not merged.has_pair_below(*p, nd_pool - {p})}
+                   and not merged.has_pair_below(*p, nd_pool, skip=p)}
         inheritable, plain = kept_ind, kept_nd
 
     axioms = [_unit("$inheritableNonDisjoint", p, "cwan_ind", "cwa-nondisjoint")

@@ -24,6 +24,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Iterator
 
 from . import kif, tptp
 from .kif import And, Atom, Equal, Exists, Forall, Implies, Not, Ontology
@@ -256,6 +257,15 @@ def journal_record(cq_id: str, polarity: str, outcome: ProverOutcome) -> dict:
             "seconds": round(outcome.wall_time, 6), "used": list(outcome.used)}
 
 
+def verdict_records(verdicts) -> Iterator[dict]:
+    """The journal record of every test the verdicts ran, truth before
+    falsity, in verdict order."""
+    for v in verdicts:
+        for polarity, outcome in ((TRUTH, v.truth), (FALSITY, v.falsity)):
+            if outcome is not None:
+                yield journal_record(v.cq_id, polarity, outcome)
+
+
 def append_journal(path: "str | Path", records) -> None:
     """Append records to the journal, one JSON line each, through one
     open file."""
@@ -440,10 +450,6 @@ def oracle_run_batch(tax: Taxonomy, cqs,
     verdicts = [oracle_verdict(tax, cq) for cq in cqs]
     if journal_path:
         Path(journal_path).unlink(missing_ok=True)
-        append_journal(journal_path,
-                       (journal_record(v.cq_id, polarity, outcome)
-                        for v in verdicts
-                        for polarity, outcome in ((TRUTH, v.truth),
-                                                  (FALSITY, v.falsity))))
+        append_journal(journal_path, verdict_records(verdicts))
     _raise_on_contradiction(verdicts)
     return verdicts

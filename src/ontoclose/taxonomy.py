@@ -196,37 +196,43 @@ class Taxonomy:
     #
     # Every derived pair status asks one question of a set of pairs: does
     # some pair have one member related to c1 and the other to c2? Only the
-    # relation differs.
+    # relation differs. A ``skip`` pair is left out of the set, so pruning
+    # can ask about every other pair without copying the set per pair.
 
     def _has_pair(self, related, c1: str, c2: str,
-                  pairs: Collection[tuple[str, str]]) -> bool:
+                  pairs: Collection[tuple[str, str]],
+                  skip: "tuple[str, str] | None") -> bool:
         self._require(c1, c2)
         if not pairs:
             return False
         r1, r2 = related(c1), related(c2)
         for a, b in pairs:
-            if (a in r1 and b in r2) or (a in r2 and b in r1):
+            if ((a in r1 and b in r2) or (a in r2 and b in r1)) \
+                    and (a, b) != skip:
                 return True
         return False
 
     def has_pair_above(self, c1: str, c2: str,
-                       pairs: Collection[tuple[str, str]]) -> bool:
+                       pairs: Collection[tuple[str, str]],
+                       skip: "tuple[str, str] | None" = None) -> bool:
         """Some pair has one member at or above c1 and the other at or
         above c2: how disjointness descends to subclasses."""
-        return self._has_pair(self._up.__getitem__, c1, c2, pairs)
+        return self._has_pair(self._up.__getitem__, c1, c2, pairs, skip)
 
     def has_pair_below(self, c1: str, c2: str,
-                       pairs: Collection[tuple[str, str]]) -> bool:
+                       pairs: Collection[tuple[str, str]],
+                       skip: "tuple[str, str] | None" = None) -> bool:
         """Some pair has one member at or below c1 and the other at or
         below c2: how non-disjointness rises to superclasses."""
-        return self._has_pair(self._down.__getitem__, c1, c2, pairs)
+        return self._has_pair(self._down.__getitem__, c1, c2, pairs, skip)
 
     def has_pair_meeting(self, c1: str, c2: str,
-                         pairs: Collection[tuple[str, str]]) -> bool:
+                         pairs: Collection[tuple[str, str]],
+                         skip: "tuple[str, str] | None" = None) -> bool:
         """Some pair has one member sharing a descendant with c1 and the
         other sharing one with c2: how an inheritableNonDisjoint pair
         spreads."""
-        return self._has_pair(self._met.__getitem__, c1, c2, pairs)
+        return self._has_pair(self._met.__getitem__, c1, c2, pairs, skip)
 
     # -- derived relations --------------------------------------------------
 

@@ -10,6 +10,9 @@ provenance prefix (``orig_``, ``sup_``, ``comp_``, ``cwad_``, ``cwan_``,
 from __future__ import annotations
 
 import re
+import threading
+import weakref
+from collections import ChainMap
 from dataclasses import dataclass, field
 
 from . import kif
@@ -75,6 +78,14 @@ class MangleTable:
     def demangle(self, mangled: str) -> "str | None":
         entry = self._backward.get(mangled)
         return entry[1] if entry else None
+
+    def _overlay(self) -> "MangleTable":
+        """A table that starts with this one's names and records new ones
+        only in itself, leaving this one unchanged."""
+        child = MangleTable()
+        child._forward = ChainMap({}, self._forward)
+        child._backward = ChainMap({}, self._backward)
+        return child
 
 
 def _variable_namer(used: set[str]):
@@ -165,15 +176,37 @@ class TptpProblem:
         return self.table.demangle(fof_name)
 
 
+# Each ontology's rendered axioms and the table after them, held only as
+# long as the ontology itself (ontologies are immutable).
+_axiom_blocks: "weakref.WeakKeyDictionary[Ontology, tuple]" = \
+    weakref.WeakKeyDictionary()
+_axiom_blocks_lock = threading.Lock()
+
+
+def _axiom_block(ontology: Ontology
+                 ) -> tuple[MangleTable, tuple[tuple[str, str], ...]]:
+    """The ontology's axioms as (name, formula text), rendered once, and
+    the table that named them; the table is never changed afterwards."""
+    with _axiom_blocks_lock:
+        block = _axiom_blocks.get(ontology)
+        if block is None:
+            table = MangleTable()
+            axioms = tuple((table.axiom_name(ax.id),
+                            to_fof(ax.formula, table)) for ax in ontology)
+            block = _axiom_blocks[ontology] = (table, axioms)
+        return block
+
+
 def emit_problem(ontology: Ontology, test_formula: Formula,
                  metadata: "dict[str, str] | None" = None,
                  conjecture_name: str = "cq") -> TptpProblem:
-    """All ontology axioms in order, then the test as the sole conjecture."""
-    table = MangleTable()
+    """All ontology axioms in order, then the test as the sole conjecture.
+    The axioms are rendered once per ontology; each problem names its
+    conjecture's new symbols in a table of its own over that rendering."""
+    base, axioms = _axiom_block(ontology)
+    table = base._overlay()
     header = tuple(f"% {key}: {value}"
                    for key, value in sorted((metadata or {}).items()))
-    axioms = tuple((table.axiom_name(ax.id), to_fof(ax.formula, table))
-                   for ax in ontology)
     conjecture = (table.axiom_name(conjecture_name),
                   to_fof(test_formula, table))
     return TptpProblem(header=header, axioms=axioms, conjecture=conjecture,

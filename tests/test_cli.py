@@ -490,6 +490,38 @@ def test_pipeline_with_stub_prover(tmp_path, lexical_files, monkeypatch):
             assert f"% mode: {mode}" in path.read_text().splitlines(), path
 
 
+def test_pipeline_rerun_with_fewer_questions_reports_the_new_corpus(
+        tmp_path, lexical_files, monkeypatch):
+    mapping, antonymy, hyponymy = lexical_files
+    hyponymy.write_text(HYPONYMY_TSV + "birth#n#2\tprocess#n#2\n")
+    stub = stub_provers.stub_config(tmp_path, stub_provers.COUNTER_SATISFIABLE)
+    monkeypatch.setenv("ONTOCLOSE_PROVER_COMMAND", stub.command)
+    out = tmp_path / "results"
+    config = tmp_path / "run.conf"
+    config.write_text(
+        f"ontology={ONTOLOGY}\nmapping={mapping}\n"
+        f"pairs.hyponymy={hyponymy}\npairs.antonymy={antonymy}\n"
+        f"out={out}\noracle=false\nmodes=subclass-only\n"
+        "prover.workers=2\nprover.time_limit=10\n")
+
+    def total_count():
+        assert run_cli("pipeline", config) == EXIT_OK
+        header, *rows = (out / "subclass-only" / "competency.csv"
+                         ).read_text().splitlines()
+        [total] = [dict(zip(header.split(","), row.split(",")))
+                   for row in rows if row.startswith("Total,")]
+        return int(total["count"])
+
+    first = total_count()
+    assert first == len(list_corpus_ids(out / "cqs.kif"))
+    # the same out directory again, with one hyponymy pair fewer: the
+    # journal resumes, but the report counts only this corpus's questions
+    hyponymy.write_text(HYPONYMY_TSV)
+    second = total_count()
+    assert second == len(list_corpus_ids(out / "cqs.kif"))
+    assert second < first
+
+
 def test_pipeline_rejects_meronymy_pairs(tmp_path, lexical_files, capsys):
     mapping, _, _ = lexical_files
     parts = tmp_path / "parts.tsv"

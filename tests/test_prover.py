@@ -18,7 +18,7 @@ from ontoclose.prover import (
 )
 from ontoclose.taxonomy import build_taxonomy
 
-from conftest import antonymy_cq, overlap_cq, subset_cq
+from conftest import antonymy_cq, load_ontology, overlap_cq, subset_cq
 import stub_provers
 import witness_oracle
 
@@ -452,3 +452,48 @@ def test_oracle_monotone_under_closure(organism_process):
         resolved = {cq.id for cq in cqs
                     if oracle_verdict(tax, cq).value != UNKNOWN}
         assert base_resolved <= resolved
+
+
+def _fresh_organism_process():
+    # parsed anew, so no earlier test has rendered its axioms yet
+    return load_ontology("organism_process.kif")
+
+
+def test_run_batch_renders_the_axioms_once(tmp_path, monkeypatch):
+    from ontoclose import tptp
+    ontology = _fresh_organism_process()
+    calls = []
+    real_to_fof = tptp.to_fof
+
+    def counting_to_fof(formula, table=None):
+        calls.append(formula)
+        return real_to_fof(formula, table)
+
+    monkeypatch.setattr(tptp, "to_fof", counting_to_fof)
+    config = stub_provers.stub_config(tmp_path, stub_provers.COUNTER_SATISFIABLE,
+                                      workers=2)
+    cqs = [antonymy_cq("Birth", "Death"), overlap_cq("Breathing", "Mating"),
+           subset_cq("Birth", "Unicorn")]
+    run_batch(ontology, cqs, config, tmp_path / "j.jsonl",
+              tmp_path / "problems", short_circuit=False)
+    tests = 2 * len(cqs)
+    assert len(calls) == len(ontology) + tests
+
+
+def test_run_batch_workers_write_the_same_problem_files(tmp_path):
+    # questions over classes the ontology lacks name new constants per problem
+    cqs = [antonymy_cq(c1, c2) for c1, c2 in (
+        ("Birth", "Death"), ("Unicorn", "Griffin"), ("Birth", "BIRTH"),
+        ("Griffin", "Mating"), ("Phoenix", "Unicorn"), ("Death", "DEATH"))]
+    contents = []
+    for workers in (1, 4):
+        config = stub_provers.stub_config(
+            tmp_path, stub_provers.COUNTER_SATISFIABLE, workers=workers)
+        problems = tmp_path / f"problems{workers}"
+        run_batch(_fresh_organism_process(), cqs, config,
+                  tmp_path / f"j{workers}.jsonl", problems,
+                  short_circuit=False)
+        contents.append({path.name: path.read_bytes()
+                         for path in problems.glob("*.p")})
+    assert len(contents[0]) == 2 * len(cqs)
+    assert contents[0] == contents[1]

@@ -1,10 +1,12 @@
+import gc
 import re
+import weakref
 
 import pytest
 
 from ontoclose import kif
 from ontoclose.tptp import (
-    MangleTable, UnsupportedConstructError, emit_problem, to_fof,
+    MangleTable, TptpProblem, UnsupportedConstructError, emit_problem, to_fof,
 )
 
 
@@ -175,3 +177,55 @@ def test_emitted_closure_problem_is_well_formed(organism_process):
     assert any(name.startswith("comp_") for name in names)
     assert any(name.startswith("cwad_") for name in names)
     assert any(name.startswith("sup_") for name in names)
+
+
+def _fresh_problem(ontology, formula, metadata, conjecture_name):
+    """The problem rendered from scratch: one table for the whole file."""
+    table = MangleTable()
+    axioms = tuple((table.axiom_name(ax.id), to_fof(ax.formula, table))
+                   for ax in ontology)
+    conjecture = (table.axiom_name(conjecture_name), to_fof(formula, table))
+    header = tuple(f"% {k}: {v}" for k, v in sorted(metadata.items()))
+    return TptpProblem(header=header, axioms=axioms, conjecture=conjecture,
+                       table=table)
+
+
+def test_emission_reusing_the_axiom_block_equals_a_fresh_render(
+        organism_process, sound_process_ontology):
+    # Unicorn is no symbol of either ontology; BIRTH sanitizes to the name
+    # of Birth and so takes a suffix, as plain instance does next to
+    # $instance
+    tests = [kif.parse_formula_text(text) for text in (
+        "(exists (X) (and ($instance X Birth) ($instance X Unicorn)))",
+        "(forall (X) (=> ($instance X BIRTH) (instance X Death)))",
+        "($disjoint Birth Death)")]
+    rounds = [organism_process, sound_process_ontology, organism_process,
+              sound_process_ontology]
+    for ontology in rounds:
+        for i, formula in enumerate(tests):
+            metadata = {"cq": f"q{i}", "polarity": "truth"}
+            got = emit_problem(ontology, formula, metadata, "cq_truth")
+            want = _fresh_problem(ontology, formula, metadata, "cq_truth")
+            assert got.text == want.text
+            names = set(want.table._backward) | {"c__unicorn", "c__birth_2"}
+            for name in names:
+                assert got.axiom_id_for(name) == want.axiom_id_for(name), name
+    birth_2 = emit_problem(organism_process, tests[1], {}, "cq")
+    assert "c__birth_2" in birth_2.text
+    assert birth_2.axiom_id_for("c__birth_2") == "BIRTH"
+    # a problem's new names stay its own
+    plain = emit_problem(organism_process, tests[2], {}, "cq")
+    assert plain.axiom_id_for("c__unicorn") is None
+    assert plain.axiom_id_for("c__birth_2") is None
+
+
+def test_axiom_block_memo_lets_go_of_a_deleted_ontology():
+    from ontoclose import tptp
+    ontology = kif.parse_kif("($subclass Birth OrganismProcess)\n")
+    formula = kif.parse_formula_text("($disjoint Birth Death)")
+    emit_problem(ontology, formula)
+    assert ontology in tptp._axiom_blocks
+    ref = weakref.ref(ontology)
+    del ontology
+    gc.collect()
+    assert ref() is None
