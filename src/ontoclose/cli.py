@@ -37,6 +37,14 @@ def _write(path: "str | Path", text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
+def _write_or_print(path: "str | None", text: str) -> None:
+    """Write ``text`` to ``path``, or to standard output without one."""
+    if path:
+        _write(path, text)
+    else:
+        sys.stdout.write(text)
+
+
 def _load_ontology(path: str) -> kif.Ontology:
     return kif.parse_kif(_read(path), source_name=path)
 
@@ -53,11 +61,7 @@ def _load_curation(path: "str | None") -> closure.CurationFile:
 
 def cmd_parse(args) -> int:
     ontology = _load_ontology(args.ontology)
-    text = kif.serialize_kif(ontology)
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_or_print(args.out, kif.serialize_kif(ontology))
     if args.dot or args.edges:
         tax = taxonomy.build_taxonomy(ontology)
         if args.dot:
@@ -96,11 +100,7 @@ def cmd_close(args) -> int:
     closed = closure.apply_closure(ontology, args.mode, curation,
                                    prune=not args.no_prune,
                                    strict=args.strict)
-    text = kif.serialize_kif(closed)
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_or_print(args.out, kif.serialize_kif(closed))
     return EXIT_OK
 
 
@@ -112,10 +112,7 @@ def cmd_suggest_curation(args) -> int:
         listing = "".join(f"; undecided: {a} {b}\n"
                           for a, b in advice.undecided)
         text = listing + text
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_or_print(args.out, text)
     return EXIT_OK
 
 
@@ -183,11 +180,7 @@ def cmd_gen_cqs(args) -> int:
             safe = pattern.replace("(", "_").replace(")", "").strip("_")
             _write(Path(args.split_dir) / f"{safe}.kif",
                    questions.write_cq_corpus(group))
-    text = questions.write_cq_corpus(all_questions)
-    if args.out:
-        _write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_or_print(args.out, questions.write_cq_corpus(all_questions))
     print(f"generated {len(all_questions)} questions; "
           f"skipped {skipped} unmapped pairs", file=sys.stderr)
     return EXIT_OK

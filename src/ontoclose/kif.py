@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Union
+from operator import attrgetter
+from typing import Callable, Iterator, NamedTuple, Union
 
 VARIABLE = "variable"
 CONSTANT = "constant"
@@ -217,41 +218,88 @@ class SizeStats:
 # Traversal helpers
 # ---------------------------------------------------------------------------
 
+class _Shape(NamedTuple):
+    head: Callable[[Formula], str]  # serialized head: "and", "forall (X Y)"
+    # the terms of an atom or an equality, the subformulas of anything
+    # else, in order
+    parts: Callable[[Formula], tuple]
+    rebuild: Callable[[Formula, list], Formula]  # the node with new parts
+
+
+# The one place that knows each node type's shape.
+_SHAPES: dict[type, _Shape] = {
+    Atom: _Shape(attrgetter("predicate"), attrgetter("args"),
+                 lambda f, args: Atom(f.predicate, tuple(args))),
+    Equal: _Shape(lambda f: "equal", lambda f: (f.left, f.right),
+                  lambda f, terms: Equal(*terms)),
+    Not: _Shape(lambda f: "not", lambda f: (f.body,),
+                lambda f, parts: Not(*parts)),
+    And: _Shape(lambda f: "and", attrgetter("parts"),
+                lambda f, parts: And(tuple(parts))),
+    Or: _Shape(lambda f: "or", attrgetter("parts"),
+               lambda f, parts: Or(tuple(parts))),
+    Implies: _Shape(lambda f: "=>", lambda f: (f.left, f.right),
+                    lambda f, parts: Implies(*parts)),
+    Iff: _Shape(lambda f: "<=>", lambda f: (f.left, f.right),
+                lambda f, parts: Iff(*parts)),
+    Forall: _Shape(lambda f: f"forall ({' '.join(f.variables)})",
+                   lambda f: (f.body,),
+                   lambda f, parts: Forall(f.variables, *parts)),
+    Exists: _Shape(lambda f: f"exists ({' '.join(f.variables)})",
+                   lambda f: (f.body,),
+                   lambda f, parts: Exists(f.variables, *parts)),
+}
+_TERM_NODES = (Atom, Equal)
+_QUANTIFIERS = (Forall, Exists)
+
+
+def children(formula: Formula) -> tuple[Formula, ...]:
+    """The direct subformulas of a node, in order; none for an atom or an
+    equality."""
+    if isinstance(formula, _TERM_NODES):
+        return ()
+    return _SHAPES[type(formula)].parts(formula)
+
+
+def _rebuild(formula: Formula, parts: list) -> Formula:
+    return _SHAPES[type(formula)].rebuild(formula, parts)
+
+
+def map_terms(formula: Formula, fn: Callable[[Term], Term]) -> Formula:
+    """The formula with every term ``t`` replaced by ``fn(t)``, bound
+    variables' occurrences included."""
+    _, parts, rebuild = _SHAPES[type(formula)]
+    if isinstance(formula, _TERM_NODES):
+        return rebuild(formula, [fn(t) for t in parts(formula)])
+    return rebuild(formula, [map_terms(p, fn) for p in parts(formula)])
+
+
 def subformulas(formula: Formula) -> Iterator[Formula]:
     """Pre-order walk over the formula and all nested subformulas."""
-    yield formula
-    if isinstance(formula, Not):
-        yield from subformulas(formula.body)
-    elif isinstance(formula, (And, Or)):
-        for part in formula.parts:
-            yield from subformulas(part)
-    elif isinstance(formula, (Implies, Iff)):
-        yield from subformulas(formula.left)
-        yield from subformulas(formula.right)
-    elif isinstance(formula, (Forall, Exists)):
-        yield from subformulas(formula.body)
+    stack = [formula]
+    while stack:
+        f = stack.pop()
+        yield f
+        stack.extend(reversed(children(f)))
 
 
 def free_variables(formula: Formula) -> set[str]:
-    def walk(f: Formula, bound: frozenset[str]) -> set[str]:
-        if isinstance(f, Atom):
-            return {t.name for t in f.args
-                    if t.kind == VARIABLE and t.name not in bound}
-        if isinstance(f, Equal):
-            return {t.name for t in (f.left, f.right)
-                    if t.kind == VARIABLE and t.name not in bound}
-        if isinstance(f, Not):
-            return walk(f.body, bound)
-        if isinstance(f, (And, Or)):
-            out: set[str] = set()
-            for part in f.parts:
-                out |= walk(part, bound)
-            return out
-        if isinstance(f, (Implies, Iff)):
-            return walk(f.left, bound) | walk(f.right, bound)
-        return walk(f.body, bound | frozenset(f.variables))
+    free: set[str] = set()
 
-    return walk(formula, frozenset())
+    def walk(f: Formula, bound: frozenset[str]) -> None:
+        parts = _SHAPES[type(f)].parts(f)
+        if isinstance(f, _TERM_NODES):
+            for t in parts:
+                if t.kind == VARIABLE and t.name not in bound:
+                    free.add(t.name)
+            return
+        if isinstance(f, _QUANTIFIERS):
+            bound = bound | frozenset(f.variables)
+        for part in parts:
+            walk(part, bound)
+
+    walk(formula, frozenset())
+    return free
 
 
 def is_closed(formula: Formula) -> bool:
@@ -262,7 +310,7 @@ def is_unit_clause(formula: Formula) -> bool:
     """A bare or singly-negated atom with no quantifier."""
     if isinstance(formula, Not):
         formula = formula.body
-    return isinstance(formula, (Atom, Equal))
+    return isinstance(formula, _TERM_NODES)
 
 
 def ground_atom(formula: Formula) -> "Atom | None":
@@ -276,40 +324,19 @@ def rename_bound(formula: Formula, fresh: "Iterator[str] | None" = None,
                  mapping: "dict[str, str] | None" = None) -> Formula:
     """Rename bound variables to a canonical _v0, _v1, ... sequence."""
     if fresh is None:
-        counter = iter(range(10 ** 9))
-        fresh = (f"_v{i}" for i in counter)
+        fresh = (f"_v{i}" for i in range(10 ** 9))
     mapping = mapping or {}
-
-    def sub_term(t: Term) -> Term:
-        if t.kind == VARIABLE and t.name in mapping:
-            return Term(VARIABLE, mapping[t.name])
-        return t
-
-    if isinstance(formula, Atom):
-        return Atom(formula.predicate, tuple(sub_term(t) for t in formula.args))
-    if isinstance(formula, Equal):
-        return Equal(sub_term(formula.left), sub_term(formula.right))
-    if isinstance(formula, Not):
-        return Not(rename_bound(formula.body, fresh, mapping))
-    if isinstance(formula, And):
-        return And(tuple(rename_bound(p, fresh, mapping) for p in formula.parts))
-    if isinstance(formula, Or):
-        return Or(tuple(rename_bound(p, fresh, mapping) for p in formula.parts))
-    if isinstance(formula, Implies):
-        return Implies(rename_bound(formula.left, fresh, mapping),
-                       rename_bound(formula.right, fresh, mapping))
-    if isinstance(formula, Iff):
-        return Iff(rename_bound(formula.left, fresh, mapping),
-                   rename_bound(formula.right, fresh, mapping))
-    inner = dict(mapping)
-    new_vars = []
-    for v in formula.variables:
-        nv = next(fresh)
-        inner[v] = nv
-        new_vars.append(nv)
-    body = rename_bound(formula.body, fresh, inner)
-    cls = Forall if isinstance(formula, Forall) else Exists
-    return cls(tuple(new_vars), body)
+    if isinstance(formula, _TERM_NODES):
+        if not mapping:
+            return formula
+        return map_terms(formula, lambda t: Term(VARIABLE, mapping[t.name])
+                         if t.kind == VARIABLE and t.name in mapping else t)
+    if isinstance(formula, _QUANTIFIERS):
+        new_vars = tuple(next(fresh) for _ in formula.variables)
+        inner = {**mapping, **dict(zip(formula.variables, new_vars))}
+        return type(formula)(new_vars, rename_bound(formula.body, fresh, inner))
+    return _rebuild(formula, [rename_bound(p, fresh, mapping)
+                              for p in children(formula)])
 
 
 def alpha_key(formula: Formula) -> str:
@@ -323,23 +350,15 @@ def normalize(formula: Formula) -> Formula:
     and/or/equal operand order normalize identically."""
 
     def sort_parts(f: Formula) -> Formula:
-        if isinstance(f, (Atom, Equal)):
-            if isinstance(f, Equal):
-                a, b = sorted((f.left, f.right), key=lambda t: (t.kind, t.name))
-                return Equal(a, b)
+        if isinstance(f, Equal):
+            return Equal(*sorted((f.left, f.right),
+                                 key=lambda t: (t.kind, t.name)))
+        if isinstance(f, Atom):
             return f
-        if isinstance(f, Not):
-            return Not(sort_parts(f.body))
+        parts = [sort_parts(p) for p in children(f)]
         if isinstance(f, (And, Or)):
-            parts = tuple(sort_parts(p) for p in f.parts)
-            parts = tuple(sorted(parts, key=alpha_key))
-            return And(parts) if isinstance(f, And) else Or(parts)
-        if isinstance(f, Implies):
-            return Implies(sort_parts(f.left), sort_parts(f.right))
-        if isinstance(f, Iff):
-            return Iff(sort_parts(f.left), sort_parts(f.right))
-        cls = Forall if isinstance(f, Forall) else Exists
-        return cls(f.variables, sort_parts(f.body))
+            parts.sort(key=alpha_key)
+        return _rebuild(f, parts)
 
     return rename_bound(sort_parts(formula))
 
@@ -528,9 +547,9 @@ def parse_axioms(text: str, source_name: str = "<string>") -> list[Axiom]:
 def parse_kif(text: str, source_name: str = "<string>") -> Ontology:
     """Parse top-level S-expressions into an ontology of original axioms;
     an axiom alpha-equivalent to an earlier one is dropped."""
-    first: dict[str, Axiom] = {}
+    first: dict[Formula, Axiom] = {}
     for ax in parse_axioms(text, source_name):
-        first.setdefault(alpha_key(ax.formula), ax)
+        first.setdefault(rename_bound(ax.formula), ax)
     return Ontology(tuple(first.values()))
 
 
@@ -546,56 +565,32 @@ def parse_formula_text(text: str) -> Formula:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _term_text(t: Term) -> str:
-    return t.name
-
-
 def serialize_formula(formula: Formula, width: int = 72, indent: int = 0) -> str:
     """Render one formula; nests onto new lines when the inline form is long."""
-    flat = _serialize_inline(formula)
-    if len(flat) + indent <= width:
+    out: list[str] = []
+    _write_inline(formula, out)
+    flat = "".join(out)
+    if len(flat) + indent <= width or isinstance(formula, _TERM_NODES):
         return flat
-    pad = "  " * (indent // 2 + 1)
-    if isinstance(formula, (Atom, Equal)):
-        return flat
-    if isinstance(formula, Not):
-        inner = serialize_formula(formula.body, width, indent + 2)
-        return f"(not\n{pad}{inner})"
-    if isinstance(formula, (And, Or)):
-        tag = "and" if isinstance(formula, And) else "or"
-        inner = [serialize_formula(p, width, indent + 2) for p in formula.parts]
-        joined = f"\n{pad}".join(inner)
-        return f"({tag}\n{pad}{joined})"
-    if isinstance(formula, (Implies, Iff)):
-        tag = "=>" if isinstance(formula, Implies) else "<=>"
-        left = serialize_formula(formula.left, width, indent + 2)
-        right = serialize_formula(formula.right, width, indent + 2)
-        return f"({tag}\n{pad}{left}\n{pad}{right})"
-    tag = "forall" if isinstance(formula, Forall) else "exists"
-    vars_text = " ".join(formula.variables)
-    body = serialize_formula(formula.body, width, indent + 2)
-    return f"({tag} ({vars_text})\n{pad}{body})"
+    pad = "\n" + "  " * (indent // 2 + 1)
+    inner = [serialize_formula(p, width, indent + 2) for p in children(formula)]
+    head = _SHAPES[type(formula)].head(formula)
+    return "(" + head + pad + pad.join(inner) + ")"
 
 
-def _serialize_inline(formula: Formula) -> str:
-    if isinstance(formula, Atom):
-        if not formula.args:
-            return f"({formula.predicate})"
-        args = " ".join(_term_text(t) for t in formula.args)
-        return f"({formula.predicate} {args})"
-    if isinstance(formula, Equal):
-        return f"(equal {_term_text(formula.left)} {_term_text(formula.right)})"
-    if isinstance(formula, Not):
-        return f"(not {_serialize_inline(formula.body)})"
-    if isinstance(formula, (And, Or)):
-        tag = "and" if isinstance(formula, And) else "or"
-        return f"({tag} " + " ".join(_serialize_inline(p) for p in formula.parts) + ")"
-    if isinstance(formula, (Implies, Iff)):
-        tag = "=>" if isinstance(formula, Implies) else "<=>"
-        return f"({tag} {_serialize_inline(formula.left)} {_serialize_inline(formula.right)})"
-    tag = "forall" if isinstance(formula, Forall) else "exists"
-    vars_text = " ".join(formula.variables)
-    return f"({tag} ({vars_text}) {_serialize_inline(formula.body)})"
+def _write_inline(formula: Formula, out: list[str]) -> None:
+    """Append the one-line text of the formula to ``out`` in pieces, for
+    the caller to join once (cheaper than a string per node)."""
+    head, parts, _ = _SHAPES[type(formula)]
+    out.append("(" + head(formula))
+    if isinstance(formula, _TERM_NODES):
+        for t in parts(formula):
+            out.append(" " + t.name)
+    else:
+        for part in parts(formula):
+            out.append(" ")
+            _write_inline(part, out)
+    out.append(")")
 
 
 def serialize_kif(ontology: Ontology) -> str:

@@ -195,8 +195,9 @@ class QpTemplate:
             raise TemplateError(
                 "template skeleton has free variables: "
                 + ", ".join(sorted(free)))
-        names = _constant_names(self.skeleton)
-        missing = [p for p in _PLACEHOLDERS if p not in names]
+        # a placeholder is used when renaming it changes the skeleton
+        missing = [p for p in _PLACEHOLDERS
+                   if _instantiate(self.skeleton, {p: p + "_"}) == self.skeleton]
         if missing:
             raise TemplateError(
                 "template skeleton never uses placeholder(s): "
@@ -207,40 +208,10 @@ class QpTemplate:
         return f"template({self.name})"
 
 
-def _constant_names(formula: Formula) -> set[str]:
-    names = set()
-    for sub in kif.subformulas(formula):
-        if isinstance(sub, Atom):
-            terms = sub.args
-        elif isinstance(sub, Equal):
-            terms = (sub.left, sub.right)
-        else:
-            continue
-        names.update(t.name for t in terms if t.kind == kif.CONSTANT)
-    return names
-
-
-def _substitute_constants(formula: Formula, table: dict[str, str]) -> Formula:
-    def sub_term(t):
-        if t.kind == kif.CONSTANT and t.name in table:
-            return const(table[t.name])
-        return t
-
-    if isinstance(formula, Atom):
-        return Atom(formula.predicate, tuple(sub_term(t) for t in formula.args))
-    if isinstance(formula, Equal):
-        return Equal(sub_term(formula.left), sub_term(formula.right))
-    if isinstance(formula, Not):
-        return Not(_substitute_constants(formula.body, table))
-    if isinstance(formula, (And, kif.Or)):
-        parts = tuple(_substitute_constants(p, table) for p in formula.parts)
-        return And(parts) if isinstance(formula, And) else kif.Or(parts)
-    if isinstance(formula, (Implies, kif.Iff)):
-        cls = Implies if isinstance(formula, Implies) else kif.Iff
-        return cls(_substitute_constants(formula.left, table),
-                   _substitute_constants(formula.right, table))
-    cls = Forall if isinstance(formula, Forall) else Exists
-    return cls(formula.variables, _substitute_constants(formula.body, table))
+def _instantiate(skeleton: Formula, table: dict[str, str]) -> Formula:
+    """The skeleton with each constant named in ``table`` renamed."""
+    return kif.map_terms(skeleton, lambda t: const(table[t.name])
+                         if t.kind == kif.CONSTANT and t.name in table else t)
 
 
 def gen_template_cqs(pairs, mapping: MappingIndex,
@@ -249,7 +220,7 @@ def gen_template_cqs(pairs, mapping: MappingIndex,
     _require_kind(pairs, template.pair_kind, f"template {template.name!r}")
 
     def conjecture(c1: str, c2: str) -> Formula:
-        return _substitute_constants(template.skeleton, {"C1": c1, "C2": c2})
+        return _instantiate(template.skeleton, {"C1": c1, "C2": c2})
 
     return _generate(pairs, mapping, template.s1_relations,
                      template.s2_relations, lambda _pair: template.pattern,

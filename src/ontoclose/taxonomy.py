@@ -116,7 +116,7 @@ class Taxonomy:
         """Every class in post-order: after all of its subclasses."""
         state: dict[str, int] = {}
         order: list[str] = []
-        for root in self.classes:
+        for root in sorted(self.classes):
             if state.get(root):
                 continue
             stack = [(root, iter(sorted(self._children[root])))]

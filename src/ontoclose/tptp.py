@@ -103,6 +103,9 @@ def _variable_namer(used: set[str]):
     return name_for
 
 
+_OPERATORS = {And: " & ", Or: " | ", Implies: " => ", Iff: " <=> "}
+
+
 def to_fof(formula: Formula, table: "MangleTable | None" = None) -> str:
     """Render one closed formula in first-order form syntax."""
     if table is None:
@@ -131,14 +134,10 @@ def to_fof(formula: Formula, table: "MangleTable | None" = None) -> str:
             return f"({term(f.left, env)} = {term(f.right, env)})"
         if isinstance(f, Not):
             return "~ " + _wrap(f.body, render(f.body, env))
-        if isinstance(f, (And, Or)):
-            op = " & " if isinstance(f, And) else " | "
-            return "(" + op.join(_wrap(p, render(p, env)) for p in f.parts) + ")"
-        if isinstance(f, (Implies, Iff)):
-            op = " => " if isinstance(f, Implies) else " <=> "
-            left = _wrap(f.left, render(f.left, env))
-            right = _wrap(f.right, render(f.right, env))
-            return f"({left}{op}{right})"
+        op = _OPERATORS.get(type(f))
+        if op:
+            return "(" + op.join(_wrap(p, render(p, env))
+                                 for p in kif.children(f)) + ")"
         quant = "!" if isinstance(f, Forall) else "?"
         inner_env = dict(env)
         names = [namer(v) for v in f.variables]

@@ -1,4 +1,5 @@
 import operator
+import random
 from dataclasses import astuple
 
 import pytest
@@ -132,6 +133,13 @@ def test_duplicate_formulas_same_provenance_dropped():
     assert len(ontology) == 2
 
 
+def test_constant_named_like_a_renamed_variable_is_no_duplicate():
+    # both render as (forall (_v0) ($p _v0 _v0)) once X is renamed
+    ontology = kif.parse_kif(
+        "(forall (X) ($p X _v0))\n(forall (X) ($p _v0 X))")
+    assert len(ontology) == 2
+
+
 # ---------------------------------------------------------------------------
 # Serialization and round trips
 # ---------------------------------------------------------------------------
@@ -145,15 +153,64 @@ def test_serialize_empty_ontology():
     assert kif.serialize_kif(kif.Ontology()) == ""
 
 
+def _random_formula(rng: random.Random, depth: int, bound=()) -> kif.Formula:
+    """A formula over all nine node kinds, with zero-argument atoms and
+    quantifiers that may shadow an enclosing variable. Uppercase variables
+    occur only where bound, as the parser reads them."""
+
+    def term() -> kif.Term:
+        if bound and rng.random() < 0.5:
+            return var(rng.choice(bound))
+        return rng.choice((const("a"), const("Birth"), const("K9"),
+                           const("_v0"), var("?z")))
+
+    kinds = ["atom", "equal"]
+    if depth:
+        kinds += ["not", "and", "or", "=>", "<=>", "forall", "exists"]
+    kind = rng.choice(kinds)
+    if kind == "atom":
+        return Atom(rng.choice(("$p", "q", "$r-s")),
+                    tuple(term() for _ in range(rng.randrange(4))))
+    if kind == "equal":
+        return kif.Equal(term(), term())
+    if kind in ("forall", "exists"):
+        names = tuple(rng.sample(("X", "Y", "?w"), rng.randrange(1, 3)))
+        body = _random_formula(rng, depth - 1, bound + names)
+        return (Forall if kind == "forall" else kif.Exists)(names, body)
+    parts = [_random_formula(rng, depth - 1, bound)
+             for _ in range(1 if kind == "not" else
+                            2 if kind in ("=>", "<=>") else
+                            rng.randrange(2, 5))]
+    if kind == "not":
+        return kif.Not(parts[0])
+    if kind in ("and", "or"):
+        return (kif.And if kind == "and" else kif.Or)(tuple(parts))
+    return (kif.Implies if kind == "=>" else kif.Iff)(*parts)
+
+
 @pytest.mark.parametrize("name", [
     "organism_process.kif", "shapes.kif", "agent.kif", "blood_cell.kif",
-    "sound_process.kif",
+    "sound_process.kif", "random",
 ])
 def test_round_trip_identity(name):
-    text = (DATA_DIR / name).read_text()
-    ontology = kif.parse_kif(text)
-    reparsed = kif.parse_kif(kif.serialize_kif(ontology))
-    assert reparsed.structurally_equal(ontology)
+    if name == "random":
+        rng = random.Random(0)
+        formulas = [_random_formula(rng, 4) for _ in range(300)]
+        kinds = {type(sub) for f in formulas for sub in kif.subformulas(f)}
+        assert len(kinds) == 9
+    else:
+        text = (DATA_DIR / name).read_text()
+        ontology = kif.parse_kif(text)
+        reparsed = kif.parse_kif(kif.serialize_kif(ontology))
+        assert reparsed.structurally_equal(ontology)
+        formulas = [ax.formula for ax in ontology]
+    for formula in formulas:
+        assert kif.map_terms(formula, lambda t: t) == formula
+        for width in (10, 40, 72, 10 ** 9):
+            again = kif.parse_formula_text(kif.serialize_formula(formula, width))
+            assert again == formula
+            assert kif.rename_bound(again) == kif.rename_bound(formula)
+            assert kif.normalize(again) == kif.normalize(formula)
 
 
 def test_round_trip_is_stable():

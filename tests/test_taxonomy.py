@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,8 @@ from ontoclose.taxonomy import (
 
 from conftest import ORGANISM_SUBCLASSES, call_depth_limit, subclass_chain
 import witness_oracle
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def tax_of(text: str) -> Taxonomy:
@@ -70,6 +76,26 @@ def test_instance_facts_collected_but_objects_are_not_classes():
 def test_cycle_is_rejected():
     with pytest.raises(SubclassCycleError):
         tax_of("($subclass A B)\n($subclass B C)\n($subclass C A)")
+
+
+def test_cycle_message_does_not_depend_on_the_hash_seed():
+    script = (
+        "from ontoclose import kif, taxonomy\n"
+        "text = '($subclass A B) ($subclass B C) ($subclass C A)"
+        " ($subclass D A) ($subclass E F)'\n"
+        "try:\n"
+        "    taxonomy.build_taxonomy(kif.parse_kif(text))\n"
+        "except taxonomy.SubclassCycleError as err:\n"
+        "    print(err)\n")
+    messages = set()
+    for seed in range(1, 7):
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=str(seed))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        messages.add(done.stdout)
+    assert len(messages) == 1
+    assert "subclass cycle" in messages.pop()
 
 
 def test_reachability_needs_no_call_per_level():
