@@ -8,6 +8,7 @@ Every stage is its own subcommand; ``pipeline`` chains them from a flat
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -440,6 +441,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A run holds hundreds of thousands of small objects, which the cyclic
+    # collector would rescan again and again. The code builds no reference
+    # cycles (tests/test_cli.py's cycle guard checks), so reference
+    # counting frees all it allocates.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except prover.InconsistencyError as exc:
@@ -451,6 +458,9 @@ def main(argv=None) -> int:
     except (kif.KifError, ValueError) as exc:
         print(f"ontoclose: {args.command}: {exc}", file=sys.stderr)
         return EXIT_DATA
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -285,21 +285,24 @@ def subformulas(formula: Formula) -> Iterator[Formula]:
 
 def free_variables(formula: Formula) -> set[str]:
     free: set[str] = set()
-
-    def walk(f: Formula, bound: frozenset[str]) -> None:
-        parts = _SHAPES[type(f)].parts(f)
-        if isinstance(f, _TERM_NODES):
-            for t in parts:
-                if t.kind == VARIABLE and t.name not in bound:
-                    free.add(t.name)
-            return
-        if isinstance(f, _QUANTIFIERS):
-            bound = bound | frozenset(f.variables)
-        for part in parts:
-            walk(part, bound)
-
-    walk(formula, frozenset())
+    _add_free_variables(formula, frozenset(), free)
     return free
+
+
+def _add_free_variables(f: Formula, bound: frozenset[str],
+                        free: set[str]) -> None:
+    # a module function, not one nested in free_variables: a nested
+    # function that calls itself is a reference cycle
+    parts = _SHAPES[type(f)].parts(f)
+    if isinstance(f, _TERM_NODES):
+        for t in parts:
+            if t.kind == VARIABLE and t.name not in bound:
+                free.add(t.name)
+        return
+    if isinstance(f, _QUANTIFIERS):
+        bound = bound | frozenset(f.variables)
+    for part in parts:
+        _add_free_variables(part, bound, free)
 
 
 def is_closed(formula: Formula) -> bool:
@@ -344,23 +347,29 @@ def alpha_key(formula: Formula) -> str:
     return serialize_formula(rename_bound(formula), width=10 ** 9)
 
 
+def _sort_parts(f: Formula) -> Formula:
+    """The formula with equality operands and and/or operands sorted."""
+    if isinstance(f, Equal):
+        return Equal(*sorted((f.left, f.right),
+                             key=lambda t: (t.kind, t.name)))
+    if isinstance(f, Atom):
+        return f
+    parts = [_sort_parts(p) for p in children(f)]
+    if isinstance(f, (And, Or)):
+        parts.sort(key=alpha_key)
+    return _rebuild(f, parts)
+
+
 def normalize(formula: Formula) -> Formula:
-    """Canonical form: commutative connective operands sorted, then
-    bound variables renamed. Two formulas equal up to variable names and
-    and/or/equal operand order normalize identically."""
-
-    def sort_parts(f: Formula) -> Formula:
-        if isinstance(f, Equal):
-            return Equal(*sorted((f.left, f.right),
-                                 key=lambda t: (t.kind, t.name)))
-        if isinstance(f, Atom):
-            return f
-        parts = [sort_parts(p) for p in children(f)]
-        if isinstance(f, (And, Or)):
-            parts.sort(key=alpha_key)
-        return _rebuild(f, parts)
-
-    return rename_bound(sort_parts(formula))
+    """Canonical form: bound variables renamed, commutative connective
+    operands sorted, then bound variables renamed again in the new order.
+    Two formulas equal up to variable names and and/or/equal operand order
+    normalize identically."""
+    # renamed first to names that sort in binding order and differ from
+    # alpha_key's, so that the operands sort alike whatever the original
+    # names
+    ordered = rename_bound(formula, (f"_n{i:09d}" for i in range(10 ** 9)))
+    return rename_bound(_sort_parts(ordered))
 
 
 # ---------------------------------------------------------------------------

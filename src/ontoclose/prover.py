@@ -266,12 +266,16 @@ def verdict_records(verdicts) -> Iterator[dict]:
                 yield journal_record(v.cq_id, polarity, outcome)
 
 
+# what json.dumps(record, sort_keys=True) builds anew for every record
+_JOURNAL_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def append_journal(path: "str | Path", records) -> None:
     """Append records to the journal, one JSON line each, through one
     open file."""
     with open(path, "a", encoding="utf-8") as handle:
         for record in records:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+            handle.write(_JOURNAL_ENCODER.encode(record) + "\n")
 
 
 def load_journal(path: "str | Path") -> dict[tuple[str, str], dict]:
@@ -430,16 +434,18 @@ def _oracle_routes(tax: Taxonomy, conjecture) -> tuple[bool, bool]:
     return tax.derived_disjoint(c1, c2), tax.derived_nondisjoint(c1, c2)
 
 
+# outcomes are frozen, so every oracle verdict shares these two
+_ORACLE_OUTCOMES = {True: ProverOutcome(status=PROVED, wall_time=0.0),
+                    False: ProverOutcome(status=GAVE_UP, wall_time=0.0)}
+
+
 def oracle_verdict(tax: Taxonomy, cq: CompetencyQuestion) -> Verdict:
     """Verdict-shaped oracle answer; both routes firing (possible only on a
     conflicted taxonomy) surfaces as a contradictory verdict."""
     truth, falsity = _oracle_routes(tax, cq.conjecture)
-
-    def outcome(flag: bool) -> ProverOutcome:
-        return ProverOutcome(status=PROVED if flag else GAVE_UP, wall_time=0.0)
-
     return Verdict(cq_id=cq.id, value=classify(truth, falsity),
-                   truth=outcome(truth), falsity=outcome(falsity))
+                   truth=_ORACLE_OUTCOMES[truth],
+                   falsity=_ORACLE_OUTCOMES[falsity])
 
 
 def oracle_run_batch(tax: Taxonomy, cqs,

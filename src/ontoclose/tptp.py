@@ -14,6 +14,7 @@ import threading
 import weakref
 from collections import ChainMap
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import kif
 from .kif import (
@@ -115,44 +116,55 @@ def to_fof(formula: Formula, table: "MangleTable | None" = None) -> str:
         raise UnsupportedConstructError(
             "cannot emit open formula; free variables: "
             + ", ".join(sorted(free)))
-    namer = _variable_namer(set())
+    return _render(formula, {}, table, _variable_namer(set()))
 
-    def term(t: kif.Term, env: dict[str, str]) -> str:
-        if t.kind == kif.VARIABLE:
-            if t.name not in env:
-                raise UnsupportedConstructError(f"unbound variable {t.name!r}")
-            return env[t.name]
-        return table.constant(t.name)
 
-    def render(f: Formula, env: dict[str, str]) -> str:
-        if isinstance(f, Atom):
-            pred = table.predicate(f.predicate)
-            if not f.args:
-                return pred
-            return pred + "(" + ",".join(term(t, env) for t in f.args) + ")"
-        if isinstance(f, Equal):
-            return f"({term(f.left, env)} = {term(f.right, env)})"
-        if isinstance(f, Not):
-            return "~ " + _wrap(f.body, render(f.body, env))
-        op = _OPERATORS.get(type(f))
-        if op:
-            return "(" + op.join(_wrap(p, render(p, env))
-                                 for p in kif.children(f)) + ")"
-        quant = "!" if isinstance(f, Forall) else "?"
-        inner_env = dict(env)
-        names = [namer(v) for v in f.variables]
-        inner_env.update(zip(f.variables, names))
-        body = render(f.body, inner_env)
-        return f"{quant} [{','.join(names)}] : " + _wrap(f.body, body)
+# Module functions that take the table and the namer as arguments:
+# nested functions that call each other would form a reference cycle per
+# formula, and commands run with the cyclic garbage collector off.
 
-    def _wrap(f: Formula, text: str) -> str:
-        # everything else renders self-delimiting (atoms, ~ chains, or
-        # already carries outer parentheses)
-        if isinstance(f, (Forall, Exists)):
-            return f"({text})"
-        return text
+def _term(t: kif.Term, env: dict[str, str], table: MangleTable) -> str:
+    if t.kind == kif.VARIABLE:
+        if t.name not in env:
+            raise UnsupportedConstructError(f"unbound variable {t.name!r}")
+        return env[t.name]
+    return table.constant(t.name)
 
-    return render(formula, {})
+
+def _render(f: Formula, env: dict[str, str], table: MangleTable,
+            namer: Callable[[str], str]) -> str:
+    if isinstance(f, Atom):
+        pred = table.predicate(f.predicate)
+        if not f.args:
+            return pred
+        return pred + "(" + ",".join(_term(t, env, table)
+                                     for t in f.args) + ")"
+    if isinstance(f, Equal):
+        return f"({_term(f.left, env, table)} = {_term(f.right, env, table)})"
+    if isinstance(f, Not):
+        return "~ " + _wrap(f.body, _render(f.body, env, table, namer))
+    op = _OPERATORS.get(type(f))
+    if op:
+        return "(" + op.join(_wrap(p, _render(p, env, table, namer))
+                             for p in kif.children(f)) + ")"
+    quant = "!" if isinstance(f, Forall) else "?"
+    inner_env = dict(env)
+    names = [namer(v) for v in f.variables]
+    inner_env.update(zip(f.variables, names))
+    body = _render(f.body, inner_env, table, namer)
+    return f"{quant} [{','.join(names)}] : " + _wrap(f.body, body)
+
+
+def _wrap(f: Formula, text: str) -> str:
+    # everything else renders self-delimiting (atoms, ~ chains, or
+    # already carries outer parentheses)
+    if isinstance(f, (Forall, Exists)):
+        return f"({text})"
+    return text
+
+
+def _axiom_lines(axioms: tuple[tuple[str, str], ...]) -> str:
+    return "".join(f"fof({name}, axiom, {body}).\n" for name, body in axioms)
 
 
 @dataclass(frozen=True)
@@ -162,37 +174,44 @@ class TptpProblem:
     axioms: tuple[tuple[str, str], ...]  # (name, formula text)
     conjecture: tuple[str, str]
     table: MangleTable = field(compare=False, repr=False, default_factory=MangleTable)
+    # the axiom lines of ``axioms`` already joined, shared by every
+    # problem over one ontology
+    _axiom_text: "str | None" = field(compare=False, repr=False, default=None)
 
     @property
     def text(self) -> str:
-        lines = list(self.header)
-        lines += [f"fof({name}, axiom, {body})." for name, body in self.axioms]
+        axiom_text = self._axiom_text
+        if axiom_text is None:
+            axiom_text = _axiom_lines(self.axioms)
         name, body = self.conjecture
-        lines.append(f"fof({name}, conjecture, {body}).")
-        return "\n".join(lines) + "\n"
+        return ("".join(line + "\n" for line in self.header) + axiom_text
+                + f"fof({name}, conjecture, {body}).\n")
 
     def axiom_id_for(self, fof_name: str) -> "str | None":
         return self.table.demangle(fof_name)
 
 
-# Each ontology's rendered axioms and the table after them, held only as
-# long as the ontology itself (ontologies are immutable).
+# Each ontology's rendered axioms, their joined lines and the table after
+# them, held only as long as the ontology itself (ontologies are
+# immutable).
 _axiom_blocks: "weakref.WeakKeyDictionary[Ontology, tuple]" = \
     weakref.WeakKeyDictionary()
 _axiom_blocks_lock = threading.Lock()
 
 
 def _axiom_block(ontology: Ontology
-                 ) -> tuple[MangleTable, tuple[tuple[str, str], ...]]:
-    """The ontology's axioms as (name, formula text), rendered once, and
-    the table that named them; the table is never changed afterwards."""
+                 ) -> tuple[MangleTable, tuple[tuple[str, str], ...], str]:
+    """The ontology's axioms as (name, formula text), rendered once, the
+    same joined into problem-file lines, and the table that named them;
+    the table is never changed afterwards."""
     with _axiom_blocks_lock:
         block = _axiom_blocks.get(ontology)
         if block is None:
             table = MangleTable()
             axioms = tuple((table.axiom_name(ax.id),
                             to_fof(ax.formula, table)) for ax in ontology)
-            block = _axiom_blocks[ontology] = (table, axioms)
+            block = _axiom_blocks[ontology] = (table, axioms,
+                                               _axiom_lines(axioms))
         return block
 
 
@@ -202,11 +221,11 @@ def emit_problem(ontology: Ontology, test_formula: Formula,
     """All ontology axioms in order, then the test as the sole conjecture.
     The axioms are rendered once per ontology; each problem names its
     conjecture's new symbols in a table of its own over that rendering."""
-    base, axioms = _axiom_block(ontology)
+    base, axioms, axiom_text = _axiom_block(ontology)
     table = base._overlay()
     header = tuple(f"% {key}: {value}"
                    for key, value in sorted((metadata or {}).items()))
     conjecture = (table.axiom_name(conjecture_name),
                   to_fof(test_formula, table))
     return TptpProblem(header=header, axioms=axioms, conjecture=conjecture,
-                       table=table)
+                       table=table, _axiom_text=axiom_text)

@@ -1,8 +1,10 @@
+import gc
 import json
+import types
 
 import pytest
 
-from ontoclose import kif
+from ontoclose import cli, kif
 from ontoclose.cli import (
     EXIT_DATA, EXIT_INCONSISTENT, EXIT_OK, EXIT_PROVER, EXIT_USAGE,
     load_config, main,
@@ -532,6 +534,69 @@ def test_pipeline_rejects_meronymy_pairs(tmp_path, lexical_files, capsys):
         f"pairs.meronymy-part={parts}\nout={tmp_path / 'results'}\n")
     assert run_cli("pipeline", config) == EXIT_DATA
     assert "gen-cqs --template" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the cyclic garbage collector
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "prover"])
+def test_pipeline_leaves_no_reference_cycles(tmp_path, lexical_files,
+                                             monkeypatch, oracle):
+    # commands run with the cyclic collector off, so any cycle the code
+    # builds stays in memory until the process ends
+    mapping, antonymy, hyponymy = lexical_files
+    stub = stub_provers.stub_config(tmp_path, stub_provers.THEOREM)
+    monkeypatch.setenv("ONTOCLOSE_PROVER_COMMAND", stub.command)
+    config = tmp_path / "run.conf"
+    config.write_text(
+        f"ontology={ONTOLOGY}\nmapping={mapping}\n"
+        f"pairs.hyponymy={hyponymy}\npairs.antonymy={antonymy}\n"
+        f"out={tmp_path / 'results'}\noracle={str(oracle).lower()}\n"
+        "prover.workers=2\nprover.time_limit=10\n")
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert run_cli("pipeline", config) == EXIT_OK
+        gc.collect()
+        leaked = sorted({
+            o.__qualname__ if isinstance(o, types.FunctionType)
+            else type(o).__qualname__
+            for o in gc.garbage
+            if (isinstance(o, types.FunctionType)
+                and (o.__module__ or "").startswith("ontoclose"))
+            or type(o).__module__.startswith("ontoclose")})
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert leaked == []
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_restores_the_collector_state(tmp_path, monkeypatch,
+                                           collecting):
+    seen = []
+    real_parse = cli.cmd_parse
+
+    def spying_parse(args):
+        seen.append(gc.isenabled())
+        return real_parse(args)
+
+    monkeypatch.setattr(cli, "cmd_parse", spying_parse)
+    bad = tmp_path / "bad.kif"
+    bad.write_text("($disjoint Birth Death")
+    was_enabled = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert run_cli("parse", ONTOLOGY, "--out", tmp_path / "o.kif") \
+            == EXIT_OK
+        assert gc.isenabled() is collecting
+        assert run_cli("parse", bad) == EXIT_DATA
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert seen == [False, False]
 
 
 def test_usage_error_exit_code():

@@ -351,12 +351,47 @@ def test_stats_csv_row():
 # Normalization
 # ---------------------------------------------------------------------------
 
+def _shuffled_operands(rng: random.Random, f: kif.Formula) -> kif.Formula:
+    """The formula with and/or operands shuffled and equality operands
+    swapped at random."""
+    if isinstance(f, kif.Equal):
+        return kif.Equal(f.right, f.left) if rng.random() < 0.5 else f
+    if isinstance(f, Atom):
+        return f
+    parts = [_shuffled_operands(rng, p) for p in kif.children(f)]
+    if isinstance(f, (kif.And, kif.Or)):
+        rng.shuffle(parts)
+        return type(f)(tuple(parts))
+    if isinstance(f, (Forall, kif.Exists)):
+        return type(f)(f.variables, *parts)
+    return type(f)(*parts)
+
+
 def test_normalize_ignores_variable_names_and_or_order():
-    a = kif.parse_formula_text(
-        "(forall (?x) (or ($p ?x A) ($q ?x B) (equal ?x C)))")
-    b = kif.parse_formula_text(
-        "(forall (VAR) (or (equal VAR C) ($q VAR B) ($p VAR A)))")
-    assert kif.normalize(a) == kif.normalize(b)
+    pairs = [
+        ("(forall (?x) (or ($p ?x A) ($q ?x B) (equal ?x C)))",
+         "(forall (VAR) (or (equal VAR C) ($q VAR B) ($p VAR A)))"),
+        # equality operands sorted by the renamed variables, not by the
+        # original names
+        ("(forall (Y X) (equal X Y))", "(forall (A B) (equal B A))"),
+        # the bound variables of reordered operands renamed in the new
+        # order
+        ("(and (forall (X) ($p X)) (exists (Y) ($q Y)))",
+         "(and (exists (Y) ($q Y)) (forall (X) ($p X)))"),
+        # operands that differ only in which outer variable is where
+        ("(forall (X) (and (forall (Z) ($p Z X)) (forall (W) ($p X W))))",
+         "(forall (X) (and (forall (W) ($p X W)) (forall (Z) ($p Z X))))"),
+    ]
+    for a, b in pairs:
+        assert kif.normalize(kif.parse_formula_text(a)) == \
+            kif.normalize(kif.parse_formula_text(b)), a
+    rng = random.Random(0)
+    for _ in range(300):
+        formula = _random_formula(rng, 4)
+        names = iter(f"Q{i}" for i in rng.sample(range(1000), 100))
+        variant = _shuffled_operands(rng, kif.rename_bound(formula, names))
+        assert kif.normalize(variant) == kif.normalize(formula), formula
+    a = kif.parse_formula_text(pairs[0][0])
     c = kif.parse_formula_text("(forall (?x) (or ($p ?x A) ($q ?x B)))")
     assert kif.normalize(a) != kif.normalize(c)
 
