@@ -296,12 +296,20 @@ def test_curation_round_trip():
         inheritable=[("Birth", "Death")],
         disjoint=[("RedBloodCell", "WhiteBloodCell")])
     text = serialize_curation(cur)
+    assert text == ("($nonDisjoint Organism SentientAgent)\n"
+                    "($inheritableNonDisjoint Birth Death)\n"
+                    "($disjoint RedBloodCell WhiteBloodCell)\n")
     assert load_curation(text) == cur
     assert load_curation("") == CurationFile.empty()
     plain = ("(nonDisjoint Organism SentientAgent)\n"
              "(inheritableNonDisjoint Birth Death)\n"
              "(disjoint RedBloodCell WhiteBloodCell)\n")
     assert load_curation(plain) == cur
+    # each kind sorted; names that join to the same text stay two entries
+    joined = CurationFile.from_pairs(disjoint=[("A_B", "C"), ("B", "A"),
+                                               ("A", "B_C")])
+    assert serialize_curation(joined) == (
+        "($disjoint A B)\n($disjoint A B_C)\n($disjoint A_B C)\n")
 
 
 def test_curation_rejects_bad_entries():

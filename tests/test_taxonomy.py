@@ -112,6 +112,10 @@ def test_reflexive_edge_is_ignored():
     tax = tax_of("($subclass A A)\n($subclass A B)")
     assert tax.subclass_closed("A", "A")
     assert tax.direct_subclasses("B") == {"A"}
+    # a self-edge given to the constructor directly is skipped, not a cycle
+    alone = Taxonomy(["A"], [("A", "A")])
+    assert alone.down("A") == {"A"}
+    assert alone.direct_subclasses("A") == frozenset()
 
 
 @pytest.mark.parametrize("text", [
@@ -295,6 +299,8 @@ def test_find_conflicts_empty_on_fixture(organism_process):
 def test_find_conflicts_detects_disjoint_with_common_subclass():
     tax = tax_of("($disjoint A B)\n($subclass C A)\n($subclass C B)")
     assert tax.find_conflicts() == [("A", "B")]
+    assert tax.pair_status("A", "B") == CONFLICT
+    assert tax.pair_status("B", "A") == CONFLICT
     # the witness enumeration confirms the shared subclass cannot be placed
     placements = witness_oracle.consistent_placements(tax)
     assert not any("C" in s for s in placements)
@@ -372,3 +378,20 @@ def test_edge_tsv_and_dot(organism_process):
     assert dot.startswith("digraph taxonomy {")
     assert '"Birth" -> "OrganismProcess";' in dot
     assert dot.endswith("}\n")
+
+
+def test_dot_draws_each_kind_of_pair():
+    tax = Taxonomy("ABCD", [("B", "A")], disjoint=[("D", "B")],
+                   nondisjoint=[("C", "B")],
+                   inheritable_nondisjoint=[("D", "C")])
+    assert tax.to_dot() == (
+        'digraph taxonomy {\n'
+        '  "A";\n'
+        '  "B";\n'
+        '  "C";\n'
+        '  "D";\n'
+        '  "B" -> "A";\n'
+        '  "B" -> "D" [dir=none, style=dashed, label="disjoint"];\n'
+        '  "B" -> "C" [dir=none, style=dotted, label="nonDisjoint"];\n'
+        '  "C" -> "D" [dir=none, style=dotted, label="inheritableNonDisjoint"];\n'
+        '}\n')
