@@ -26,7 +26,9 @@ from dataclasses import dataclass
 
 from . import kif
 from .kif import Atom, Axiom, Equal, Forall, Implies, Or, Ontology, const, var
-from .taxonomy import NONDISJOINT, OPEN, Taxonomy, build_taxonomy, pair
+from .taxonomy import (
+    NONDISJOINT, OPEN, Taxonomy, build_taxonomy, pair, pair_set,
+)
 
 OWA = "owa"
 SUBCLASS_ONLY = "subclass-only"
@@ -87,17 +89,9 @@ class CurationFile:
     @classmethod
     def from_pairs(cls, nondisjoint=(), inheritable=(), disjoint=()
                    ) -> "CurationFile":
-        def norm(pairs, label):
-            out = set()
-            for a, b in pairs:
-                if a == b:
-                    raise CurationError(f"{label} pair relates {a!r} to itself")
-                out.add(pair(a, b))
-            return frozenset(out)
-
-        nd = norm(nondisjoint, "nonDisjoint")
-        ind = norm(inheritable, "inheritableNonDisjoint")
-        dis = norm(disjoint, "disjoint")
+        nd = pair_set(nondisjoint, "nonDisjoint", CurationError)
+        ind = pair_set(inheritable, "inheritableNonDisjoint", CurationError)
+        dis = pair_set(disjoint, "disjoint", CurationError)
         for left, right, what in ((nd, ind, "nonDisjoint/inheritableNonDisjoint"),
                                   (nd, dis, "nonDisjoint/disjoint"),
                                   (ind, dis, "inheritableNonDisjoint/disjoint")):
@@ -130,14 +124,9 @@ def load_curation(text: str, source_name: str = "<curation>") -> CurationFile:
 
 
 def serialize_curation(curation: CurationFile) -> str:
-    lines = []
-    for a, b in sorted(curation.nondisjoint):
-        lines.append(f"($nonDisjoint {a} {b})")
-    for a, b in sorted(curation.inheritable):
-        lines.append(f"($inheritableNonDisjoint {a} {b})")
-    for a, b in sorted(curation.disjoint):
-        lines.append(f"($disjoint {a} {b})")
-    return "\n".join(lines) + ("\n" if lines else "")
+    # no Ontology around the units: their ids can coincide (A_B/C, A/B_C)
+    return "".join(kif.serialize_formula(ax.formula) + "\n"
+                   for ax in _curation_axioms(curation, disjoint_only=False))
 
 
 def _conflict_free(tax: Taxonomy) -> Taxonomy:

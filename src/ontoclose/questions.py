@@ -253,7 +253,8 @@ def group_by_pattern(questions) -> dict[str, list[CompetencyQuestion]]:
 
 def read_cq_corpus(text: str) -> list[CompetencyQuestion]:
     """Rebuild questions from a corpus file written by write_cq_corpus."""
-    lines = text.splitlines()
+    # line numbers in Axiom.source count "\n" only
+    lines = text.split("\n")
     questions = []
     for ax in kif.parse_axioms(text):
         start_line = int(ax.source.rsplit(":", 1)[1])

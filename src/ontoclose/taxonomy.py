@@ -12,6 +12,7 @@ reaches every class that shares a descendant with one of its arguments.
 
 from __future__ import annotations
 
+import graphlib
 import warnings
 from typing import Callable, Collection, Iterable, Iterator
 
@@ -46,6 +47,18 @@ def pair(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
+def pair_set(pairs: Iterable[tuple[str, str]], label: str,
+             error: type[Exception]) -> frozenset[tuple[str, str]]:
+    """The unordered pairs, each normalized with ``pair``; a pair relating
+    a class to itself raises ``error``."""
+    out = set()
+    for a, b in pairs:
+        if a == b:
+            raise error(f"{label} pair relates {a!r} to itself")
+        out.add(pair(a, b))
+    return frozenset(out)
+
+
 class Taxonomy:
     """Immutable class graph; all queries are pure. Reachability and the
     sets of classes meeting each class are built eagerly."""
@@ -69,19 +82,11 @@ class Taxonomy:
                 + ", ".join(sorted(undeclared)),
                 stacklevel=2)
         self.classes = frozenset(declared | mentioned)
-
-        def norm_pairs(pairs, label):
-            out = set()
-            for a, b in pairs:
-                if a == b:
-                    raise TaxonomyError(f"{label} pair relates {a!r} to itself")
-                out.add(pair(a, b))
-            return frozenset(out)
-
-        self.explicit_disjoint = norm_pairs(disjoint, "disjoint")
-        self.explicit_nondisjoint = norm_pairs(nondisjoint, "nonDisjoint")
-        self.explicit_inheritable = norm_pairs(
-            inheritable_nondisjoint, "inheritableNonDisjoint")
+        self.explicit_disjoint = pair_set(disjoint, "disjoint", TaxonomyError)
+        self.explicit_nondisjoint = pair_set(nondisjoint, "nonDisjoint",
+                                             TaxonomyError)
+        self.explicit_inheritable = pair_set(
+            inheritable_nondisjoint, "inheritableNonDisjoint", TaxonomyError)
         overlap = self.explicit_disjoint & (
             self.explicit_nondisjoint | self.explicit_inheritable)
         if overlap:
@@ -93,9 +98,9 @@ class Taxonomy:
         classes_of: dict[str, set[str]] = {}
         for obj, c in self.instance_facts:
             classes_of.setdefault(obj, set()).add(c)
-        self._instance_pairs = frozenset(
+        self._compatible = self.explicit_nondisjoint | {
             (a, b) for cs in classes_of.values() for a in cs for b in cs
-            if a < b)
+            if a < b}
 
         self._parents: dict[str, set[str]] = {c: set() for c in self.classes}
         self._children: dict[str, set[str]] = {c: set() for c in self.classes}
@@ -105,40 +110,20 @@ class Taxonomy:
             self._parents[sub].add(sup)
             self._children[sup].add(sub)
 
-        order = self._check_acyclic()
+        # children before parents; sorted input keeps the order and any
+        # cycle named the same under every hash seed
+        graph = graphlib.TopologicalSorter(
+            {c: sorted(self._children[c]) for c in sorted(self.classes)})
+        try:
+            order = list(graph.static_order())
+        except graphlib.CycleError as exc:
+            raise SubclassCycleError(
+                "subclass cycle: " + " < ".join(exc.args[1])) from None
         self._down = self._close(order, self._children, lambda c: (c,))
         self._up = self._close(reversed(order), self._parents, lambda c: (c,))
         # the classes sharing a descendant with c: c's ancestors, and every
         # class meeting one of its direct subclasses
         self._met = self._close(order, self._children, self._up.__getitem__)
-
-    def _check_acyclic(self) -> list[str]:
-        """Every class in post-order: after all of its subclasses."""
-        state: dict[str, int] = {}
-        order: list[str] = []
-        for root in sorted(self.classes):
-            if state.get(root):
-                continue
-            stack = [(root, iter(sorted(self._children[root])))]
-            state[root] = 1
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for child in it:
-                    mark = state.get(child, 0)
-                    if mark == 1:
-                        raise SubclassCycleError(
-                            f"subclass cycle through {child!r}")
-                    if mark == 0:
-                        state[child] = 1
-                        stack.append((child, iter(sorted(self._children[child]))))
-                        advanced = True
-                        break
-                if not advanced:
-                    state[node] = 2
-                    order.append(node)
-                    stack.pop()
-        return order
 
     @staticmethod
     def _close(order: Iterable[str], neighbors: dict[str, set[str]],
@@ -241,15 +226,13 @@ class Taxonomy:
 
     def derived_nondisjoint(self, c1: str, c2: str) -> bool:
         self._require(c1, c2)
-        return (not self._down[c1].isdisjoint(self._down[c2])
-                or self.explicitly_nondisjoint(c1, c2))
+        return c2 in self._met[c1] or self.explicitly_nondisjoint(c1, c2)
 
     def explicitly_nondisjoint(self, c1: str, c2: str) -> bool:
         """Non-disjointness that follows from the explicit compatibility
         pairs or a shared instance, not merely from a shared descendant:
         what an external prover given those facts can also derive."""
-        return (self.has_pair_below(c1, c2, self.explicit_nondisjoint)
-                or self.has_pair_below(c1, c2, self._instance_pairs)
+        return (self.has_pair_below(c1, c2, self._compatible)
                 or self.has_pair_meeting(c1, c2, self.explicit_inheritable))
 
     def pair_status(self, c1: str, c2: str) -> str:
@@ -280,7 +263,7 @@ class Taxonomy:
         out = []
         for i, a in enumerate(kids):
             for b in kids[i + 1:]:
-                if self._down[a] & self._down[b]:
+                if b in self._met[a]:
                     out.append(pair(a, b))
         return sorted(out)
 
@@ -314,13 +297,13 @@ class Taxonomy:
         for sub in sorted(self.classes):
             for sup in sorted(self._parents[sub]):
                 lines.append(f'  "{sub}" -> "{sup}";')
-        for a, b in sorted(self.explicit_disjoint):
-            lines.append(f'  "{a}" -> "{b}" [dir=none, style=dashed, label="disjoint"];')
-        for a, b in sorted(self.explicit_nondisjoint):
-            lines.append(f'  "{a}" -> "{b}" [dir=none, style=dotted, label="nonDisjoint"];')
-        for a, b in sorted(self.explicit_inheritable):
-            lines.append(
-                f'  "{a}" -> "{b}" [dir=none, style=dotted, label="inheritableNonDisjoint"];')
+        for pairs, style, label in (
+                (self.explicit_disjoint, "dashed", "disjoint"),
+                (self.explicit_nondisjoint, "dotted", "nonDisjoint"),
+                (self.explicit_inheritable, "dotted", "inheritableNonDisjoint")):
+            for a, b in sorted(pairs):
+                lines.append(f'  "{a}" -> "{b}" [dir=none, style={style}, '
+                             f'label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -333,22 +316,15 @@ def build_taxonomy(ontology: kif.Ontology) -> Taxonomy:
     nondisjoint: set[tuple[str, str]] = set()
     inheritable: set[tuple[str, str]] = set()
     instances: set[tuple[str, str]] = set()
+    pair_sets = {"disjoint": disjoint, "nonDisjoint": nondisjoint,
+                 "inheritableNonDisjoint": inheritable}
 
     def binary(atom: kif.Atom, ax: kif.Axiom) -> tuple[str, str]:
         if len(atom.args) != 2:
             raise TaxonomyError(
                 f"{atom.predicate} takes 2 arguments, found {len(atom.args)} "
                 f"(axiom {ax.id}, {ax.source})")
-        a, b = atom.args[0].name, atom.args[1].name
-        return a, b
-
-    def unordered(atom: kif.Atom, ax: kif.Axiom) -> tuple[str, str]:
-        a, b = binary(atom, ax)
-        if a == b:
-            raise TaxonomyError(
-                f"{atom.predicate} relates {a!r} to itself "
-                f"(axiom {ax.id}, {ax.source})")
-        return pair(a, b)
+        return atom.args[0].name, atom.args[1].name
 
     for ax in ontology:
         atom = kif.ground_atom(ax.formula)
@@ -362,18 +338,14 @@ def build_taxonomy(ontology: kif.Ontology) -> Taxonomy:
             classes.update((sub, sup))
             if sub != sup:
                 edges.add((sub, sup))
-        elif relation == "disjoint":
-            p = unordered(atom, ax)
-            classes.update(p)
-            disjoint.add(p)
-        elif relation == "nonDisjoint":
-            p = unordered(atom, ax)
-            classes.update(p)
-            nondisjoint.add(p)
-        elif relation == "inheritableNonDisjoint":
-            p = unordered(atom, ax)
-            classes.update(p)
-            inheritable.add(p)
+        elif relation in pair_sets:
+            a, b = binary(atom, ax)
+            if a == b:
+                raise TaxonomyError(
+                    f"{atom.predicate} relates {a!r} to itself "
+                    f"(axiom {ax.id}, {ax.source})")
+            classes.update((a, b))
+            pair_sets[relation].add(pair(a, b))
         elif relation == "instance":
             obj, cls = binary(atom, ax)
             classes.add(cls)

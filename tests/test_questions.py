@@ -3,8 +3,8 @@ import pytest
 from ontoclose import kif
 from ontoclose.kif import Not
 from ontoclose.lexicon import (
-    ANTONYMY, HYPONYMY, MERONYMY_PART, MappingIndex, RelationPair,
-    load_mapping,
+    ANTONYMY, EQUIVALENCE, HYPONYMY, MERONYMY_PART, MappingIndex, MappingLink,
+    RelationPair, load_mapping,
 )
 from ontoclose.questions import (
     ANTONYMY_1, HYPO_NOUN_1, HYPO_NOUN_2, HYPO_VERB_1, HYPO_VERB_2,
@@ -274,6 +274,20 @@ def test_corpus_keeps_questions_with_the_same_conjecture():
     assert questions[0].conjecture == questions[1].conjecture
     recovered = read_cq_corpus(write_cq_corpus(questions))
     assert [cq.id for cq in recovered] == [cq.id for cq in questions]
+
+
+def test_corpus_lines_break_at_newline_only():
+    # str.splitlines also breaks at form feed and U+2028; the parser's
+    # line numbers do not
+    questions = _sample_questions()
+    text = "; note\x0cmore\n" + write_cq_corpus(questions)
+    assert [cq.id for cq in read_cq_corpus(text)] == [cq.id for cq in questions]
+    odd = RelationPair(ANTONYMY, "birth\u2028#n#2", "death#n#1")
+    mapping = MappingIndex([MappingLink(odd.s1, "Birth", EQUIVALENCE),
+                            MappingLink(odd.s2, "Death", EQUIVALENCE)])
+    questions = gen_antonymy_cqs([odd], mapping).questions
+    recovered = read_cq_corpus(write_cq_corpus(questions))
+    assert [cq.source_pair for cq in recovered] == [odd]
 
 
 def test_corpus_empty():

@@ -94,8 +94,8 @@ def test_cycle_message_does_not_depend_on_the_hash_seed():
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         messages.add(done.stdout)
-    assert len(messages) == 1
-    assert "subclass cycle" in messages.pop()
+    # the classes on the cycle, in subclass order; D only reaches it
+    assert messages == {"subclass cycle: A < B < C < A\n"}
 
 
 def test_reachability_needs_no_call_per_level():
