@@ -106,7 +106,7 @@ class Taxonomy:
         self._children: dict[str, set[str]] = {c: set() for c in self.classes}
         for sub, sup in edges:
             if sub == sup:
-                continue  # reflexivity is implicit
+                continue  # reflexivity is implicit; graphlib calls it a cycle
             self._parents[sub].add(sup)
             self._children[sup].add(sub)
 
