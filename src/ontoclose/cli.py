@@ -340,9 +340,13 @@ def cmd_pipeline(args) -> int:
             # the corpus: report this run's verdicts only
             records = {(r["cq"], r["polarity"]): r
                        for r in prover.verdict_records(verdicts)}
+            del verdicts
         _write_reports(records, baseline, cqs, mode_dir)
         if baseline is None:
             baseline = records
+        # free this mode's ontology and records before the next closure;
+        # the first mode's records live on as the baseline
+        del closed, records
     _write_size_stats(labeled_stats, out / "stats.csv")
     print(f"pipeline complete; outputs in {out}", file=sys.stderr)
     return EXIT_OK

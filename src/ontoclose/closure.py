@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from . import kif
 from .kif import Atom, Axiom, Equal, Forall, Implies, Or, Ontology, const, var
 from .taxonomy import (
-    NONDISJOINT, OPEN, Taxonomy, build_taxonomy, pair, pair_set,
+    NONDISJOINT, OPEN, PairSet, Taxonomy, build_taxonomy, pair, pair_set,
 )
 
 OWA = "owa"
@@ -248,7 +248,7 @@ def assume_disjointness(tax: Taxonomy, curation: CurationFile,
     emitted = [p for p in merged.sibling_pairs()
                if merged.pair_status(*p) == OPEN]
     if prune:
-        pool = set(emitted) | merged.explicit_disjoint
+        pool = PairSet(merged.explicit_disjoint.union(emitted))
         emitted = [p for p in emitted
                    if not merged.has_pair_above(*p, pool, skip=p)]
     return [_unit("$disjoint", p, "cwad", "cwa-disjoint") for p in emitted]
@@ -294,11 +294,11 @@ def assume_nondisjointness(tax: Taxonomy, curation: CurationFile,
     if prune:
         # prune only against facts the closed ontology holds: this mode
         # writes no curated compatibility facts, so those are not in it
-        ind_pool = inheritable | tax.explicit_inheritable
+        ind_pool = PairSet(inheritable | tax.explicit_inheritable)
         kept_ind = {p for p in inheritable
                     if not merged.has_pair_above(*p, ind_pool, skip=p)}
-        ind_cover = kept_ind | tax.explicit_inheritable
-        nd_pool = plain | tax.explicit_nondisjoint
+        ind_cover = PairSet(kept_ind | tax.explicit_inheritable)
+        nd_pool = PairSet(plain | tax.explicit_nondisjoint)
         kept_nd = {p for p in plain
                    if not merged.has_pair_meeting(*p, ind_cover)
                    and not merged.has_pair_below(*p, nd_pool, skip=p)}

@@ -305,10 +305,6 @@ def _add_free_variables(f: Formula, bound: frozenset[str],
         _add_free_variables(part, bound, free)
 
 
-def is_closed(formula: Formula) -> bool:
-    return not free_variables(formula)
-
-
 def is_unit_clause(formula: Formula) -> bool:
     """A bare or singly-negated atom with no quantifier."""
     if isinstance(formula, Not):
@@ -613,7 +609,8 @@ def serialize_kif(ontology: Ontology) -> str:
 # Size metrics
 # ---------------------------------------------------------------------------
 
-def _size_stats(formulas: "list[Formula]") -> SizeStats:
+def count_metrics(ontology: Ontology) -> SizeStats:
+    formulas = [ax.formula for ax in ontology]
     nodes = Counter(type(sub) for f in formulas for sub in subformulas(f))
     units = sum(map(is_unit_clause, formulas))
     return SizeStats(
@@ -630,11 +627,3 @@ def _size_stats(formulas: "list[Formula]") -> SizeStats:
         not_count=nodes[Not],
         equality_count=nodes[Equal],
     )
-
-
-def count_formula_metrics(formula: Formula) -> SizeStats:
-    return _size_stats([formula])
-
-
-def count_metrics(ontology: Ontology) -> SizeStats:
-    return _size_stats([ax.formula for ax in ontology])

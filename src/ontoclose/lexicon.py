@@ -89,7 +89,8 @@ def synset_pos(synset_id: str) -> str:
 
 
 def _rows(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # rows end at "\n" only; strip() takes the "\r" of a CRLF file
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -157,9 +158,6 @@ class MappingIndex:
     def concepts_for(self, synset_id: str) -> tuple[MappingLink, ...]:
         """All links of a synset, lexicographic by concept; empty if unmapped."""
         return self._by_synset.get(synset_id, ())
-
-    def is_mapped(self, synset_id: str) -> bool:
-        return synset_id in self._by_synset
 
     def __len__(self) -> int:
         return len(self._by_synset)

@@ -48,7 +48,7 @@ def pair(a: str, b: str) -> tuple[str, str]:
 
 
 def pair_set(pairs: Iterable[tuple[str, str]], label: str,
-             error: type[Exception]) -> frozenset[tuple[str, str]]:
+             error: type[Exception]) -> "PairSet":
     """The unordered pairs, each normalized with ``pair``; a pair relating
     a class to itself raises ``error``."""
     out = set()
@@ -56,12 +56,91 @@ def pair_set(pairs: Iterable[tuple[str, str]], label: str,
         if a == b:
             raise error(f"{label} pair relates {a!r} to itself")
         out.add(pair(a, b))
-    return frozenset(out)
+    return PairSet(out)
+
+
+class PairSet(frozenset):
+    """A frozen set of unordered pairs, each ordered as ``pair`` orders it,
+    indexed by member: ``partners`` maps each class to the classes it is
+    paired with."""
+
+    __slots__ = ("partners",)
+
+    def __new__(cls, pairs: Iterable[tuple[str, str]] = ()):
+        self = super().__new__(cls, pairs)
+        partners: dict[str, list[str]] = {}
+        for a, b in self:
+            partners.setdefault(a, []).append(b)
+            partners.setdefault(b, []).append(a)
+        self.partners = partners
+        return self
+
+
+def _close(order: Iterable[str], neighbors: dict[str, set[str]],
+           seed: Callable[[str], Iterable[str]]) -> dict[str, frozenset[str]]:
+    """Each class with its ``seed`` and the seeds of everything reachable
+    over ``neighbors``; ``order`` lists every class after all of its
+    neighbors."""
+    closed: dict[str, frozenset[str]] = {}
+    for c in order:
+        acc = set(seed(c))
+        for n in neighbors[c]:
+            acc |= closed[n]
+        closed[c] = frozenset(acc)
+    return closed
+
+
+class ClassGraph:
+    """The subclass graph: direct edges both ways, reachability both ways
+    and the classes meeting each class, all built eagerly. Nothing changes
+    it afterwards, so the taxonomies ``with_facts`` derives share it."""
+
+    def __init__(self, classes: frozenset[str],
+                 edges: Iterable[tuple[str, str]]):
+        self.classes = classes
+        self.parents: dict[str, set[str]] = {c: set() for c in classes}
+        self.children: dict[str, set[str]] = {c: set() for c in classes}
+        for sub, sup in edges:
+            if sub == sup:
+                continue  # reflexivity is implicit; graphlib calls it a cycle
+            self.parents[sub].add(sup)
+            self.children[sup].add(sub)
+
+        # children before parents; sorted input keeps the order and any
+        # cycle named the same under every hash seed
+        graph = graphlib.TopologicalSorter(
+            {c: sorted(self.children[c]) for c in sorted(classes)})
+        try:
+            order = list(graph.static_order())
+        except graphlib.CycleError as exc:
+            raise SubclassCycleError(
+                "subclass cycle: " + " < ".join(exc.args[1])) from None
+        self.down = _close(order, self.children, lambda c: (c,))
+        self.up = _close(reversed(order), self.parents, lambda c: (c,))
+        # the classes sharing a descendant with c: c's ancestors, and every
+        # class meeting one of its direct subclasses
+        self.met = _close(order, self.children, self.up.__getitem__)
+
+    def edges(self) -> Iterator[tuple[str, str]]:
+        return ((sub, sup) for sub, sups in self.parents.items()
+                for sup in sups)
+
+
+def _undeclared(declared: frozenset[str], mentioned: set[str]) -> set[str]:
+    """The mentioned classes not declared, each named in a warning: they
+    are declared implicitly."""
+    undeclared = mentioned - declared
+    if undeclared:
+        warnings.warn(
+            "auto-declaring classes referenced by structural facts: "
+            + ", ".join(sorted(undeclared)),
+            stacklevel=3)
+    return undeclared
 
 
 class Taxonomy:
-    """Immutable class graph; all queries are pure. Reachability and the
-    sets of classes meeting each class are built eagerly."""
+    """Immutable class graph plus explicit pair facts; all queries are
+    pure."""
 
     def __init__(self, classes: Iterable[str],
                  subclass_edges: Iterable[tuple[str, str]] = (),
@@ -69,19 +148,22 @@ class Taxonomy:
                  nondisjoint: Iterable[tuple[str, str]] = (),
                  inheritable_nondisjoint: Iterable[tuple[str, str]] = (),
                  instance_facts: Iterable[tuple[str, str]] = ()):
-        declared = set(classes)
         edges = {(sub, sup) for sub, sup in subclass_edges}
         mentioned = {c for e in edges for c in e}
         for pairs in (disjoint, nondisjoint, inheritable_nondisjoint):
             mentioned |= {c for p in pairs for c in p}
         mentioned |= {c for _, c in instance_facts}
-        undeclared = mentioned - declared
-        if undeclared:
-            warnings.warn(
-                "auto-declaring classes referenced by structural facts: "
-                + ", ".join(sorted(undeclared)),
-                stacklevel=2)
-        self.classes = frozenset(declared | mentioned)
+        classes = frozenset(classes)
+        classes |= _undeclared(classes, mentioned)
+        self._set_pairs(disjoint, nondisjoint, inheritable_nondisjoint,
+                        instance_facts)
+        self._graph = ClassGraph(classes, edges)
+        self.classes = classes
+
+    def _set_pairs(self, disjoint: Iterable[tuple[str, str]],
+                   nondisjoint: Iterable[tuple[str, str]],
+                   inheritable_nondisjoint: Iterable[tuple[str, str]],
+                   instance_facts: Iterable[tuple[str, str]]):
         self.explicit_disjoint = pair_set(disjoint, "disjoint", TaxonomyError)
         self.explicit_nondisjoint = pair_set(nondisjoint, "nonDisjoint",
                                              TaxonomyError)
@@ -98,47 +180,9 @@ class Taxonomy:
         classes_of: dict[str, set[str]] = {}
         for obj, c in self.instance_facts:
             classes_of.setdefault(obj, set()).add(c)
-        self._compatible = self.explicit_nondisjoint | {
+        self._compatible = PairSet(self.explicit_nondisjoint | {
             (a, b) for cs in classes_of.values() for a in cs for b in cs
-            if a < b}
-
-        self._parents: dict[str, set[str]] = {c: set() for c in self.classes}
-        self._children: dict[str, set[str]] = {c: set() for c in self.classes}
-        for sub, sup in edges:
-            if sub == sup:
-                continue  # reflexivity is implicit; graphlib calls it a cycle
-            self._parents[sub].add(sup)
-            self._children[sup].add(sub)
-
-        # children before parents; sorted input keeps the order and any
-        # cycle named the same under every hash seed
-        graph = graphlib.TopologicalSorter(
-            {c: sorted(self._children[c]) for c in sorted(self.classes)})
-        try:
-            order = list(graph.static_order())
-        except graphlib.CycleError as exc:
-            raise SubclassCycleError(
-                "subclass cycle: " + " < ".join(exc.args[1])) from None
-        self._down = self._close(order, self._children, lambda c: (c,))
-        self._up = self._close(reversed(order), self._parents, lambda c: (c,))
-        # the classes sharing a descendant with c: c's ancestors, and every
-        # class meeting one of its direct subclasses
-        self._met = self._close(order, self._children, self._up.__getitem__)
-
-    @staticmethod
-    def _close(order: Iterable[str], neighbors: dict[str, set[str]],
-               seed: Callable[[str], Iterable[str]]
-               ) -> dict[str, frozenset[str]]:
-        """Each class with its ``seed`` and the seeds of everything reachable
-        over ``neighbors``; ``order`` lists every class after all of its
-        neighbors."""
-        closed: dict[str, frozenset[str]] = {}
-        for c in order:
-            acc = set(seed(c))
-            for n in neighbors[c]:
-                acc |= closed[n]
-            closed[c] = frozenset(acc)
-        return closed
+            if a < b})
 
     # -- basic queries ------------------------------------------------------
 
@@ -150,28 +194,28 @@ class Taxonomy:
     def down(self, c: str) -> frozenset[str]:
         """c plus every descendant."""
         self._require(c)
-        return self._down[c]
+        return self._graph.down[c]
 
     def up(self, c: str) -> frozenset[str]:
         """c plus every ancestor."""
         self._require(c)
-        return self._up[c]
+        return self._graph.up[c]
 
     def direct_subclasses(self, c: str) -> frozenset[str]:
         self._require(c)
-        return frozenset(self._children[c])
+        return frozenset(self._graph.children[c])
 
     def subclass_closed(self, x: str, c: str) -> bool:
         """Reflexive-transitive subclass reachability."""
         self._require(x, c)
-        return c in self._up[x]
+        return c in self._graph.up[x]
 
     def sibling_pairs(self) -> Iterator[tuple[str, str]]:
         """Every unordered pair of distinct direct subclasses of one class,
         deduplicated, in lexicographic order."""
         seen: set[tuple[str, str]] = set()
         for c in sorted(self.classes):
-            kids = sorted(self._children[c])
+            kids = sorted(self._graph.children[c])
             for i, a in enumerate(kids):
                 for b in kids[i + 1:]:
                     seen.add(pair(a, b))
@@ -181,20 +225,31 @@ class Taxonomy:
     #
     # Every derived pair status asks one question of a set of pairs: does
     # some pair have one member related to c1 and the other to c2? Only the
-    # relation differs. A ``skip`` pair is left out of the set, so pruning
-    # can ask about every other pair without copying the set per pair.
+    # relation differs. A ``skip`` pair, ordered as ``pair`` orders it, is
+    # left out of the set, so pruning can ask about every other pair without
+    # copying the set per pair.
 
-    def _has_pair(self, related, c1: str, c2: str,
+    def _has_pair(self, related: dict[str, frozenset[str]], c1: str, c2: str,
                   pairs: Collection[tuple[str, str]],
                   skip: "tuple[str, str] | None") -> bool:
         self._require(c1, c2)
         if not pairs:
             return False
-        r1, r2 = related(c1), related(c2)
-        for a, b in pairs:
-            if ((a in r1 and b in r2) or (a in r2 and b in r1)) \
-                    and (a, b) != skip:
-                return True
+        r1, r2 = related[c1], related[c2]
+        if len(r2) < len(r1):
+            r1, r2 = r2, r1
+        if len(pairs) < len(r1):
+            # fewer pairs than the smaller related set: a scan costs less
+            return any((a in r1 and b in r2 or a in r2 and b in r1)
+                       and pair(a, b) != skip for a, b in pairs)
+        if not isinstance(pairs, PairSet):
+            pairs = PairSet(pair(a, b) for a, b in pairs)
+        # walk the smaller related set and look its partners up in the other
+        partners = pairs.partners
+        for a in r1:
+            for b in partners.get(a, ()):
+                if b in r2 and pair(a, b) != skip:
+                    return True
         return False
 
     def has_pair_above(self, c1: str, c2: str,
@@ -202,14 +257,14 @@ class Taxonomy:
                        skip: "tuple[str, str] | None" = None) -> bool:
         """Some pair has one member at or above c1 and the other at or
         above c2: how disjointness descends to subclasses."""
-        return self._has_pair(self._up.__getitem__, c1, c2, pairs, skip)
+        return self._has_pair(self._graph.up, c1, c2, pairs, skip)
 
     def has_pair_below(self, c1: str, c2: str,
                        pairs: Collection[tuple[str, str]],
                        skip: "tuple[str, str] | None" = None) -> bool:
         """Some pair has one member at or below c1 and the other at or
         below c2: how non-disjointness rises to superclasses."""
-        return self._has_pair(self._down.__getitem__, c1, c2, pairs, skip)
+        return self._has_pair(self._graph.down, c1, c2, pairs, skip)
 
     def has_pair_meeting(self, c1: str, c2: str,
                          pairs: Collection[tuple[str, str]],
@@ -217,7 +272,7 @@ class Taxonomy:
         """Some pair has one member sharing a descendant with c1 and the
         other sharing one with c2: how an inheritableNonDisjoint pair
         spreads."""
-        return self._has_pair(self._met.__getitem__, c1, c2, pairs, skip)
+        return self._has_pair(self._graph.met, c1, c2, pairs, skip)
 
     # -- derived relations --------------------------------------------------
 
@@ -226,7 +281,7 @@ class Taxonomy:
 
     def derived_nondisjoint(self, c1: str, c2: str) -> bool:
         self._require(c1, c2)
-        return c2 in self._met[c1] or self.explicitly_nondisjoint(c1, c2)
+        return c2 in self._graph.met[c1] or self.explicitly_nondisjoint(c1, c2)
 
     def explicitly_nondisjoint(self, c1: str, c2: str) -> bool:
         """Non-disjointness that follows from the explicit compatibility
@@ -259,11 +314,12 @@ class Taxonomy:
     def common_subclass_pairs(self, c: str) -> list[tuple[str, str]]:
         """Sibling pairs under c that share at least one descendant."""
         self._require(c)
-        kids = sorted(self._children[c])
+        kids = sorted(self._graph.children[c])
+        met = self._graph.met
         out = []
         for i, a in enumerate(kids):
             for b in kids[i + 1:]:
-                if b in self._met[a]:
+                if b in met[a]:
                     out.append(pair(a, b))
         return sorted(out)
 
@@ -273,21 +329,29 @@ class Taxonomy:
                    nondisjoint: Iterable[tuple[str, str]] = (),
                    inheritable_nondisjoint: Iterable[tuple[str, str]] = ()
                    ) -> "Taxonomy":
-        """A new taxonomy with extra explicit pairs merged in."""
-        edges = {(sub, sup) for sub in self.classes
-                 for sup in self._parents[sub]}
-        return Taxonomy(
-            self.classes, edges,
-            self.explicit_disjoint | {pair(*p) for p in disjoint},
-            self.explicit_nondisjoint | {pair(*p) for p in nondisjoint},
-            self.explicit_inheritable | {pair(*p) for p in inheritable_nondisjoint},
-            self.instance_facts)
+        """A new taxonomy with extra explicit pairs merged in. It shares
+        this one's class graph, unless a pair names a class the graph
+        lacks."""
+        added = [{pair(*p) for p in pairs}
+                 for pairs in (disjoint, nondisjoint, inheritable_nondisjoint)]
+        merged = Taxonomy.__new__(Taxonomy)
+        merged._set_pairs(self.explicit_disjoint | added[0],
+                          self.explicit_nondisjoint | added[1],
+                          self.explicit_inheritable | added[2],
+                          self.instance_facts)
+        graph = self._graph
+        new = _undeclared(graph.classes,
+                          {c for pairs in added for p in pairs for c in p})
+        if new:
+            graph = ClassGraph(graph.classes | new, graph.edges())
+        merged._graph = graph
+        merged.classes = graph.classes
+        return merged
 
     # -- exports ------------------------------------------------------------
 
     def to_edge_tsv(self) -> str:
-        lines = sorted(f"{sub}\t{sup}" for sub in self.classes
-                       for sup in self._parents[sub])
+        lines = sorted(f"{sub}\t{sup}" for sub, sup in self._graph.edges())
         return "\n".join(lines) + ("\n" if lines else "")
 
     def to_dot(self) -> str:
@@ -295,7 +359,7 @@ class Taxonomy:
         for c in sorted(self.classes):
             lines.append(f'  "{c}";')
         for sub in sorted(self.classes):
-            for sup in sorted(self._parents[sub]):
+            for sup in sorted(self._graph.parents[sub]):
                 lines.append(f'  "{sub}" -> "{sup}";')
         for pairs, style, label in (
                 (self.explicit_disjoint, "dashed", "disjoint"),

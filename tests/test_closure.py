@@ -11,7 +11,7 @@ from ontoclose.closure import (
     support_axioms,
 )
 from ontoclose.kif import Forall, Implies, Or
-from ontoclose.taxonomy import DISJOINT, NONDISJOINT, build_taxonomy
+from ontoclose.taxonomy import DISJOINT, NONDISJOINT, Taxonomy, build_taxonomy
 
 from conftest import call_depth_limit, subclass_chain
 import witness_oracle
@@ -258,6 +258,59 @@ def test_assume_nondisjointness_needs_no_call_per_level():
         sorted(f"($nonDisjoint A{i} B)" for i in range(1, 300))
     assert [kif.serialize_formula(ax.formula) for ax in pruned] == \
         ["($nonDisjoint A299 B)"]
+
+
+def probed_tree(classes: int, branching: int, probes: list) -> Taxonomy:
+    """A breadth-first tree whose class names add one to ``probes[0]`` each
+    time a set or dict hashes them. Where the first two children of a class
+    have leaves as first children, those leaves are declared disjoint, so
+    the non-disjointness closure also recurses and prunes plain pairs."""
+
+    class Name(str):
+        def __hash__(self):
+            probes[0] += 1
+            # not the seeded string hash: the same set layout, and so the
+            # same count, under every hash seed
+            return int(self[1:])
+
+    names = [Name(f"C{i}") for i in range(classes)]
+    edges = [(names[i], names[(i - 1) // branching])
+             for i in range(1, classes)]
+
+    def first_child(i: int) -> int:
+        return branching * i + 1
+
+    disjoint = []
+    for i in range(classes):
+        x = first_child(first_child(i))
+        y = first_child(first_child(i) + 1)
+        if y < classes and first_child(x) >= classes \
+                and first_child(y) >= classes:
+            disjoint.append((names[x], names[y]))
+    return Taxonomy(names, edges, disjoint)
+
+
+def pruning_probes_per_candidate(classes: int) -> dict:
+    probes = [0]
+    tax = probed_tree(classes, 4, probes)
+    out = {}
+    for assume in (assume_disjointness, assume_nondisjointness):
+        probes[0] = 0
+        candidates = len(assume(tax, CurationFile.empty(), prune=False))
+        unpruned = probes[0]
+        probes[0] = 0
+        assume(tax, CurationFile.empty())
+        out[assume.__name__] = (probes[0] - unpruned) / candidates
+    return out
+
+
+def test_pruning_work_grows_linearly_with_the_candidates():
+    # pruning asks one pair query per candidate; with 4x the classes (and
+    # so about 4x the candidates) a query must not look at 4x the pairs
+    small = pruning_probes_per_candidate(500)
+    large = pruning_probes_per_candidate(2000)
+    for assume, per_candidate in small.items():
+        assert large[assume] < 1.5 * per_candidate, (assume, small, large)
 
 
 def test_assume_nondisjointness_respects_curated_disjointness(

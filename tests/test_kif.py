@@ -37,7 +37,8 @@ def test_parse_empty_input():
 
 def test_parse_quantified_support_shape():
     formula = kif.parse_formula_text(SUPPORT_SHAPE)
-    stats = kif.count_formula_metrics(formula)
+    stats = kif.count_metrics(kif.Ontology(
+        [kif.Axiom("shape", formula, "original")]))
     assert isinstance(formula, Forall)
     assert formula.variables == ("CLASS1", "CLASS2")
     assert stats.forall_block_count == 1
@@ -411,6 +412,6 @@ def test_axiom_lookup_by_id():
 
 def test_free_variables_and_closedness():
     open_formula = kif.parse_formula_text("($subclass ?x Birth)")
-    assert not kif.is_closed(open_formula)
+    assert kif.free_variables(open_formula)
     closed = kif.parse_formula_text("(forall (?x) ($subclass ?x Birth))")
-    assert kif.is_closed(closed)
+    assert not kif.free_variables(closed)

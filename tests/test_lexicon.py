@@ -74,8 +74,32 @@ def test_load_mapping_accumulates_per_synset():
     links = index.concepts_for("s#n#1")
     assert [l.concept for l in links] == ["Alpha", "Beta"]
     assert index.concepts_for("unmapped#n#9") == ()
-    assert index.is_mapped("other#n#1")
+    assert index.concepts_for("other#n#1")
     assert len(index) == 2
+
+
+def test_rows_break_at_newline_only():
+    # U+2028, U+0085 and form feed end a line for str.splitlines, not a row
+    links = load_mapping("birth\u2028#n#2\tBirth=\nx\x85#n#1\tX+\n")
+    assert links == [MappingLink("birth\u2028#n#2", "Birth", EQUIVALENCE),
+                     MappingLink("x\x85#n#1", "X", SUBSUMPTION)]
+    pairs = load_synset_relations("lobby\u2028#n#2\tpeople\x0c#n#1\n",
+                                  HYPONYMY)
+    assert pairs == [RelationPair(HYPONYMY, "lobby\u2028#n#2",
+                                  "people\x0c#n#1")]
+    # reported line numbers count "\n" only
+    with pytest.raises(LexiconError, match="line 2"):
+        load_mapping("a\u2028b#n#1\tA=\nbroken\n")
+    with pytest.raises(LexiconError, match="line 2"):
+        load_synset_relations("a\x0cb#n#1\tc#n#1\nbroken\n", HYPONYMY)
+
+
+def test_crlf_rows_load():
+    assert load_mapping("birth#n#2\tBirth=\r\nlobby#n#2\tLobby+\r\n") == [
+        MappingLink("birth#n#2", "Birth", EQUIVALENCE),
+        MappingLink("lobby#n#2", "Lobby", SUBSUMPTION)]
+    assert load_synset_relations("lobby#n#2\tpeople#n#1\r\n", HYPONYMY) == [
+        RelationPair(HYPONYMY, "lobby#n#2", "people#n#1")]
 
 
 def test_mapping_index_order_is_lexicographic():

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from ontoclose import kif
 from ontoclose.taxonomy import (
     CONFLICT, DISJOINT, NONDISJOINT, OPEN,
-    SubclassCycleError, Taxonomy, TaxonomyError, UnknownClassError,
+    PairSet, SubclassCycleError, Taxonomy, TaxonomyError, UnknownClassError,
     build_taxonomy, pair,
 )
 
@@ -242,6 +243,7 @@ def test_pair_status_symmetry_on_random_dags():
 
 def test_status_invariants_on_random_dags():
     rng = random.Random(21)
+    paths_seen = set()
     for _ in range(20):
         tax = witness_oracle.random_taxonomy(rng)
         ordered = sorted(tax.classes)
@@ -271,6 +273,34 @@ def test_status_invariants_on_random_dags():
                         (a in tax.up(p) and b in tax.up(q))
                         or (a in tax.up(q) and b in tax.up(p))
                         for p, q in pairs)
+        # random pools against a scan of every pair, with and without a
+        # skipped pair; a query looks at each pair when its pool is smaller
+        # than both related sets and walks the partners otherwise
+        meeting = {c: {x for x in ordered if tax.down(x) & tax.down(c)}
+                   for c in ordered}
+        queries = (
+            (tax.has_pair_above, {c: tax.up(c) for c in ordered}),
+            (tax.has_pair_below, {c: tax.down(c) for c in ordered}),
+            (tax.has_pair_meeting, meeting))
+        all_pairs = [pair(a, b) for i, a in enumerate(ordered)
+                     for b in ordered[i + 1:]]
+        for size in {1, 2, len(all_pairs) // 2, len(all_pairs)}:
+            pool = PairSet(rng.sample(all_pairs, min(size, len(all_pairs))))
+            for a in ordered:
+                for b in ordered:
+                    for has_pair, related in queries:
+                        looked_at_each = len(pool) < min(len(related[a]),
+                                                         len(related[b]))
+                        paths_seen.add(looked_at_each)
+                        for skip in (None, *sorted(pool)[:2]):
+                            expected = any(
+                                ((p in related[a] and q in related[b])
+                                 or (p in related[b] and q in related[a]))
+                                and (p, q) != skip for p, q in pool)
+                            assert has_pair(a, b, pool, skip) == expected
+                            # a plain set gives the same answers
+                            assert has_pair(a, b, set(pool), skip) == expected
+    assert paths_seen == {True, False}
 
 
 def test_pair_status_equals_witness_enumeration_on_random_dags():
@@ -356,6 +386,53 @@ def test_with_facts_merges_pairs(organism_process):
     merged = tax.with_facts(disjoint=[("Birth", "Death")])
     assert merged.pair_status("Birth", "Death") == DISJOINT
     assert tax.pair_status("Birth", "Death") == OPEN
+
+
+def test_with_facts_declares_a_class_only_a_pair_names():
+    tax = Taxonomy(["A", "B"], [("B", "A")])
+    with pytest.warns(UserWarning, match="auto-declaring .*New"):
+        merged = tax.with_facts(disjoint=[("A", "New")])
+    assert "New" in merged.classes
+    assert merged.up("New") == {"New"}
+    assert merged.pair_status("A", "New") == DISJOINT
+    assert merged.pair_status("B", "New") == DISJOINT
+    with pytest.raises(UnknownClassError):
+        tax.pair_status("A", "New")
+
+
+def test_with_facts_equals_a_fresh_build_on_random_dags():
+    rng = random.Random(77)
+    for round_ in range(20):
+        tax = witness_oracle.random_taxonomy(rng)
+        ordered = sorted(tax.classes)
+        explicit = (tax.explicit_disjoint | tax.explicit_nondisjoint
+                    | tax.explicit_inheritable)
+        free = [pair(a, b) for i, a in enumerate(ordered)
+                for b in ordered[i + 1:] if pair(a, b) not in explicit]
+        added: list = [[], [], []]
+        for p in rng.sample(free, min(4, len(free))):
+            added[rng.randrange(3)].append(p)
+        if round_ % 2:
+            # a class no subclass fact names
+            added[rng.randrange(3)].append((rng.choice(ordered), "New"))
+        edges = [(sub, sup) for sup in ordered
+                 for sub in tax.direct_subclasses(sup)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            merged = tax.with_facts(*added)
+            fresh = Taxonomy(
+                tax.classes, edges, tax.explicit_disjoint | set(added[0]),
+                tax.explicit_nondisjoint | set(added[1]),
+                tax.explicit_inheritable | set(added[2]), tax.instance_facts)
+        assert merged.classes == fresh.classes
+        # the class graph is shared unless a pair names a new class
+        assert (merged._graph is tax._graph) == ("New" not in fresh.classes)
+        everything = sorted(fresh.classes)
+        for a in everything:
+            for b in everything:
+                assert merged.pair_status(a, b) == fresh.pair_status(a, b)
+                assert merged.explicitly_nondisjoint(a, b) == \
+                    fresh.explicitly_nondisjoint(a, b)
 
 
 def test_sibling_pairs_fixture(organism_process):
