@@ -77,9 +77,10 @@ def cmd_stats(args) -> int:
     labeled = [("original", kif.count_metrics(ontology))]
     if args.mode and args.mode != closure.OWA:
         curation = _load_curation(args.curation)
+        tax = taxonomy.build_taxonomy(ontology)
         for prune in (True, False):
             closed = closure.apply_closure(ontology, args.mode, curation,
-                                           prune=prune)
+                                           prune=prune, tax=tax)
             label = f"{args.mode} ({'pruned' if prune else 'unpruned'})"
             labeled.append((label, kif.count_metrics(closed)))
     sys.stdout.write(_write_size_stats(labeled, args.csv))
@@ -237,12 +238,12 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _write_reports(records, baseline, expected_cqs,
+def _write_reports(records, baseline_proved, expected_cqs,
                    out_dir: "str | Path | None") -> dict[str, str]:
     """Competency and efficiency tables as CSV and text, by file name,
     written under ``out_dir`` when one is given."""
-    competency = reports.competency_report(records, baseline=baseline,
-                                           expected_cqs=expected_cqs)
+    competency = reports.competency_report(
+        records, baseline_proved=baseline_proved, expected_cqs=expected_cqs)
     efficiency = reports.efficiency_report(records)
     tables = {
         "competency.csv": reports.render_competency_csv(competency),
@@ -258,10 +259,11 @@ def _write_reports(records, baseline, expected_cqs,
 
 def cmd_report(args) -> int:
     records = prover.load_journal(args.journal)
-    baseline = prover.load_journal(args.baseline) if args.baseline else None
+    baseline_proved = (reports.proved_keys(prover.load_journal(args.baseline))
+                       if args.baseline else None)
     expected = (questions.read_cq_corpus(_read(args.cqs))
                 if args.cqs else None)
-    tables = _write_reports(records, baseline, expected, args.out_dir)
+    tables = _write_reports(records, baseline_proved, expected, args.out_dir)
     sys.stdout.write(tables["competency.txt"] + "\n"
                      + tables["efficiency.txt"])
     return EXIT_OK
@@ -317,17 +319,20 @@ def cmd_pipeline(args) -> int:
                                  config.get(f"pairs.{lexicon.ANTONYMY}"))
     _write(out / "cqs.kif", questions.write_cq_corpus(cqs))
 
+    # one taxonomy serves every mode's closure and, with the pair facts
+    # each closure appends, its oracle
+    tax = taxonomy.build_taxonomy(ontology)
     labeled_stats = []
-    baseline = None
+    baseline_proved = None
     for mode in modes:
         mode_dir = out / mode.replace("+", "_")
-        closed = closure.apply_closure(ontology, mode, curation)
+        closed = closure.apply_closure(ontology, mode, curation, tax=tax)
         _write(mode_dir / "closed.kif", kif.serialize_kif(closed))
         labeled_stats.append((mode, kif.count_metrics(closed)))
         journal = mode_dir / "journal.jsonl"
         if prover_config is None:
-            prover.oracle_run_batch(taxonomy.build_taxonomy(closed), cqs,
-                                    journal)
+            prover.oracle_run_batch(
+                tax.with_axioms(closed.axioms[len(ontology):]), cqs, journal)
             # the oracle rewrote the journal with this run's records alone.
             # (Building them from the verdicts, as below, would drop the
             # journal load that bench/run.py times on every workload.)
@@ -341,11 +346,10 @@ def cmd_pipeline(args) -> int:
             records = {(r["cq"], r["polarity"]): r
                        for r in prover.verdict_records(verdicts)}
             del verdicts
-        _write_reports(records, baseline, cqs, mode_dir)
-        if baseline is None:
-            baseline = records
-        # free this mode's ontology and records before the next closure;
-        # the first mode's records live on as the baseline
+        _write_reports(records, baseline_proved, cqs, mode_dir)
+        if baseline_proved is None:
+            baseline_proved = reports.proved_keys(records)
+        # free this mode's ontology and records before the next closure
         del closed, records
     _write_size_stats(labeled_stats, out / "stats.csv")
     print(f"pipeline complete; outputs in {out}", file=sys.stderr)

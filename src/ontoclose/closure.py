@@ -366,16 +366,20 @@ def _curation_axioms(curation: CurationFile, disjoint_only: bool) -> list[Axiom]
 
 def apply_closure(ontology: Ontology, mode: str,
                   curation: "CurationFile | None" = None,
-                  prune: bool = True, strict: bool = False) -> Ontology:
+                  prune: bool = True, strict: bool = False,
+                  tax: "Taxonomy | None" = None) -> Ontology:
     """The requested closed-world variant of an ontology. Original axioms
     stay first and untouched; generated axioms follow in a deterministic
-    order (support, completion, curation, assumption units)."""
+    order (support, completion, curation, assumption units). ``tax`` is
+    ``build_taxonomy(ontology)``, for a caller that closes one ontology
+    more than once; without it the taxonomy is built here."""
     if mode not in MODES:
         raise ValueError(f"unknown closure mode {mode!r}; expected one of {MODES}")
     curation = curation or CurationFile.empty()
     if mode == OWA:
         return ontology
-    tax = build_taxonomy(ontology)
+    if tax is None:
+        tax = build_taxonomy(ontology)
     additions = support_axioms() + complete_subclass(tax)
     if mode == SUBCLASS_DISJOINT:
         additions += _curation_axioms(curation, disjoint_only=False)

@@ -45,7 +45,7 @@ class KifSyntaxError(KifError):
 # AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     kind: str  # VARIABLE or CONSTANT
     name: str
@@ -65,7 +65,7 @@ def const(name: str) -> Term:
     return Term(CONSTANT, name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     predicate: str
     args: tuple[Term, ...]
@@ -75,18 +75,18 @@ class Atom:
             raise ValueError("empty predicate name")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Equal:
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not:
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     parts: tuple["Formula", ...]
 
@@ -95,7 +95,7 @@ class And:
             raise ValueError("'and' needs at least two subformulas")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     parts: tuple["Formula", ...]
 
@@ -104,19 +104,19 @@ class Or:
             raise ValueError("'or' needs at least two subformulas")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implies:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iff:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Forall:
     variables: tuple[str, ...]
     body: "Formula"
@@ -126,7 +126,7 @@ class Forall:
             raise ValueError("quantifier block binds no variables")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Exists:
     variables: tuple[str, ...]
     body: "Formula"
@@ -139,7 +139,7 @@ class Exists:
 Formula = Union[Atom, Equal, Not, And, Or, Implies, Iff, Forall, Exists]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Axiom:
     id: str
     formula: Formula

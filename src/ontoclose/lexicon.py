@@ -43,7 +43,7 @@ class Synset:
     sense: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelationPair:
     kind: str
     s1: str
@@ -56,7 +56,7 @@ class RelationPair:
             raise ValueError(f"pair relates {self.s1!r} to itself")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MappingLink:
     synset: str
     concept: str

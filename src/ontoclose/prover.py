@@ -120,7 +120,7 @@ def vampire_reference_config(executable: str = "vampire",
                         memory_limit_mib=memory_limit_mib, workers=workers)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProverOutcome:
     status: str
     wall_time: float
@@ -199,7 +199,7 @@ def run_prover(problem_path: "str | Path", config: ProverConfig) -> ProverOutcom
 # Verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     cq_id: str
     value: str
@@ -278,23 +278,48 @@ def append_journal(path: "str | Path", records) -> None:
             handle.write(_JOURNAL_ENCODER.encode(record) + "\n")
 
 
+def _is_record(value) -> bool:
+    return (isinstance(value, dict) and isinstance(value.get("cq"), str)
+            and isinstance(value.get("polarity"), str))
+
+
 def load_journal(path: "str | Path") -> dict[tuple[str, str], dict]:
-    """The journal's records by (question, polarity). An unterminated last
-    line, torn by a kill mid-append, is skipped."""
-    records: dict[tuple[str, str], dict] = {}
+    """The journal's records by (question, polarity). Blank lines, and an
+    unterminated last line torn by a kill mid-append, are skipped; any
+    other line that is not one JSON object with string ``cq`` and
+    ``polarity`` raises :class:`ProverError` naming it."""
     path = Path(path)
-    if not path.exists():
-        return records
-    lines = path.read_text().split("\n")[:-1]
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ProverError(f"{path}:{lineno}: bad journal line: {exc}")
-        records[(record["cq"], record["polarity"])] = record
-    return records
+    try:
+        lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+    except FileNotFoundError:
+        return {}
+    except UnicodeDecodeError as exc:
+        raise ProverError(
+            f"{path}: journal is not UTF-8 text: {exc}") from None
+    filled = [line for line in lines if line.strip()]
+    # one decode of the whole journal shares each key string among the
+    # records; it stands only when it holds one record per non-blank line,
+    # or else the loop below names the first line that is not one
+    try:
+        decoded = json.loads("[" + ",".join(filled) + "]")
+    except json.JSONDecodeError:
+        decoded = []
+    if len(decoded) != len(filled) or not all(map(_is_record, decoded)):
+        decoded = []
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ProverError(
+                    f"{path}:{lineno}: bad journal line: {exc}") from None
+            if not _is_record(record):
+                raise ProverError(
+                    f"{path}:{lineno}: journal line is not a record with "
+                    "string cq and polarity")
+            decoded.append(record)
+    return {(record["cq"], record["polarity"]): record for record in decoded}
 
 
 def _drop_torn_tail(path: "str | Path") -> None:

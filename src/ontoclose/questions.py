@@ -49,7 +49,7 @@ def make_tests(conjecture: Formula) -> tuple[Formula, Formula]:
     return conjecture, Not(conjecture)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompetencyQuestion:
     id: str
     pattern: str

@@ -57,11 +57,20 @@ def _proved(records, cq_id: str, polarity: str) -> bool:
     return bool(record and record["status"] == PROVED)
 
 
-def competency_report(records: dict[tuple[str, str], dict],
-                      baseline: "dict[tuple[str, str], dict] | None" = None,
+def proved_keys(records: dict[tuple[str, str], dict]
+                ) -> set[tuple[str, str]]:
+    """The (question, polarity) keys of the proved tests among journal
+    records: all that a baseline run contributes to a competency report."""
+    return {key for key, record in records.items()
+            if record["status"] == PROVED}
+
+
+def competency_report(records: dict[tuple[str, str], dict], *,
+                      baseline_proved: "set[tuple[str, str]] | None" = None,
                       expected_cqs=None) -> list[CompetencyRow]:
     """Per-pattern counts of proved truth and falsity tests, with a Total
-    row; exclusive counts are tests proved here but not in the baseline."""
+    row; exclusive counts are tests proved here whose (question, polarity)
+    key is not in ``baseline_proved`` (see ``proved_keys``)."""
     journal_ids = {cq for cq, _ in records}
     if expected_cqs is not None:
         expected_ids = {cq.id for cq in expected_cqs}
@@ -83,11 +92,12 @@ def competency_report(records: dict[tuple[str, str], dict],
         truth = sum(_proved(records, i, TRUTH) for i in ids)
         falsity = sum(_proved(records, i, FALSITY) for i in ids)
         truth_x = falsity_x = None
-        if baseline is not None:
+        if baseline_proved is not None:
             truth_x = sum(_proved(records, i, TRUTH)
-                          and not _proved(baseline, i, TRUTH) for i in ids)
+                          and (i, TRUTH) not in baseline_proved for i in ids)
             falsity_x = sum(_proved(records, i, FALSITY)
-                            and not _proved(baseline, i, FALSITY) for i in ids)
+                            and (i, FALSITY) not in baseline_proved
+                            for i in ids)
         rows.append(CompetencyRow(pattern=pattern, count=len(ids),
                                   truth_proved=truth, falsity_proved=falsity,
                                   truth_exclusive=truth_x,
@@ -98,9 +108,9 @@ def competency_report(records: dict[tuple[str, str], dict],
         truth_proved=sum(r.truth_proved for r in rows),
         falsity_proved=sum(r.falsity_proved for r in rows),
         truth_exclusive=(sum(r.truth_exclusive for r in rows)
-                         if baseline is not None else None),
+                         if baseline_proved is not None else None),
         falsity_exclusive=(sum(r.falsity_exclusive for r in rows)
-                           if baseline is not None else None))
+                           if baseline_proved is not None else None))
     rows.append(total)
     return rows
 

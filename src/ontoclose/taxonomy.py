@@ -348,6 +348,22 @@ class Taxonomy:
         merged.classes = graph.classes
         return merged
 
+    def with_axioms(self, axioms: Iterable[kif.Axiom]) -> "Taxonomy":
+        """This taxonomy with the pair facts of ``axioms`` merged in through
+        ``with_facts``, or itself when they hold none: the taxonomy of an
+        ontology extended with ``axioms``. They may add no subclass or
+        instance fact, since the class graph is not rebuilt for them."""
+        _, edges, disjoint, nondisjoint, inheritable, instances = \
+            _harvest(axioms)
+        facts = ([f"($subclass {sub} {sup})" for sub, sup in sorted(edges)]
+                 + [f"($instance {obj} {c})" for obj, c in sorted(instances)])
+        if facts:
+            raise TaxonomyError("added axioms may hold pair facts only, not "
+                                + ", ".join(facts))
+        if not (disjoint or nondisjoint or inheritable):
+            return self
+        return self.with_facts(disjoint, nondisjoint, inheritable)
+
     # -- exports ------------------------------------------------------------
 
     def to_edge_tsv(self) -> str:
@@ -372,8 +388,11 @@ class Taxonomy:
         return "\n".join(lines) + "\n"
 
 
-def build_taxonomy(ontology: kif.Ontology) -> Taxonomy:
-    """Harvest ground structural facts from unit clauses of an ontology."""
+def _harvest(axioms: Iterable[kif.Axiom]) -> tuple[set, ...]:
+    """The ground structural facts of the unit clauses among ``axioms``:
+    the classes they name, the subclass edges (a class's edge to itself
+    included), the disjoint, nonDisjoint and inheritableNonDisjoint pairs,
+    and the (object, class) instance facts."""
     classes: set[str] = set()
     edges: set[tuple[str, str]] = set()
     disjoint: set[tuple[str, str]] = set()
@@ -390,7 +409,7 @@ def build_taxonomy(ontology: kif.Ontology) -> Taxonomy:
                 f"(axiom {ax.id}, {ax.source})")
         return atom.args[0].name, atom.args[1].name
 
-    for ax in ontology:
+    for ax in axioms:
         atom = kif.ground_atom(ax.formula)
         if atom is None:
             continue
@@ -400,8 +419,7 @@ def build_taxonomy(ontology: kif.Ontology) -> Taxonomy:
         if relation == "subclass":
             sub, sup = binary(atom, ax)
             classes.update((sub, sup))
-            if sub != sup:
-                edges.add((sub, sup))
+            edges.add((sub, sup))
         elif relation in pair_sets:
             a, b = binary(atom, ax)
             if a == b:
@@ -431,5 +449,9 @@ def build_taxonomy(ontology: kif.Ontology) -> Taxonomy:
                             f"(axiom {ax.id}, {ax.source})")
                     disjoint.add(pair(a, b))
 
-    return Taxonomy(classes, edges, disjoint, nondisjoint, inheritable,
-                    instances)
+    return classes, edges, disjoint, nondisjoint, inheritable, instances
+
+
+def build_taxonomy(ontology: kif.Ontology) -> Taxonomy:
+    """Harvest ground structural facts from unit clauses of an ontology."""
+    return Taxonomy(*_harvest(ontology))

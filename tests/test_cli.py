@@ -4,7 +4,7 @@ import types
 
 import pytest
 
-from ontoclose import cli, kif
+from ontoclose import cli, closure, kif, taxonomy
 from ontoclose.cli import (
     EXIT_DATA, EXIT_INCONSISTENT, EXIT_OK, EXIT_PROVER, EXIT_USAGE,
     load_config, main,
@@ -328,6 +328,14 @@ def test_report_deterministic(tmp_path, lexical_files, capsys):
         (two / "efficiency.csv").read_bytes()
 
 
+def test_report_on_a_journal_line_that_is_not_a_record(tmp_path, capsys):
+    journal = tmp_path / "journal.jsonl"
+    journal.write_text('{"cq": "a", "polarity": "truth", "status": "proved"}'
+                       "\n5\n")
+    assert run_cli("report", "--journal", journal) == EXIT_PROVER
+    assert f"{journal}:2:" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # pipeline
 # ---------------------------------------------------------------------------
@@ -534,6 +542,41 @@ def test_pipeline_rejects_meronymy_pairs(tmp_path, lexical_files, capsys):
         f"pairs.meronymy-part={parts}\nout={tmp_path / 'results'}\n")
     assert run_cli("pipeline", config) == EXIT_DATA
     assert "gen-cqs --template" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["oracle-pipeline", "prover-pipeline",
+                                     "stats"])
+def test_a_run_builds_the_taxonomy_once(tmp_path, lexical_files, monkeypatch,
+                                        command):
+    # every closure and the oracle share the input's taxonomy
+    builds = []
+    real_build = taxonomy.build_taxonomy
+
+    def counting_build(ontology):
+        builds.append(len(ontology))
+        return real_build(ontology)
+
+    for module in (taxonomy, closure):
+        monkeypatch.setattr(module, "build_taxonomy", counting_build)
+    mapping, antonymy, hyponymy = lexical_files
+    stub = stub_provers.stub_config(tmp_path, stub_provers.COUNTER_SATISFIABLE)
+    monkeypatch.setenv("ONTOCLOSE_PROVER_COMMAND", stub.command)
+    if command == "stats":
+        argv = ("stats", ONTOLOGY, "--mode", "subclass+nondisjointness")
+    else:
+        oracle = command == "oracle-pipeline"
+        modes = (closure.MODES if oracle
+                 else ("subclass-only", "subclass+disjointness"))
+        config = tmp_path / "run.conf"
+        config.write_text(
+            f"ontology={ONTOLOGY}\nmapping={mapping}\n"
+            f"pairs.hyponymy={hyponymy}\npairs.antonymy={antonymy}\n"
+            f"out={tmp_path / 'results'}\noracle={str(oracle).lower()}\n"
+            f"modes={','.join(modes)}\n"
+            "prover.workers=2\nprover.time_limit=10\n")
+        argv = ("pipeline", config)
+    assert run_cli(*argv) == EXIT_OK
+    assert builds == [16]  # the input ontology's axioms
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 
@@ -11,7 +12,9 @@ from ontoclose.closure import (
     support_axioms,
 )
 from ontoclose.kif import Forall, Implies, Or
-from ontoclose.taxonomy import DISJOINT, NONDISJOINT, Taxonomy, build_taxonomy
+from ontoclose.taxonomy import (
+    DISJOINT, NONDISJOINT, Taxonomy, TaxonomyError, build_taxonomy,
+)
 
 from conftest import call_depth_limit, subclass_chain
 import witness_oracle
@@ -490,6 +493,62 @@ def test_closure_decides_sibling_pairs_on_random_dags():
             assert closed_tax.find_conflicts() == []
             for a, b in tax.sibling_pairs():
                 assert closed_tax.pair_status(a, b) in (DISJOINT, NONDISJOINT)
+
+
+def test_input_taxonomy_with_appended_facts_equals_a_rebuild():
+    # what cmd_pipeline hands the oracle in place of build_taxonomy(closed)
+    rng = random.Random(4242)
+    for round_ in range(12):
+        base = witness_oracle.random_taxonomy(rng, max_classes=9)
+        ontology = taxonomy_to_ontology(base)
+        tax = build_taxonomy(ontology)
+        curations = [None, suggest_curation(tax, SUBCLASS_DISJOINT).candidates]
+        if round_ % 3 == 0:
+            # a curated pair naming a class the ontology lacks
+            curations.append(CurationFile.from_pairs(
+                disjoint=[("Fresh", sorted(tax.classes)[0])]))
+        for curation in curations:
+            for mode in (OWA, SUBCLASS_ONLY, SUBCLASS_DISJOINT,
+                         SUBCLASS_NONDISJOINT):
+                for prune in (True, False):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        closed = apply_closure(ontology, mode, curation,
+                                               prune=prune, tax=tax)
+                        appended = closed.axioms[len(ontology):]
+                        shortcut = tax.with_axioms(appended)
+                    rebuilt = build_taxonomy(closed)
+                    where = (round_, mode, prune, curation)
+                    assert shortcut.classes == rebuilt.classes, where
+                    for attr in ("explicit_disjoint", "explicit_nondisjoint",
+                                 "explicit_inheritable", "instance_facts"):
+                        assert getattr(shortcut, attr) == \
+                            getattr(rebuilt, attr), (where, attr)
+                    names = sorted(rebuilt.classes)
+                    for a in names:
+                        for b in names:
+                            assert shortcut.subclass_closed(a, b) == \
+                                rebuilt.subclass_closed(a, b), where
+                            if a == b:
+                                continue
+                            assert shortcut.pair_status(a, b) == \
+                                rebuilt.pair_status(a, b), (where, a, b)
+                            assert shortcut.explicitly_nondisjoint(a, b) == \
+                                rebuilt.explicitly_nondisjoint(a, b), where
+                    named = {c for ax in appended
+                             if isinstance(ax.formula, kif.Atom)
+                             for c in (t.name for t in ax.formula.args)}
+                    assert (shortcut._graph is tax._graph) == \
+                        (named <= tax.classes), where
+
+
+def test_appended_subclass_or_instance_facts_are_refused(organism_process):
+    tax = build_taxonomy(organism_process)
+    for text in ("($subclass Birth Death)", "($subclass Birth Birth)",
+                 "($instance birth1 Birth)"):
+        with pytest.raises(TaxonomyError, match="pair facts only"):
+            tax.with_axioms(kif.parse_kif(text))
+    assert tax.with_axioms(kif.parse_kif("(=> (p ?X) (q ?X))")) is tax
 
 
 def test_default_sibling_pairs_flip_between_modes(organism_process):

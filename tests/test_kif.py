@@ -6,8 +6,10 @@ import pytest
 
 from ontoclose import kif
 from ontoclose.kif import Atom, Forall, KifSyntaxError, SizeStats, const, var
+from ontoclose.lexicon import ANTONYMY, SUBSUMPTION, MappingLink, RelationPair
+from ontoclose.prover import GAVE_UP, UNKNOWN, ProverOutcome, Verdict
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, antonymy_cq
 
 
 SUPPORT_SHAPE = """
@@ -415,3 +417,34 @@ def test_free_variables_and_closedness():
     assert kif.free_variables(open_formula)
     closed = kif.parse_formula_text("(forall (?x) ($subclass ?x Birth))")
     assert not kif.free_variables(closed)
+
+
+# ---------------------------------------------------------------------------
+# Memory layout
+# ---------------------------------------------------------------------------
+
+def test_one_per_node_classes_have_no_instance_dict():
+    # a run holds one of these per formula node, axiom, question, mapping
+    # link or verdict: slots keep each one small
+    formula = kif.parse_formula_text(
+        "(forall (?X) (=> (and ($p ?X) ($q ?X)) (or (not (equal ?X c))"
+        " (<=> ($r ?X) (exists (?Y) ($s ?Y))))))")
+    nodes = [formula, formula.body, formula.body.left, formula.body.right,
+             formula.body.right.parts[0], formula.body.right.parts[0].body,
+             formula.body.right.parts[0].body.left,
+             formula.body.right.parts[1],
+             formula.body.right.parts[1].right]
+    assert {type(n).__name__ for n in nodes} == {
+        "Forall", "Implies", "And", "Or", "Not", "Equal", "Term", "Iff",
+        "Exists"}
+    outcome = ProverOutcome(status=GAVE_UP, wall_time=0.0)
+    instances = nodes + [
+        formula.body.left.parts[0],  # Atom
+        kif.parse_kif("($p c)").axioms[0],
+        antonymy_cq("A", "B"),
+        RelationPair(ANTONYMY, "a#n#1", "b#n#1"),
+        MappingLink("a#n#1", "A", SUBSUMPTION),
+        outcome,
+        Verdict(cq_id="q", value=UNKNOWN, truth=outcome, falsity=outcome)]
+    for instance in instances:
+        assert not hasattr(instance, "__dict__"), type(instance).__name__

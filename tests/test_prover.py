@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from dataclasses import replace
 
@@ -221,11 +222,34 @@ def test_load_journal_missing_file(tmp_path):
     assert load_journal(tmp_path / "absent.jsonl") == {}
 
 
+GOOD_LINE = '{"cq": "q", "polarity": "truth", "status": "proved"}'
+
+
 def test_load_journal_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.jsonl"
-    bad.write_text("not json\n")
-    with pytest.raises(ProverError):
+    for line in ("not json", "5", '{"cq": "a"}', '{"cq": "a", "polarity": 1}',
+                 '["a", "truth"]',
+                 '{"cq": "a", "polarity": "truth"}, '
+                 '{"cq": "b", "polarity": "truth"}'):
+        # the bad line is line 3, after a record and a blank line
+        bad.write_text(f"{GOOD_LINE}\n\n{line}\n{GOOD_LINE}\n",
+                       encoding="utf-8")
+        with pytest.raises(ProverError, match=re.escape(f"{bad}:3:")):
+            load_journal(bad)
+    bad.write_bytes(GOOD_LINE.encode() + b"\n\xff\xfe\n")
+    with pytest.raises(ProverError, match=re.escape(f"{bad}: ") + ".*UTF-8"):
         load_journal(bad)
+
+
+def test_load_journal_skips_blank_lines_and_a_torn_tail(tmp_path):
+    journal = tmp_path / "journal.jsonl"
+    other = GOOD_LINE.replace('"q"', '"r"')
+    journal.write_text(f"\n{GOOD_LINE}\n  \n{other}\n{{\"cq\": ",
+                       encoding="utf-8")
+    records = load_journal(journal)
+    assert sorted(records) == [("q", TRUTH), ("r", TRUTH)]
+    assert records[("r", TRUTH)] == {"cq": "r", "polarity": TRUTH,
+                                     "status": PROVED}
 
 
 def test_run_batch_resumes(tmp_path, organism_process):

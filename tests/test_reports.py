@@ -5,8 +5,8 @@ import pytest
 from ontoclose.prover import FALSITY, TRUTH
 from ontoclose.reports import (
     CompetencyRow, competency_report, efficiency_report, pattern_of,
-    render_competency_csv, render_competency_text, render_efficiency_csv,
-    render_size_stats_csv, round2,
+    proved_keys, render_competency_csv, render_competency_text,
+    render_efficiency_csv, render_size_stats_csv, round2,
 )
 
 from conftest import antonymy_cq
@@ -54,7 +54,7 @@ def test_competency_exclusive_counts_self_baseline():
         record("hypo-noun-1:a:b:A:B", TRUTH, "proved"),
         record("hypo-noun-1:a:b:A:B", FALSITY, "gave-up"),
     )
-    rows = competency_report(data, baseline=data)
+    rows = competency_report(data, baseline_proved=proved_keys(data))
     assert rows[0].truth_exclusive == 0
     assert rows[0].falsity_exclusive == 0
 
@@ -67,7 +67,7 @@ def test_competency_exclusive_counts_against_weaker_baseline():
         record("hypo-noun-1:a:b:A:B", TRUTH, "proved"),
         record("hypo-noun-1:c:d:C:D", FALSITY, "proved"),
     )
-    rows = competency_report(current, baseline=baseline)
+    rows = competency_report(current, baseline_proved=proved_keys(baseline))
     assert rows[0].truth_exclusive == 1
     assert rows[0].falsity_exclusive == 1
 
