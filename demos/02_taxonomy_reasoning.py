@@ -46,10 +46,8 @@ print(f"Plant vs BiologicalProcess: "
       f"{tax.pair_status('Plant', 'BiologicalProcess')}")
 
 # ---------------------------------------------------------------------------
-# Sibling pairs that share a descendant are what curation reviews look at.
-print(f"\nsiblings of Agent sharing a descendant: "
-      f"{tax.common_subclass_pairs('Agent')}")
-print(f"conflicts: {tax.find_conflicts()}")
+# An explicitly disjoint pair that shares a descendant would be a conflict.
+print(f"\nconflicts: {tax.find_conflicts()}")
 
 # ---------------------------------------------------------------------------
 # The graph exports for external inspection.

@@ -17,7 +17,6 @@ from ontoclose.closure import MODES, apply_closure
 from ontoclose.lexicon import ANTONYMY, MappingIndex, load_mapping, load_synset_relations
 from ontoclose.prover import (
     ProverConfig, load_journal, oracle_run_batch, run_prover,
-    vampire_reference_config,
 )
 from ontoclose.questions import gen_antonymy_cqs
 from ontoclose.reports import (
@@ -40,16 +39,12 @@ questions = list(gen_antonymy_cqs(pairs, mapping).questions)
 cq = questions[0]
 
 # ---------------------------------------------------------------------------
-# A problem file is the whole ontology as named axioms plus one conjecture.
-problem = emit_problem(ontology, cq.truth_test,
+# A problem file is the whole ontology as named axioms plus one conjecture:
+# the question's own for the truth test, its negation for the falsity test.
+problem = emit_problem(ontology, cq.conjecture,
                        metadata={"cq": cq.id, "polarity": "truth"})
 print("problem file:")
 print(problem.text)
-
-# ---------------------------------------------------------------------------
-# The reference configuration documents the external prover flags; any
-# command with a {problem} placeholder works.
-print(f"reference prover command:\n  {vampire_reference_config().command}\n")
 
 # ---------------------------------------------------------------------------
 # The harness is exercised here with a scripted prover that answers

@@ -19,8 +19,8 @@ from .closure import (
     serialize_curation, suggest_curation, support_axioms,
 )
 from .lexicon import (
-    LexiconError, MappingIndex, MappingLink, RelationPair, Synset,
-    load_mapping, load_synset_relations,
+    LexiconError, MappingIndex, MappingLink, RelationPair, load_mapping,
+    load_synset_relations,
 )
 from .questions import (
     CompetencyQuestion, GenerationResult, OpenFormulaError, QpTemplate,
@@ -31,7 +31,6 @@ from .tptp import MangleTable, TptpProblem, emit_problem, to_fof
 from .prover import (
     InconsistencyError, ProverConfig, ProverError, ProverOutcome, Verdict,
     oracle_run_batch, oracle_verdict, run_batch, run_prover,
-    vampire_reference_config,
 )
 from .reports import competency_report, efficiency_report
 

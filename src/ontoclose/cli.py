@@ -118,31 +118,6 @@ def cmd_suggest_curation(args) -> int:
     return EXIT_OK
 
 
-def _load_template(path: str) -> questions.QpTemplate:
-    text = _read(path)
-    headers = {}
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped.startswith(";") and ":" in stripped:
-            key, value = stripped.lstrip("; ").split(":", 1)
-            headers.setdefault(key.strip(), value.strip())
-    if "template" not in headers or "kind" not in headers:
-        raise questions.TemplateError(
-            f"{path}: template files need '; template: <name>' and "
-            f"'; kind: <pair-kind>' header comments")
-
-    def relations(key):
-        if key not in headers:
-            return None
-        return frozenset(r.strip() for r in headers[key].split(",") if r.strip())
-
-    return questions.QpTemplate(
-        name=headers["template"], pair_kind=headers["kind"],
-        skeleton=kif.parse_formula_text(text),
-        s1_relations=relations("s1-relations"),
-        s2_relations=relations("s2-relations"))
-
-
 def _generate_questions(mapping_path: str, hyponymy: "str | None",
                         antonymy: "str | None", templates=()
                         ) -> tuple[list[questions.CompetencyQuestion], int]:
@@ -166,7 +141,8 @@ def _generate_questions(mapping_path: str, hyponymy: "str | None",
         if not pairs_path:
             raise questions.TemplateError(
                 "--template takes TEMPLATE_FILE:PAIRS_FILE")
-        template = _load_template(template_path)
+        template = questions.load_template(_read(template_path),
+                                            template_path)
         pairs = lexicon.load_synset_relations(_read(pairs_path),
                                               template.pair_kind)
         results.append(questions.gen_template_cqs(pairs, mapping, template))
@@ -201,25 +177,27 @@ def cmd_emit(args) -> int:
     return EXIT_OK
 
 
-def _prover_config(args) -> prover.ProverConfig:
-    """Prover settings from ``args.prover_cmd``, ``time_limit``,
-    ``memory_limit`` and ``workers``; a set ``ONTOCLOSE_*`` variable wins
-    over the command, time limit and memory limit given there."""
-    command = os.environ.get(ENV_PROVER_COMMAND) or args.prover_cmd
+def _prover_config(command: "str | None", time_limit, memory_limit,
+                   workers: int) -> prover.ProverConfig:
+    """Prover settings from the run options or the pipeline's prover.*
+    keys; a set ``ONTOCLOSE_*`` variable wins over the command, time
+    limit and memory limit given."""
+    command = os.environ.get(ENV_PROVER_COMMAND) or command
     if not command:
         raise prover.ProverError(
             "no prover command (set --prover-cmd for run, prover.command "
             f"for pipeline, or {ENV_PROVER_COMMAND})")
-    time_limit = float(os.environ.get(ENV_TIME_LIMIT) or args.time_limit)
-    memory = int(os.environ.get(ENV_MEMORY_LIMIT) or args.memory_limit)
+    time_limit = float(os.environ.get(ENV_TIME_LIMIT) or time_limit)
+    memory = int(os.environ.get(ENV_MEMORY_LIMIT) or memory_limit)
     return prover.ProverConfig(command=command, time_limit=time_limit,
-                               memory_limit_mib=memory, workers=args.workers)
+                               memory_limit_mib=memory, workers=workers)
 
 
 def cmd_run(args) -> int:
     if not (args.ontology and args.cqs):
         raise prover.ProverError("run needs an ontology and --cqs")
-    config = None if args.oracle else _prover_config(args)
+    config = None if args.oracle else _prover_config(
+        args.prover_cmd, args.time_limit, args.memory_limit, args.workers)
     ontology = _load_ontology(args.ontology)
     cqs = questions.read_cq_corpus(_read(args.cqs))
     if config is None:
@@ -306,12 +284,11 @@ def cmd_pipeline(args) -> int:
                 "with gen-cqs --template")
     prover_config = None
     if config.get("oracle", "true").lower() not in ("1", "true", "yes"):
-        # the prover.* keys play the part of the run options
-        prover_config = _prover_config(argparse.Namespace(
-            prover_cmd=config.get("prover.command"),
-            time_limit=config.get("prover.time_limit", 300),
-            memory_limit=config.get("prover.memory_limit", 2048),
-            workers=int(config.get("prover.workers", 1))))
+        prover_config = _prover_config(
+            config.get("prover.command"),
+            config.get("prover.time_limit", 300),
+            config.get("prover.memory_limit", 2048),
+            int(config.get("prover.workers", 1)))
     ontology = _load_ontology(config["ontology"])
     curation = _load_curation(config.get("curation"))
     cqs, _ = _generate_questions(config["mapping"],

@@ -102,9 +102,6 @@ class CurationFile:
                     + ", ".join(f"{a}/{b}" for a, b in sorted(clash)))
         return cls(nd, ind, dis)
 
-    def is_empty(self) -> bool:
-        return not (self.nondisjoint or self.inheritable or self.disjoint)
-
 
 def load_curation(text: str, source_name: str = "<curation>") -> CurationFile:
     """Read a curation file: unit clauses over the three pair predicates."""

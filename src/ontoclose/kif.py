@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Union
 
@@ -156,11 +156,11 @@ class Ontology:
 
     def __init__(self, axioms: "list[Axiom] | tuple[Axiom, ...]" = ()):
         self._axioms = tuple(axioms)
-        self._by_id: dict[str, Axiom] = {}
+        seen: set[str] = set()
         for ax in self._axioms:
-            if ax.id in self._by_id:
+            if ax.id in seen:
                 raise KifError(f"duplicate axiom id: {ax.id}")
-            self._by_id[ax.id] = ax
+            seen.add(ax.id)
 
     @property
     def axioms(self) -> tuple[Axiom, ...]:
@@ -171,9 +171,6 @@ class Ontology:
 
     def __iter__(self) -> Iterator[Axiom]:
         return iter(self._axioms)
-
-    def axiom(self, axiom_id: str) -> Axiom:
-        return self._by_id[axiom_id]
 
     def extended(self, more: "list[Axiom] | tuple[Axiom, ...]") -> "Ontology":
         return Ontology(self._axioms + tuple(more))
@@ -199,19 +196,12 @@ class SizeStats:
     not_count: int = 0
     equality_count: int = 0
 
-    CSV_FIELDS = (
-        "axiom_count", "unit_clause_count", "formula_count", "atom_count",
-        "forall_block_count", "exists_block_count", "iff_count",
-        "implies_count", "and_count", "or_count", "not_count",
-        "equality_count",
-    )
-
     def as_csv_row(self) -> str:
-        return ",".join(str(getattr(self, f)) for f in self.CSV_FIELDS)
+        return ",".join(str(getattr(self, f.name)) for f in fields(self))
 
     @classmethod
     def csv_header(cls) -> str:
-        return ",".join(f.removesuffix("_count") for f in cls.CSV_FIELDS)
+        return ",".join(f.name.removesuffix("_count") for f in fields(cls))
 
 
 # ---------------------------------------------------------------------------

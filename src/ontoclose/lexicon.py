@@ -35,14 +35,6 @@ class LexiconError(kif.KifError):
     """Malformed lexical input; message carries the line number."""
 
 
-@dataclass(frozen=True)
-class Synset:
-    id: str
-    pos: str
-    lemma: str
-    sense: int
-
-
 @dataclass(frozen=True, slots=True)
 class RelationPair:
     kind: str
@@ -67,25 +59,18 @@ class MappingLink:
             raise ValueError(f"unknown mapping relation: {self.relation!r}")
 
 
-def parse_synset_id(synset_id: str) -> "Synset | None":
-    """Structured view of a ``lemma#pos#sense`` id; None for opaque ids."""
+def synset_pos(synset_id: str) -> str:
+    """Part of speech from a ``lemma#pos#sense`` id (non-empty lemma, pos
+    ``n`` or ``v``, sense at least 1); any other id is opaque: a noun."""
     parts = synset_id.split("#")
     if len(parts) != 3:
-        return None
+        return NOUN
     lemma, pos_code, sense_text = parts
     pos = _POS_CODES.get(pos_code)
-    if not lemma or pos is None or not sense_text.isdigit():
-        return None
-    sense = int(sense_text)
-    if sense < 1:
-        return None
-    return Synset(id=synset_id, pos=pos, lemma=lemma, sense=sense)
-
-
-def synset_pos(synset_id: str) -> str:
-    """Part of speech from the id; opaque ids default to noun."""
-    parsed = parse_synset_id(synset_id)
-    return parsed.pos if parsed else NOUN
+    if not lemma or pos is None or not sense_text.isdigit() \
+            or int(sense_text) < 1:
+        return NOUN
+    return pos
 
 
 def _rows(text: str):
@@ -158,6 +143,3 @@ class MappingIndex:
     def concepts_for(self, synset_id: str) -> tuple[MappingLink, ...]:
         """All links of a synset, lexicographic by concept; empty if unmapped."""
         return self._by_synset.get(synset_id, ())
-
-    def __len__(self) -> int:
-        return len(self._by_synset)

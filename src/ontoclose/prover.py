@@ -108,18 +108,6 @@ class ProverConfig:
             raise ProverError("worker count must be at least 1")
 
 
-def vampire_reference_config(executable: str = "vampire",
-                             time_limit: float = 300.0,
-                             memory_limit_mib: int = 2048,
-                             workers: int = 1) -> ProverConfig:
-    """The documented reference invocation for Vampire-style provers."""
-    command = (f"{executable} --proof tptp --output_axiom_names on "
-               f"--mode casc -t {int(time_limit)} -m {memory_limit_mib} "
-               "{problem}")
-    return ProverConfig(command=command, time_limit=time_limit,
-                        memory_limit_mib=memory_limit_mib, workers=workers)
-
-
 @dataclass(frozen=True, slots=True)
 class ProverOutcome:
     status: str
@@ -236,7 +224,7 @@ def write_problem(ontology: Ontology, cq: CompetencyQuestion, polarity: str,
     # memory that oracle-only runs need not pay
     import hashlib
 
-    formula = cq.truth_test if polarity == TRUTH else cq.falsity_test
+    formula = cq.conjecture if polarity == TRUTH else Not(cq.conjecture)
     problem = tptp.emit_problem(
         ontology, formula,
         metadata={"cq": cq.id, "pattern": cq.pattern,
@@ -298,13 +286,17 @@ def load_journal(path: "str | Path") -> dict[tuple[str, str], dict]:
             f"{path}: journal is not UTF-8 text: {exc}") from None
     filled = [line for line in lines if line.strip()]
     # one decode of the whole journal shares each key string among the
-    # records; it stands only when it holds one record per non-blank line,
-    # or else the loop below names the first line that is not one
+    # records; it stands only when it holds one record per non-blank line
+    # and each line holds one "{" and one "}", which keeps every record
+    # within its own line; or else the loop below names the first line
+    # that is not one record
     try:
         decoded = json.loads("[" + ",".join(filled) + "]")
     except json.JSONDecodeError:
         decoded = []
-    if len(decoded) != len(filled) or not all(map(_is_record, decoded)):
+    if len(decoded) != len(filled) or not all(map(_is_record, decoded)) \
+            or not all(line.count("{") == 1 == line.count("}")
+                       for line in filled):
         decoded = []
         for lineno, line in enumerate(lines, start=1):
             if not line.strip():
@@ -468,19 +460,16 @@ def oracle_verdict(tax: Taxonomy, cq: CompetencyQuestion) -> Verdict:
     """Verdict-shaped oracle answer; both routes firing (possible only on a
     conflicted taxonomy) surfaces as a contradictory verdict."""
     truth, falsity = _oracle_routes(tax, cq.conjecture)
-    return Verdict(cq_id=cq.id, value=classify(truth, falsity),
-                   truth=_ORACLE_OUTCOMES[truth],
-                   falsity=_ORACLE_OUTCOMES[falsity])
+    return _verdict(cq.id, _ORACLE_OUTCOMES[truth], _ORACLE_OUTCOMES[falsity])
 
 
 def oracle_run_batch(tax: Taxonomy, cqs,
-                     journal_path: "str | Path | None" = None) -> list[Verdict]:
+                     journal_path: "str | Path") -> list[Verdict]:
     """Sequential oracle evaluation with the same journal format. Every
     verdict is recomputed, so the journal is rewritten with this run's
     records."""
     verdicts = [oracle_verdict(tax, cq) for cq in cqs]
-    if journal_path:
-        Path(journal_path).unlink(missing_ok=True)
-        append_journal(journal_path, verdict_records(verdicts))
+    Path(journal_path).unlink(missing_ok=True)
+    append_journal(journal_path, verdict_records(verdicts))
     _raise_on_contradiction(verdicts)
     return verdicts

@@ -1,8 +1,8 @@
 """Competency questions: conjectures derived from lexical relation pairs.
 
 Each question pattern turns a relation pair plus the mapped classes of its
-two synsets into one conjecture per class combination. A question carries
-two prover tests: the conjecture itself (truth test) and its negation
+two synsets into one conjecture per class combination. A question is asked
+as two prover tests: the conjecture itself (truth test) and its negation
 (falsity test). Pairs with an unmapped endpoint are skipped and counted.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import takewhile
 
 from . import kif
 from .kif import And, Atom, Equal, Exists, Forall, Formula, Implies, Not, const, var
@@ -40,12 +41,16 @@ class TemplateError(QuestionError):
     """A question template is unusable as defined."""
 
 
-def make_tests(conjecture: Formula) -> tuple[Formula, Formula]:
-    """The dual prover tests of a conjecture: itself, and its negation."""
+def _require_closed(conjecture: Formula) -> None:
     free = kif.free_variables(conjecture)
     if free:
         raise OpenFormulaError(
             "conjecture has free variables: " + ", ".join(sorted(free)))
+
+
+def make_tests(conjecture: Formula) -> tuple[Formula, Formula]:
+    """The dual prover tests of a conjecture: itself, and its negation."""
+    _require_closed(conjecture)
     return conjecture, Not(conjecture)
 
 
@@ -55,17 +60,14 @@ class CompetencyQuestion:
     pattern: str
     source_pair: RelationPair
     conjecture: Formula
-    truth_test: Formula
-    falsity_test: Formula
 
     @classmethod
     def build(cls, pattern: str, source_pair: RelationPair,
               c1: str, c2: str, conjecture: Formula) -> "CompetencyQuestion":
-        truth, falsity = make_tests(conjecture)
+        _require_closed(conjecture)
         qid = f"{pattern}:{source_pair.s1}:{source_pair.s2}:{c1}:{c2}"
         return cls(id=qid, pattern=pattern, source_pair=source_pair,
-                   conjecture=conjecture, truth_test=truth,
-                   falsity_test=falsity)
+                   conjecture=conjecture)
 
 
 @dataclass(frozen=True)
@@ -208,6 +210,28 @@ class QpTemplate:
         return f"template({self.name})"
 
 
+def load_template(text: str, source_name: str = "<template>") -> QpTemplate:
+    """Read a template file: one skeleton formula under ``; key: value``
+    comment headers naming the template, its pair kind and, optionally,
+    comma-separated mapping relations per endpoint."""
+    headers = _headers(text.splitlines())
+    if "template" not in headers or "kind" not in headers:
+        raise TemplateError(
+            f"{source_name}: template files need '; template: <name>' and "
+            f"'; kind: <pair-kind>' header comments")
+
+    def relations(key):
+        if key not in headers:
+            return None
+        return frozenset(r.strip() for r in headers[key].split(",") if r.strip())
+
+    return QpTemplate(
+        name=headers["template"], pair_kind=headers["kind"],
+        skeleton=kif.parse_formula_text(text),
+        s1_relations=relations("s1-relations"),
+        s2_relations=relations("s2-relations"))
+
+
 def _instantiate(skeleton: Formula, table: dict[str, str]) -> Formula:
     """The skeleton with each constant named in ``table`` renamed."""
     return kif.map_terms(skeleton, lambda t: const(table[t.name])
@@ -230,6 +254,18 @@ def gen_template_cqs(pairs, mapping: MappingIndex,
 # ---------------------------------------------------------------------------
 # Corpus files
 # ---------------------------------------------------------------------------
+
+def _headers(lines) -> dict[str, str]:
+    """Key and value of each ``; key: value`` comment line among ``lines``;
+    the first line with a key gives its value."""
+    headers: dict[str, str] = {}
+    for line in lines:
+        line = line.strip()
+        if line.startswith(";") and ":" in line:
+            key, value = line.lstrip("; ").split(":", 1)
+            headers.setdefault(key.strip(), value.strip())
+    return headers
+
 
 def write_cq_corpus(questions) -> str:
     """Questions as commented conjecture entries, parseable as plain axioms."""
@@ -258,16 +294,10 @@ def read_cq_corpus(text: str) -> list[CompetencyQuestion]:
     questions = []
     for ax in kif.parse_axioms(text):
         start_line = int(ax.source.rsplit(":", 1)[1])
-        headers: dict[str, str] = {}
-        for i in range(start_line - 2, -1, -1):
-            line = lines[i].strip()
-            if not line.startswith(";"):
-                break
-            body = line.lstrip("; ")
-            if ":" not in body:
-                continue
-            key, value = body.split(":", 1)
-            headers.setdefault(key.strip(), value.strip())
+        # the comment lines right above the entry, nearest first
+        above = (lines[i] for i in range(start_line - 2, -1, -1))
+        headers = _headers(takewhile(
+            lambda line: line.strip().startswith(";"), above))
         required = {"cq", "pattern", "kind", "source"}
         if not required <= headers.keys():
             raise QuestionError(
@@ -275,9 +305,8 @@ def read_cq_corpus(text: str) -> list[CompetencyQuestion]:
                 f"{sorted(required - headers.keys())}")
         s1, _, s2 = headers["source"].partition(" ")
         source_pair = RelationPair(kind=headers["kind"], s1=s1, s2=s2)
-        truth, falsity = make_tests(ax.formula)
+        _require_closed(ax.formula)
         questions.append(CompetencyQuestion(
             id=headers["cq"], pattern=headers["pattern"],
-            source_pair=source_pair, conjecture=ax.formula,
-            truth_test=truth, falsity_test=falsity))
+            source_pair=source_pair, conjecture=ax.formula))
     return questions

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import graphlib
 import warnings
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import kif
 
@@ -230,8 +230,7 @@ class Taxonomy:
     # copying the set per pair.
 
     def _has_pair(self, related: dict[str, frozenset[str]], c1: str, c2: str,
-                  pairs: Collection[tuple[str, str]],
-                  skip: "tuple[str, str] | None") -> bool:
+                  pairs: PairSet, skip: "tuple[str, str] | None") -> bool:
         self._require(c1, c2)
         if not pairs:
             return False
@@ -242,8 +241,6 @@ class Taxonomy:
             # fewer pairs than the smaller related set: a scan costs less
             return any((a in r1 and b in r2 or a in r2 and b in r1)
                        and pair(a, b) != skip for a, b in pairs)
-        if not isinstance(pairs, PairSet):
-            pairs = PairSet(pair(a, b) for a, b in pairs)
         # walk the smaller related set and look its partners up in the other
         partners = pairs.partners
         for a in r1:
@@ -252,22 +249,19 @@ class Taxonomy:
                     return True
         return False
 
-    def has_pair_above(self, c1: str, c2: str,
-                       pairs: Collection[tuple[str, str]],
+    def has_pair_above(self, c1: str, c2: str, pairs: PairSet,
                        skip: "tuple[str, str] | None" = None) -> bool:
         """Some pair has one member at or above c1 and the other at or
         above c2: how disjointness descends to subclasses."""
         return self._has_pair(self._graph.up, c1, c2, pairs, skip)
 
-    def has_pair_below(self, c1: str, c2: str,
-                       pairs: Collection[tuple[str, str]],
+    def has_pair_below(self, c1: str, c2: str, pairs: PairSet,
                        skip: "tuple[str, str] | None" = None) -> bool:
         """Some pair has one member at or below c1 and the other at or
         below c2: how non-disjointness rises to superclasses."""
         return self._has_pair(self._graph.down, c1, c2, pairs, skip)
 
-    def has_pair_meeting(self, c1: str, c2: str,
-                         pairs: Collection[tuple[str, str]],
+    def has_pair_meeting(self, c1: str, c2: str, pairs: PairSet,
                          skip: "tuple[str, str] | None" = None) -> bool:
         """Some pair has one member sharing a descendant with c1 and the
         other sharing one with c2: how an inheritableNonDisjoint pair
@@ -311,18 +305,6 @@ class Taxonomy:
         return sorted(p for p in self.explicit_disjoint
                       if self.derived_nondisjoint(*p))
 
-    def common_subclass_pairs(self, c: str) -> list[tuple[str, str]]:
-        """Sibling pairs under c that share at least one descendant."""
-        self._require(c)
-        kids = sorted(self._graph.children[c])
-        met = self._graph.met
-        out = []
-        for i, a in enumerate(kids):
-            for b in kids[i + 1:]:
-                if b in met[a]:
-                    out.append(pair(a, b))
-        return sorted(out)
-
     # -- derivation ---------------------------------------------------------
 
     def with_facts(self, disjoint: Iterable[tuple[str, str]] = (),
@@ -334,14 +316,18 @@ class Taxonomy:
         lacks."""
         added = [{pair(*p) for p in pairs}
                  for pairs in (disjoint, nondisjoint, inheritable_nondisjoint)]
+        return self._merged(*added, _undeclared(
+            self.classes, {c for pairs in added for p in pairs for c in p}))
+
+    def _merged(self, disjoint: set, nondisjoint: set, inheritable: set,
+                new: set[str]) -> "Taxonomy":
+        """``with_facts`` for ``pair``-ordered pairs, adding classes ``new``."""
         merged = Taxonomy.__new__(Taxonomy)
-        merged._set_pairs(self.explicit_disjoint | added[0],
-                          self.explicit_nondisjoint | added[1],
-                          self.explicit_inheritable | added[2],
+        merged._set_pairs(self.explicit_disjoint | disjoint,
+                          self.explicit_nondisjoint | nondisjoint,
+                          self.explicit_inheritable | inheritable,
                           self.instance_facts)
         graph = self._graph
-        new = _undeclared(graph.classes,
-                          {c for pairs in added for p in pairs for c in p})
         if new:
             graph = ClassGraph(graph.classes | new, graph.edges())
         merged._graph = graph
@@ -349,11 +335,12 @@ class Taxonomy:
         return merged
 
     def with_axioms(self, axioms: Iterable[kif.Axiom]) -> "Taxonomy":
-        """This taxonomy with the pair facts of ``axioms`` merged in through
-        ``with_facts``, or itself when they hold none: the taxonomy of an
-        ontology extended with ``axioms``. They may add no subclass or
+        """This taxonomy with the pair facts of ``axioms`` merged in, or
+        itself when they hold none: the taxonomy of an ontology extended
+        with ``axioms``. A class they name is declared silently, as
+        ``build_taxonomy`` declares it. They may add no subclass or
         instance fact, since the class graph is not rebuilt for them."""
-        _, edges, disjoint, nondisjoint, inheritable, instances = \
+        classes, edges, disjoint, nondisjoint, inheritable, instances = \
             _harvest(axioms)
         facts = ([f"($subclass {sub} {sup})" for sub, sup in sorted(edges)]
                  + [f"($instance {obj} {c})" for obj, c in sorted(instances)])
@@ -362,7 +349,8 @@ class Taxonomy:
                                 + ", ".join(facts))
         if not (disjoint or nondisjoint or inheritable):
             return self
-        return self.with_facts(disjoint, nondisjoint, inheritable)
+        return self._merged(disjoint, nondisjoint, inheritable,
+                            classes - self.classes)
 
     # -- exports ------------------------------------------------------------
 

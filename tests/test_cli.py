@@ -255,18 +255,16 @@ def test_run_prover_env_override(tmp_path, lexical_files, monkeypatch):
 
 
 def test_env_overrides_for_limits(monkeypatch):
-    import argparse
-
     from ontoclose.cli import _prover_config
-    args = argparse.Namespace(prover_cmd="prover {problem}",
-                              time_limit=300.0, memory_limit=2048, workers=1)
+    given = dict(command="prover {problem}", time_limit=300.0,
+                 memory_limit=2048, workers=1)
     monkeypatch.setenv("ONTOCLOSE_TIME_LIMIT", "42.5")
     monkeypatch.setenv("ONTOCLOSE_MEMORY_LIMIT", "512")
-    config = _prover_config(args)
+    config = _prover_config(**given)
     assert config.time_limit == 42.5
     assert config.memory_limit_mib == 512
     monkeypatch.setenv("ONTOCLOSE_PROVER_COMMAND", "other {problem}")
-    assert _prover_config(args).command == "other {problem}"
+    assert _prover_config(**given).command == "other {problem}"
 
 
 def test_run_without_prover_is_a_prover_error(tmp_path, lexical_files,

@@ -397,13 +397,13 @@ def test_suggest_curation_prefers_inheritable_without_clashes():
 def test_suggest_curation_empty_for_leaf_siblings(organism_process):
     tax = build_taxonomy(organism_process)
     advice = suggest_curation(tax, SUBCLASS_DISJOINT)
-    assert advice.candidates.is_empty()
+    assert advice.candidates == CurationFile.empty()
 
 
 def test_suggest_curation_nondisjoint_mode_reports(blood_cell_ontology):
     tax = build_taxonomy(blood_cell_ontology)
     advice = suggest_curation(tax, SUBCLASS_NONDISJOINT)
-    assert advice.candidates.is_empty()
+    assert advice.candidates == CurationFile.empty()
     assert advice.undecided == (("RedBloodCell", "WhiteBloodCell"),)
 
 

@@ -136,6 +136,16 @@ def test_duplicate_formulas_same_provenance_dropped():
     assert len(ontology) == 2
 
 
+def test_duplicate_axiom_ids_are_refused():
+    axioms = kif.parse_kif("($p A)\n($q B)").axioms
+    twin = kif.Axiom(id=axioms[0].id, formula=Atom("$r", ()),
+                     provenance="original")
+    with pytest.raises(kif.KifError, match="duplicate axiom id: orig_1"):
+        kif.Ontology(axioms + (twin,))
+    with pytest.raises(kif.KifError, match="duplicate axiom id: orig_1"):
+        kif.Ontology(axioms).extended([twin])
+
+
 def test_constant_named_like_a_renamed_variable_is_no_duplicate():
     # both render as (forall (_v0) ($p _v0 _v0)) once X is renamed
     ontology = kif.parse_kif(
@@ -346,7 +356,9 @@ def test_axiom_count_is_units_plus_formulas():
 def test_stats_csv_row():
     stats = SizeStats(axiom_count=2, unit_clause_count=1, formula_count=1,
                       atom_count=3, forall_block_count=1, equality_count=1)
-    assert kif.SizeStats.csv_header().startswith("axiom,unit_clause,formula,atom")
+    assert kif.SizeStats.csv_header() == (
+        "axiom,unit_clause,formula,atom,forall_block,exists_block,iff,"
+        "implies,and,or,not,equality")
     assert stats.as_csv_row() == "2,1,1,3,1,0,0,0,0,0,0,1"
 
 
@@ -403,13 +415,6 @@ def test_normalize_keeps_implication_direction():
     a = kif.parse_formula_text("(=> ($p A) ($q B))")
     b = kif.parse_formula_text("(=> ($q B) ($p A))")
     assert kif.normalize(a) != kif.normalize(b)
-
-
-def test_axiom_lookup_by_id():
-    ontology = kif.parse_kif(
-        "($disjoint A B)\n($subclass A C)\n"
-        "(forall (?X) (=> ($subclass ?X A) (equal ?X A)))")
-    assert ontology.axiom("orig_1").formula.predicate == "$disjoint"
 
 
 def test_free_variables_and_closedness():

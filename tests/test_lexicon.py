@@ -2,8 +2,8 @@ import pytest
 
 from ontoclose.lexicon import (
     ANTONYMY, EQUIVALENCE, HYPONYMY, INSTANCE, SUBSUMPTION,
-    LexiconError, MappingIndex, MappingLink, RelationPair, Synset,
-    load_mapping, load_synset_relations, parse_synset_id, synset_pos,
+    LexiconError, MappingIndex, MappingLink, RelationPair, load_mapping,
+    load_synset_relations, synset_pos,
 )
 
 
@@ -75,7 +75,6 @@ def test_load_mapping_accumulates_per_synset():
     assert [l.concept for l in links] == ["Alpha", "Beta"]
     assert index.concepts_for("unmapped#n#9") == ()
     assert index.concepts_for("other#n#1")
-    assert len(index) == 2
 
 
 def test_rows_break_at_newline_only():
@@ -120,9 +119,9 @@ def test_load_mapping_malformed_rows(text, lineno):
 
 
 def test_parse_synset_id():
-    assert parse_synset_id("birth#n#2") == Synset("birth#n#2", "noun", "birth", 2)
-    assert parse_synset_id("poison#v#5") == Synset("poison#v#5", "verb", "poison", 5)
-    assert parse_synset_id("02345678-n") is None
-    assert parse_synset_id("bad#x#1") is None
-    assert parse_synset_id("bad#n#0") is None
-    assert synset_pos("02345678-n") == "noun"
+    assert synset_pos("birth#n#2") == "noun"
+    assert synset_pos("poison#v#5") == "verb"
+    # opaque ids are nouns, whatever pos code they carry
+    for opaque in ("02345678-n", "bad#x#1", "bad#n#0", "bad#v#0", "#v#1",
+                   "x#v#", "x#v#one", "x#v#-1", "x#v#1#2", "x#v"):
+        assert synset_pos(opaque) == "noun", opaque

@@ -15,7 +15,7 @@ from ontoclose.prover import (
     ProverConfig, ProverError, ProverOutcome, UnrecognizedShapeError,
     append_journal, classify, journal_record, load_journal, oracle_run_batch,
     oracle_verdict, parse_prover_output, recognize_shape, run_batch,
-    run_prover, vampire_reference_config,
+    run_prover, write_problem,
 )
 from ontoclose.taxonomy import build_taxonomy
 
@@ -37,16 +37,6 @@ def test_config_validation():
         ProverConfig(command="prover {problem}", time_limit=0)
     with pytest.raises(ProverError):
         ProverConfig(command="prover {problem}", workers=0)
-
-
-def test_reference_config_flags():
-    config = vampire_reference_config(time_limit=300, memory_limit_mib=2048)
-    assert "--proof tptp" in config.command
-    assert "--output_axiom_names on" in config.command
-    assert "--mode casc" in config.command
-    assert "-t 300" in config.command
-    assert "-m 2048" in config.command
-    assert config.command.count("{problem}") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +220,10 @@ def test_load_journal_rejects_garbage(tmp_path):
     for line in ("not json", "5", '{"cq": "a"}', '{"cq": "a", "polarity": 1}',
                  '["a", "truth"]',
                  '{"cq": "a", "polarity": "truth"}, '
-                 '{"cq": "b", "polarity": "truth"}'):
+                 '{"cq": "b", "polarity": "truth"}',
+                 # two records whose decode spans lines 3 and 4
+                 '{"cq": "a", "polarity": "truth"}, '
+                 '{"cq": "b", "polarity": "truth", "x": [1\n2]}'):
         # the bad line is line 3, after a record and a blank line
         bad.write_text(f"{GOOD_LINE}\n\n{line}\n{GOOD_LINE}\n",
                        encoding="utf-8")
@@ -324,6 +317,26 @@ def test_run_batch_problem_files_are_distinct_per_question(tmp_path,
             assert f"c__{name.lower()}" in conjecture, (path, cq_id)
     assert tests == {(cq_id, polarity) for cq_id in classes
                      for polarity in (TRUTH, FALSITY)}
+
+
+def test_falsity_problem_negates_the_truth_conjecture(tmp_path,
+                                                     organism_process):
+    cq = antonymy_cq("Birth", "Death")
+    problems = {}
+    for polarity in (TRUTH, FALSITY):
+        path, _ = write_problem(organism_process, cq, polarity, tmp_path)
+        problems[polarity] = path.read_text(encoding="utf-8").splitlines()
+    truth, falsity = (
+        [line for line in problems[polarity] if ", conjecture, " in line]
+        for polarity in (TRUTH, FALSITY))
+    [body] = [line.removeprefix("fof(cq_truth, conjecture, ").removesuffix(").")
+              for line in truth]
+    assert body.startswith("! [")
+    assert falsity == [f"fof(cq_falsity, conjecture, ~ ({body}))."]
+    # the axioms and every header but the polarity are shared
+    differ = [(t, f) for t, f in zip(*problems.values()) if t != f]
+    assert differ == [("% polarity: truth", "% polarity: falsity"),
+                      (truth[0], falsity[0])]
 
 
 def test_run_batch_flags_total_failure(tmp_path, organism_process):
@@ -426,7 +439,8 @@ def test_oracle_run_batch_journals_and_aborts(tmp_path, organism_process):
     bad_tax = build_taxonomy(kif.parse_kif(
         "($disjoint A B)\n($subclass C A)\n($subclass C B)"))
     with pytest.raises(InconsistencyError):
-        oracle_run_batch(bad_tax, [antonymy_cq("A", "B")])
+        oracle_run_batch(bad_tax, [antonymy_cq("A", "B")],
+                         tmp_path / "bad.jsonl")
 
 
 def test_oracle_run_batch_rewrites_its_journal(tmp_path):

@@ -10,8 +10,8 @@ from ontoclose.questions import (
     ANTONYMY_1, HYPO_NOUN_1, HYPO_NOUN_2, HYPO_VERB_1, HYPO_VERB_2,
     OpenFormulaError, QpTemplate, QuestionError,
     TemplateError, gen_antonymy_cqs, gen_hyponymy_qp1, gen_hyponymy_qp2,
-    gen_template_cqs, group_by_pattern, make_tests, read_cq_corpus,
-    write_cq_corpus,
+    gen_template_cqs, group_by_pattern, load_template, make_tests,
+    read_cq_corpus, write_cq_corpus,
 )
 
 
@@ -128,7 +128,6 @@ def test_antonymy_birth_death_example():
           (=> (and ($instance X Birth) ($instance Y Death))
               (not (equal X Y))))""")
     assert kif.normalize(cq.conjecture) == kif.normalize(expected)
-    assert cq.falsity_test == Not(cq.conjecture)
 
 
 def test_antonymy_skips_unmapped():
@@ -201,6 +200,22 @@ def test_template_validation():
     with pytest.raises(TemplateError):
         QpTemplate(name="bad-kind", pair_kind="nope",
                    skeleton=ANTONYMY_SKELETON)
+
+
+def test_load_template_reads_its_headers():
+    body = "(exists (X) (and ($instance X C1) ($instance X C2)))\n"
+    template = load_template(
+        "; template: part-overlap\n; kind: meronymy-part\n"
+        ";  s1-relations: equivalence, subsumption ,\n"
+        "; a comment without a key\n; kind: antonymy\n" + body,
+        "overlap.kif")
+    assert template.name == "part-overlap"
+    assert template.pair_kind == MERONYMY_PART  # the first kind line wins
+    assert template.s1_relations == {EQUIVALENCE, "subsumption"}
+    assert template.s2_relations is None
+    assert template.skeleton == kif.parse_formula_text(body)
+    with pytest.raises(TemplateError, match="^overlap.kif: .*; kind: "):
+        load_template("; template: part-overlap\n" + body, "overlap.kif")
 
 
 def test_template_rejects_wrong_pair_kind():
