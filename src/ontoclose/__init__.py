@@ -25,7 +25,7 @@ from .lexicon import (
 from .questions import (
     CompetencyQuestion, GenerationResult, OpenFormulaError, QpTemplate,
     TemplateError, gen_antonymy_cqs, gen_hyponymy_qp1, gen_hyponymy_qp2,
-    gen_template_cqs, make_tests, read_cq_corpus, write_cq_corpus,
+    gen_template_cqs, read_cq_corpus, write_cq_corpus,
 )
 from .tptp import MangleTable, TptpProblem, emit_problem, to_fof
 from .prover import (

@@ -194,8 +194,6 @@ def _prover_config(command: "str | None", time_limit, memory_limit,
 
 
 def cmd_run(args) -> int:
-    if not (args.ontology and args.cqs):
-        raise prover.ProverError("run needs an ontology and --cqs")
     config = None if args.oracle else _prover_config(
         args.prover_cmd, args.time_limit, args.memory_limit, args.workers)
     ontology = _load_ontology(args.ontology)
@@ -395,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_emit)
 
     p = sub.add_parser("run", help="evaluate questions (prover or oracle)")
-    p.add_argument("ontology", nargs="?")
-    p.add_argument("--cqs")
+    p.add_argument("ontology")
+    p.add_argument("--cqs", required=True)
     p.add_argument("--journal", required=True)
     p.add_argument("--oracle", action="store_true",
                    help="use the structural oracle instead of a prover")

@@ -67,7 +67,7 @@ def synset_pos(synset_id: str) -> str:
         return NOUN
     lemma, pos_code, sense_text = parts
     pos = _POS_CODES.get(pos_code)
-    if not lemma or pos is None or not sense_text.isdigit() \
+    if not lemma or pos is None or not sense_text.isdecimal() \
             or int(sense_text) < 1:
         return NOUN
     return pos

@@ -41,17 +41,11 @@ class TemplateError(QuestionError):
     """A question template is unusable as defined."""
 
 
-def _require_closed(conjecture: Formula) -> None:
-    free = kif.free_variables(conjecture)
+def _require_closed(formula: Formula, what: str,
+                    error: type[QuestionError]) -> None:
+    free = kif.free_variables(formula)
     if free:
-        raise OpenFormulaError(
-            "conjecture has free variables: " + ", ".join(sorted(free)))
-
-
-def make_tests(conjecture: Formula) -> tuple[Formula, Formula]:
-    """The dual prover tests of a conjecture: itself, and its negation."""
-    _require_closed(conjecture)
-    return conjecture, Not(conjecture)
+        raise error(f"{what} has free variables: " + ", ".join(sorted(free)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,7 +58,7 @@ class CompetencyQuestion:
     @classmethod
     def build(cls, pattern: str, source_pair: RelationPair,
               c1: str, c2: str, conjecture: Formula) -> "CompetencyQuestion":
-        _require_closed(conjecture)
+        """The question on ``conjecture``, which the caller keeps closed."""
         qid = f"{pattern}:{source_pair.s1}:{source_pair.s2}:{c1}:{c2}"
         return cls(id=qid, pattern=pattern, source_pair=source_pair,
                    conjecture=conjecture)
@@ -192,11 +186,7 @@ class QpTemplate:
             raise TemplateError(f"bad template name: {self.name!r}")
         if self.pair_kind not in PAIR_KINDS:
             raise TemplateError(f"unknown pair kind: {self.pair_kind!r}")
-        free = kif.free_variables(self.skeleton)
-        if free:
-            raise TemplateError(
-                "template skeleton has free variables: "
-                + ", ".join(sorted(free)))
+        _require_closed(self.skeleton, "template skeleton", TemplateError)
         # a placeholder is used when renaming it changes the skeleton
         missing = [p for p in _PLACEHOLDERS
                    if _instantiate(self.skeleton, {p: p + "_"}) == self.skeleton]
@@ -305,7 +295,7 @@ def read_cq_corpus(text: str) -> list[CompetencyQuestion]:
                 f"{sorted(required - headers.keys())}")
         s1, _, s2 = headers["source"].partition(" ")
         source_pair = RelationPair(kind=headers["kind"], s1=s1, s2=s2)
-        _require_closed(ax.formula)
+        _require_closed(ax.formula, "conjecture", OpenFormulaError)
         questions.append(CompetencyQuestion(
             id=headers["cq"], pattern=headers["pattern"],
             source_pair=source_pair, conjecture=ax.formula))

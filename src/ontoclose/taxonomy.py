@@ -13,7 +13,6 @@ reaches every class that shares a descendant with one of its arguments.
 from __future__ import annotations
 
 import graphlib
-import warnings
 from typing import Callable, Iterable, Iterator
 
 from . import kif
@@ -126,21 +125,9 @@ class ClassGraph:
                 for sup in sups)
 
 
-def _undeclared(declared: frozenset[str], mentioned: set[str]) -> set[str]:
-    """The mentioned classes not declared, each named in a warning: they
-    are declared implicitly."""
-    undeclared = mentioned - declared
-    if undeclared:
-        warnings.warn(
-            "auto-declaring classes referenced by structural facts: "
-            + ", ".join(sorted(undeclared)),
-            stacklevel=3)
-    return undeclared
-
-
 class Taxonomy:
     """Immutable class graph plus explicit pair facts; all queries are
-    pure."""
+    pure. A class that only a fact names is declared with the rest."""
 
     def __init__(self, classes: Iterable[str],
                  subclass_edges: Iterable[tuple[str, str]] = (),
@@ -149,14 +136,10 @@ class Taxonomy:
                  inheritable_nondisjoint: Iterable[tuple[str, str]] = (),
                  instance_facts: Iterable[tuple[str, str]] = ()):
         edges = {(sub, sup) for sub, sup in subclass_edges}
-        mentioned = {c for e in edges for c in e}
-        for pairs in (disjoint, nondisjoint, inheritable_nondisjoint):
-            mentioned |= {c for p in pairs for c in p}
-        mentioned |= {c for _, c in instance_facts}
-        classes = frozenset(classes)
-        classes |= _undeclared(classes, mentioned)
         self._set_pairs(disjoint, nondisjoint, inheritable_nondisjoint,
                         instance_facts)
+        classes = (frozenset(classes) | {c for e in edges for c in e}
+                   | self._named())
         self._graph = ClassGraph(classes, edges)
         self.classes = classes
 
@@ -183,6 +166,14 @@ class Taxonomy:
         self._compatible = PairSet(self.explicit_nondisjoint | {
             (a, b) for cs in classes_of.values() for a in cs for b in cs
             if a < b})
+
+    def _named(self) -> set[str]:
+        """The classes the explicit pairs and instance facts name."""
+        named = {c for _, c in self.instance_facts}
+        for pairs in (self.explicit_disjoint, self.explicit_nondisjoint,
+                      self.explicit_inheritable):
+            named.update(pairs.partners)
+        return named
 
     # -- basic queries ------------------------------------------------------
 
@@ -311,23 +302,17 @@ class Taxonomy:
                    nondisjoint: Iterable[tuple[str, str]] = (),
                    inheritable_nondisjoint: Iterable[tuple[str, str]] = ()
                    ) -> "Taxonomy":
-        """A new taxonomy with extra explicit pairs merged in. It shares
-        this one's class graph, unless a pair names a class the graph
-        lacks."""
-        added = [{pair(*p) for p in pairs}
-                 for pairs in (disjoint, nondisjoint, inheritable_nondisjoint)]
-        return self._merged(*added, _undeclared(
-            self.classes, {c for pairs in added for p in pairs for c in p}))
-
-    def _merged(self, disjoint: set, nondisjoint: set, inheritable: set,
-                new: set[str]) -> "Taxonomy":
-        """``with_facts`` for ``pair``-ordered pairs, adding classes ``new``."""
+        """A new taxonomy with extra explicit pairs merged in. A class that
+        only a new pair names is declared, as a build declares it; the
+        class graph is this one's unless there is such a class."""
         merged = Taxonomy.__new__(Taxonomy)
-        merged._set_pairs(self.explicit_disjoint | disjoint,
-                          self.explicit_nondisjoint | nondisjoint,
-                          self.explicit_inheritable | inheritable,
+        merged._set_pairs(self.explicit_disjoint.union(disjoint),
+                          self.explicit_nondisjoint.union(nondisjoint),
+                          self.explicit_inheritable.union(
+                              inheritable_nondisjoint),
                           self.instance_facts)
         graph = self._graph
+        new = merged._named() - self.classes
         if new:
             graph = ClassGraph(graph.classes | new, graph.edges())
         merged._graph = graph
@@ -337,10 +322,9 @@ class Taxonomy:
     def with_axioms(self, axioms: Iterable[kif.Axiom]) -> "Taxonomy":
         """This taxonomy with the pair facts of ``axioms`` merged in, or
         itself when they hold none: the taxonomy of an ontology extended
-        with ``axioms``. A class they name is declared silently, as
-        ``build_taxonomy`` declares it. They may add no subclass or
-        instance fact, since the class graph is not rebuilt for them."""
-        classes, edges, disjoint, nondisjoint, inheritable, instances = \
+        with ``axioms``. They may add no subclass or instance fact, since
+        the class graph is not rebuilt for them."""
+        _, edges, disjoint, nondisjoint, inheritable, instances = \
             _harvest(axioms)
         facts = ([f"($subclass {sub} {sup})" for sub, sup in sorted(edges)]
                  + [f"($instance {obj} {c})" for obj, c in sorted(instances)])
@@ -349,8 +333,7 @@ class Taxonomy:
                                 + ", ".join(facts))
         if not (disjoint or nondisjoint or inheritable):
             return self
-        return self._merged(disjoint, nondisjoint, inheritable,
-                            classes - self.classes)
+        return self.with_facts(disjoint, nondisjoint, inheritable)
 
     # -- exports ------------------------------------------------------------
 

@@ -1,6 +1,7 @@
 import gc
 import json
 import types
+import warnings
 
 import pytest
 
@@ -374,6 +375,24 @@ def test_pipeline_end_to_end(tmp_path, lexical_files):
     assert atoms[1] <= atoms[3]
 
 
+def test_pipeline_warns_of_an_undeclared_curated_class_once(tmp_path,
+                                                            lexical_files):
+    mapping, antonymy, _ = lexical_files
+    curation = tmp_path / "curation.kif"
+    curation.write_text("($disjoint Fresh Birth)\n")
+    config = tmp_path / "run.conf"
+    config.write_text(
+        f"ontology={ONTOLOGY}\nmapping={mapping}\npairs.antonymy={antonymy}\n"
+        f"curation={curation}\nout={tmp_path / 'results'}\n"
+        "modes=subclass+disjointness,subclass+nondisjointness\n")
+    with warnings.catch_warnings(record=True) as caught:
+        # as a run shows them: each warning once per place it is raised
+        warnings.simplefilter("default")
+        assert run_cli("pipeline", config) == EXIT_OK
+    assert [str(w.message) for w in caught] == [
+        "curation names classes the ontology does not declare: Fresh"]
+
+
 def test_pipeline_is_deterministic(tmp_path, lexical_files):
     mapping, antonymy, hyponymy = lexical_files
     outputs = []
@@ -640,7 +659,11 @@ def test_main_restores_the_collector_state(tmp_path, monkeypatch,
     assert seen == [False, False]
 
 
-def test_usage_error_exit_code():
+@pytest.mark.parametrize("argv", [
+    ["close", str(ONTOLOGY)],  # --mode missing
+    ["run", "--journal", "j.jsonl"],  # the ontology and --cqs missing
+], ids=["close", "run"])
+def test_usage_error_exit_code(argv):
     with pytest.raises(SystemExit) as err:
-        main(["close", str(ONTOLOGY)])  # --mode missing
+        main(argv)
     assert err.value.code == EXIT_USAGE

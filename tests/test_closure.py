@@ -379,6 +379,20 @@ def test_curation_rejects_bad_entries():
         CurationFile.from_pairs(nondisjoint=[("A", "A")])
 
 
+def test_curation_naming_an_undeclared_class_warns_once(organism_process):
+    fresh = load_curation("($disjoint Fresh Birth)")
+    declared = load_curation("($disjoint Death Birth)")
+    for mode in (SUBCLASS_DISJOINT, SUBCLASS_NONDISJOINT):
+        for curation, expected in (
+                (fresh, ["curation names classes the ontology does not "
+                         "declare: Fresh"]),
+                (declared, [])):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                apply_closure(organism_process, mode, curation)
+            assert [str(w.message) for w in caught] == expected, mode
+
+
 def test_suggest_curation_agent(agent_ontology):
     tax = build_taxonomy(agent_ontology)
     advice = suggest_curation(tax, SUBCLASS_DISJOINT)

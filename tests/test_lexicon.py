@@ -121,7 +121,11 @@ def test_load_mapping_malformed_rows(text, lineno):
 def test_parse_synset_id():
     assert synset_pos("birth#n#2") == "noun"
     assert synset_pos("poison#v#5") == "verb"
-    # opaque ids are nouns, whatever pos code they carry
+    # a sense in any decimal digits int() reads: Arabic-Indic three
+    assert synset_pos("x#v#\u0663") == "verb"
+    # opaque ids are nouns, whatever pos code they carry; a superscript
+    # two is a digit to str.isdigit but not a number to int()
     for opaque in ("02345678-n", "bad#x#1", "bad#n#0", "bad#v#0", "#v#1",
-                   "x#v#", "x#v#one", "x#v#-1", "x#v#1#2", "x#v"):
+                   "x#v#", "x#v#one", "x#v#-1", "x#v#1#2", "x#v",
+                   "x#v#\u00b2"):
         assert synset_pos(opaque) == "noun", opaque

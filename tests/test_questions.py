@@ -1,7 +1,6 @@
 import pytest
 
 from ontoclose import kif
-from ontoclose.kif import Not
 from ontoclose.lexicon import (
     ANTONYMY, EQUIVALENCE, HYPONYMY, MERONYMY_PART, MappingIndex, MappingLink,
     RelationPair, load_mapping,
@@ -10,7 +9,7 @@ from ontoclose.questions import (
     ANTONYMY_1, HYPO_NOUN_1, HYPO_NOUN_2, HYPO_VERB_1, HYPO_VERB_2,
     OpenFormulaError, QpTemplate, QuestionError,
     TemplateError, gen_antonymy_cqs, gen_hyponymy_qp1, gen_hyponymy_qp2,
-    gen_template_cqs, group_by_pattern, load_template, make_tests,
+    gen_template_cqs, group_by_pattern, load_template,
     read_cq_corpus, write_cq_corpus,
 )
 
@@ -194,7 +193,7 @@ def test_template_validation():
         QpTemplate(name="missing-c2", pair_kind=ANTONYMY,
                    skeleton=kif.parse_formula_text(
                        "(forall (X) ($instance X C1))"))
-    with pytest.raises(TemplateError):
+    with pytest.raises(TemplateError, match=r"skeleton has free variables: \?x"):
         QpTemplate(name="open", pair_kind=ANTONYMY,
                    skeleton=kif.parse_formula_text("($instance ?x C1)"))
     with pytest.raises(TemplateError):
@@ -226,22 +225,8 @@ def test_template_rejects_wrong_pair_kind():
 
 
 # ---------------------------------------------------------------------------
-# Tests derivation
+# Generated questions
 # ---------------------------------------------------------------------------
-
-def test_make_tests_negates():
-    conjecture = kif.parse_formula_text("(forall (?x) (equal ?x ?x))")
-    truth, falsity = make_tests(conjecture)
-    assert truth == conjecture
-    assert falsity == Not(conjecture)
-    again = make_tests(conjecture)
-    assert again == (truth, falsity)
-
-
-def test_make_tests_rejects_open_formulas():
-    with pytest.raises(OpenFormulaError):
-        make_tests(kif.parse_formula_text("($instance ?x Birth)"))
-
 
 def test_generated_questions_are_closed():
     for result in (gen_hyponymy_qp1([LOBBY_PAIR], LOBBY_MAPPING),
@@ -314,6 +299,13 @@ def test_corpus_empty():
 def test_corpus_requires_headers():
     with pytest.raises(QuestionError):
         read_cq_corpus("($disjoint A B)\n")
+
+
+def test_corpus_rejects_open_formulas():
+    text = ("; cq: open\n; pattern: antonymy-1\n; kind: antonymy\n"
+            "; source: birth#n#2 death#n#1\n($instance ?x Birth)\n")
+    with pytest.raises(OpenFormulaError, match="free variables"):
+        read_cq_corpus(text)
 
 
 def test_group_by_pattern():

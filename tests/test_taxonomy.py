@@ -136,9 +136,12 @@ def test_explicitly_contradictory_pairs_rejected():
         tax_of("($disjoint A B)\n($nonDisjoint A B)")
 
 
-def test_auto_declared_classes_warn():
-    with pytest.warns(UserWarning, match="auto-declaring"):
-        Taxonomy(["A"], subclass_edges=[("B", "A")])
+def test_a_class_only_a_fact_names_is_declared_silently():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tax = Taxonomy(["A"], [("B", "A")])
+    assert tax.classes == {"A", "B"}
+    assert tax.subclass_closed("B", "A")
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +371,8 @@ def test_with_facts_merges_pairs(organism_process):
 
 def test_with_facts_declares_a_class_only_a_pair_names():
     tax = Taxonomy(["A", "B"], [("B", "A")])
-    with pytest.warns(UserWarning, match="auto-declaring .*New"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         merged = tax.with_facts(disjoint=[("A", "New")])
     assert "New" in merged.classes
     assert merged.up("New") == {"New"}
