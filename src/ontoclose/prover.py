@@ -137,34 +137,55 @@ def parse_prover_output(output: str) -> tuple["str | None", tuple[str, ...]]:
     return szs, tuple(cites)
 
 
+def _kill_session(process: subprocess.Popen) -> None:
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+
+
 def run_prover(problem_path: "str | Path", config: ProverConfig) -> ProverOutcome:
-    """One external prover process on one problem file."""
+    """One external prover process on one problem file.
+
+    The address-space cap is set on the child with ``prlimit`` (Linux) as
+    soon as ``Popen`` returns, not by Python code run in the forked child:
+    without such code, CPython spawns through ``vfork``, which is much
+    cheaper per test and safe under ``run_batch``'s threads. The cost is a short window in
+    which the prover runs uncapped, between its ``exec`` and the
+    ``prlimit`` call. The child is not reaped before ``communicate``, so
+    its pid cannot be reused in that window. A cap that cannot be set
+    (say, above the inherited hard limit) kills the child's session and
+    fails this test with an error outcome.
+    """
     argv = [part.replace("{problem}", str(problem_path))
             for part in shlex.split(config.command)]
     limit_bytes = config.memory_limit_mib * 1024 * 1024
-
-    def cap_resources():
-        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
 
     start = time.perf_counter()
     try:
         process = subprocess.Popen(
             argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            encoding="utf-8", errors="replace", start_new_session=True,
-            preexec_fn=cap_resources)
+            encoding="utf-8", errors="replace", start_new_session=True)
     except OSError as exc:
         return ProverOutcome(status=ERROR, wall_time=time.perf_counter() - start,
                              detail=f"spawn failed: {exc}")
+    try:
+        resource.prlimit(process.pid, resource.RLIMIT_AS,
+                         (limit_bytes, limit_bytes))
+    except (OSError, ValueError) as exc:
+        _kill_session(process)
+        process.communicate()
+        return ProverOutcome(
+            status=ERROR, wall_time=time.perf_counter() - start,
+            detail=f"cannot cap the prover's address space at "
+                   f"{config.memory_limit_mib} MiB: {exc}")
     killed = False
     try:
         stdout, stderr = process.communicate(
             timeout=config.time_limit + config.grace)
     except subprocess.TimeoutExpired:
         killed = True
-        try:
-            os.killpg(process.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
+        _kill_session(process)
         stdout, stderr = process.communicate()
     wall = time.perf_counter() - start
     output = (stdout or "") + "\n" + (stderr or "")

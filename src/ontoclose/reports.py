@@ -52,11 +52,6 @@ class EfficiencyRow:
     A: float       # mean axioms per proof
 
 
-def _proved(records, cq_id: str, polarity: str) -> bool:
-    record = records.get((cq_id, polarity))
-    return bool(record and record["status"] == PROVED)
-
-
 def proved_keys(records: dict[tuple[str, str], dict]
                 ) -> set[tuple[str, str]]:
     """The (question, polarity) keys of the proved tests among journal
@@ -86,20 +81,19 @@ def competency_report(records: dict[tuple[str, str], dict], *,
     for cq_id in sorted(all_ids):
         by_pattern.setdefault(pattern_of(cq_id), []).append(cq_id)
 
+    proved = proved_keys(records)
     rows = []
     for pattern in sorted(by_pattern):
         ids = by_pattern[pattern]
-        truth = sum(_proved(records, i, TRUTH) for i in ids)
-        falsity = sum(_proved(records, i, FALSITY) for i in ids)
+        truth = [(i, TRUTH) for i in ids if (i, TRUTH) in proved]
+        falsity = [(i, FALSITY) for i in ids if (i, FALSITY) in proved]
         truth_x = falsity_x = None
         if baseline_proved is not None:
-            truth_x = sum(_proved(records, i, TRUTH)
-                          and (i, TRUTH) not in baseline_proved for i in ids)
-            falsity_x = sum(_proved(records, i, FALSITY)
-                            and (i, FALSITY) not in baseline_proved
-                            for i in ids)
+            truth_x = sum(key not in baseline_proved for key in truth)
+            falsity_x = sum(key not in baseline_proved for key in falsity)
         rows.append(CompetencyRow(pattern=pattern, count=len(ids),
-                                  truth_proved=truth, falsity_proved=falsity,
+                                  truth_proved=len(truth),
+                                  falsity_proved=len(falsity),
                                   truth_exclusive=truth_x,
                                   falsity_exclusive=falsity_x))
     total = CompetencyRow(

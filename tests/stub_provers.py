@@ -56,6 +56,28 @@ else:
     print("% SZS status CounterSatisfiable for " + sys.argv[1])
 """
 
+# Proves only once its own address-space cap reads the configured bytes;
+# polling makes the verdict independent of when the harness sets the cap.
+CAPPED_AT = """
+import resource
+import sys
+import time
+
+def capped():
+    return resource.getrlimit(resource.RLIMIT_AS) == ({limit}, {limit})
+
+deadline = time.monotonic() + 5.0
+while not capped() and time.monotonic() < deadline:
+    time.sleep(0.001)
+status = "Theorem" if capped() else "GaveUp"
+print("% SZS status " + status + " for " + sys.argv[1])
+"""
+
+
+def capped_at(mib: int) -> str:
+    """The body of a stub that proves only under a ``mib`` MiB cap."""
+    return CAPPED_AT.format(limit=mib * 1024 * 1024)
+
 
 def stub_config(tmp_path, body: str, name: str = "stub",
                 **config_kwargs) -> ProverConfig:

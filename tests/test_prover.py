@@ -1,7 +1,13 @@
+import json
+import os
 import random
 import re
+import subprocess
+import sys
+import textwrap
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +136,106 @@ def test_spawn_failure(problem_file):
     outcome = run_prover(problem_file, config)
     assert outcome.status == ERROR
     assert "spawn failed" in outcome.detail
+
+
+def test_the_address_space_cap_reaches_the_prover(tmp_path, problem_file):
+    config = stub_provers.stub_config(tmp_path, stub_provers.capped_at(512),
+                                      memory_limit_mib=512)
+    assert run_prover(problem_file, config).status == PROVED
+
+
+def test_run_batch_caps_every_prover(tmp_path, organism_process):
+    config = stub_provers.stub_config(tmp_path, stub_provers.capped_at(512),
+                                      memory_limit_mib=512, workers=2)
+    cqs = [antonymy_cq("Birth", "Death"), overlap_cq("Breathing", "Mating"),
+           subset_cq("Birth", "Unicorn"), antonymy_cq("Mating", "Replication")]
+    verdicts = run_batch(organism_process, cqs, config, tmp_path / "j.jsonl",
+                         tmp_path / "work")
+    assert [v.truth.status for v in verdicts] == [PROVED] * len(cqs)
+
+
+def test_run_prover_spawns_without_preexec_fn(tmp_path, problem_file,
+                                              monkeypatch):
+    # without a preexec_fn CPython spawns through vfork, not a full fork
+    from ontoclose import prover
+    spawns = []
+    real_popen = prover.subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        spawns.append(kwargs)
+        return real_popen(*args, **kwargs)
+
+    monkeypatch.setattr(prover.subprocess, "Popen", recording_popen)
+    config = stub_provers.stub_config(tmp_path, stub_provers.THEOREM)
+    assert run_prover(problem_file, config).status == PROVED
+    assert len(spawns) == 1 and "preexec_fn" not in spawns[0]
+
+
+# Run in a child interpreter whose hard address-space limit is 6 GiB, so a
+# prover cap of 8 GiB cannot be set.
+_CAP_ABOVE_HARD_LIMIT = """
+import json
+import resource
+import sys
+import time
+from pathlib import Path
+
+import stub_provers
+from conftest import antonymy_cq, load_ontology
+from ontoclose.prover import ProverError, run_batch, run_prover
+
+hard = 6 * 1024 ** 3
+resource.setrlimit(resource.RLIMIT_AS, (hard, hard))
+try:
+    resource.setrlimit(resource.RLIMIT_AS, (hard, hard + 1))
+except (OSError, ValueError):
+    pass
+else:
+    print(json.dumps({"privileged": True}))
+    raise SystemExit
+tmp = Path(sys.argv[1])
+problem = tmp / "problem.p"
+problem.write_text("fof(cq, conjecture, p).\\n")
+config = stub_provers.stub_config(tmp, stub_provers.SLEEPER,
+                                  memory_limit_mib=8192, time_limit=30.0,
+                                  workers=2)
+start = time.monotonic()
+outcome = run_prover(problem, config)
+elapsed = time.monotonic() - start
+try:
+    run_batch(load_ontology("organism_process.kif"),
+              [antonymy_cq("Birth", "Death"), antonymy_cq("Mating", "Death")],
+              config, tmp / "j.jsonl", tmp / "work")
+    batch = "no error"
+except ProverError as exc:
+    batch = str(exc)
+errors = (tmp / "j.jsonl").read_text().count('"status": "error"')
+print(json.dumps({"status": outcome.status, "detail": outcome.detail,
+                  "elapsed": elapsed, "batch": batch, "errors": errors}))
+"""
+
+
+def test_a_cap_above_the_hard_limit_fails_the_test_not_the_harness(tmp_path):
+    tests_dir = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(tests_dir.parent / "src"), str(tests_dir)]))
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-c",
+         textwrap.dedent(_CAP_ABOVE_HARD_LIMIT), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    if result.get("privileged"):
+        pytest.skip("this process may raise its hard address-space limit")
+    assert result["status"] == ERROR
+    assert "8192 MiB" in result["detail"]
+    # the sleeping stub was killed, not waited for
+    assert result["elapsed"] < 10.0
+    assert result["batch"] == "every prover invocation failed; check the command"
+    assert result["errors"] == 4
+    # every child was reaped: -X dev reports one that was not
+    assert "ResourceWarning" not in done.stderr
+    assert "Exception ignored" not in done.stderr
 
 
 def test_trivial_entailment_stub(tmp_path, organism_process):
