@@ -24,7 +24,7 @@ from ontoclose.reports import (
     render_competency_text, render_efficiency_text,
 )
 from ontoclose.taxonomy import build_taxonomy
-from ontoclose.tptp import emit_problem
+from ontoclose.tptp import AxiomBlock, emit_problem
 
 ONTOLOGY_TEXT = """
 ($subclass Birth OrganismProcess)
@@ -41,7 +41,8 @@ cq = questions[0]
 # ---------------------------------------------------------------------------
 # A problem file is the whole ontology as named axioms plus one conjecture:
 # the question's own for the truth test, its negation for the falsity test.
-problem = emit_problem(ontology, cq.conjecture,
+# The axioms are rendered once, as a block that every problem shares.
+problem = emit_problem(AxiomBlock(ontology), cq.conjecture,
                        metadata={"cq": cq.id, "polarity": "truth"})
 print("problem file:")
 print(problem.text)

@@ -27,7 +27,7 @@ from .questions import (
     TemplateError, gen_antonymy_cqs, gen_hyponymy_qp1, gen_hyponymy_qp2,
     gen_template_cqs, read_cq_corpus, write_cq_corpus,
 )
-from .tptp import MangleTable, TptpProblem, emit_problem, to_fof
+from .tptp import AxiomBlock, MangleTable, TptpProblem, emit_problem, to_fof
 from .prover import (
     InconsistencyError, ProverConfig, ProverError, ProverOutcome, Verdict,
     oracle_run_batch, oracle_verdict, run_batch, run_prover,

@@ -13,7 +13,8 @@ import os
 import sys
 from pathlib import Path
 
-from . import closure, kif, lexicon, prover, questions, reports, taxonomy
+from . import (closure, kif, lexicon, prover, questions, reports, taxonomy,
+               tptp)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -28,8 +29,17 @@ ENV_MEMORY_LIMIT = "ONTOCLOSE_MEMORY_LIMIT"
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise kif.KifError(f"cannot read {path}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise kif.KifError(f"cannot read {path}: {exc}") from None
+
+
+def _number(convert, text: str, where: str):
+    """``text`` as ``convert`` reads it; an error names ``where``."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise kif.KifError(
+            f"{where}: expected {convert.__name__}, got {text!r}") from None
 
 
 def _write(path: "str | Path", text: str) -> None:
@@ -125,16 +135,17 @@ def _generate_questions(mapping_path: str, hyponymy: "str | None",
     QP1 and QP2, antonymy, then one template at a time), and the number of
     pairs skipped because a synset is unmapped. ``templates`` holds
     ``TEMPLATE_FILE:PAIRS_FILE`` specs."""
-    mapping = lexicon.MappingIndex(lexicon.load_mapping(_read(mapping_path)))
+    mapping = lexicon.MappingIndex(
+        lexicon.load_mapping(_read(mapping_path), mapping_path))
     results: list[questions.GenerationResult] = []
     if hyponymy:
         pairs = lexicon.load_synset_relations(_read(hyponymy),
-                                              lexicon.HYPONYMY)
+                                              lexicon.HYPONYMY, hyponymy)
         results.append(questions.gen_hyponymy_qp1(pairs, mapping))
         results.append(questions.gen_hyponymy_qp2(pairs, mapping))
     if antonymy:
         pairs = lexicon.load_synset_relations(_read(antonymy),
-                                              lexicon.ANTONYMY)
+                                              lexicon.ANTONYMY, antonymy)
         results.append(questions.gen_antonymy_cqs(pairs, mapping))
     for spec in templates:
         template_path, _, pairs_path = spec.partition(":")
@@ -144,7 +155,7 @@ def _generate_questions(mapping_path: str, hyponymy: "str | None",
         template = questions.load_template(_read(template_path),
                                             template_path)
         pairs = lexicon.load_synset_relations(_read(pairs_path),
-                                              template.pair_kind)
+                                              template.pair_kind, pairs_path)
         results.append(questions.gen_template_cqs(pairs, mapping, template))
     return ([cq for result in results for cq in result.questions],
             sum(result.skipped_count for result in results))
@@ -166,19 +177,20 @@ def cmd_gen_cqs(args) -> int:
 
 def cmd_emit(args) -> int:
     ontology = _load_ontology(args.ontology)
-    cqs = questions.read_cq_corpus(_read(args.cqs))
+    cqs = questions.read_cq_corpus(_read(args.cqs), args.cqs)
     Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+    block = tptp.AxiomBlock(ontology)
     for cq in cqs:
         for polarity in (prover.TRUTH, prover.FALSITY):
-            prover.write_problem(ontology, cq, polarity, args.out_dir,
+            prover.write_problem(block, cq, polarity, args.out_dir,
                                  args.mode_label)
     print(f"emitted {2 * len(cqs)} problems to {args.out_dir}",
           file=sys.stderr)
     return EXIT_OK
 
 
-def _prover_config(command: "str | None", time_limit, memory_limit,
-                   workers: int) -> prover.ProverConfig:
+def _prover_config(command: "str | None", time_limit: float,
+                   memory_limit: int, workers: int) -> prover.ProverConfig:
     """Prover settings from the run options or the pipeline's prover.*
     keys; a set ``ONTOCLOSE_*`` variable wins over the command, time
     limit and memory limit given."""
@@ -187,17 +199,20 @@ def _prover_config(command: "str | None", time_limit, memory_limit,
         raise prover.ProverError(
             "no prover command (set --prover-cmd for run, prover.command "
             f"for pipeline, or {ENV_PROVER_COMMAND})")
-    time_limit = float(os.environ.get(ENV_TIME_LIMIT) or time_limit)
-    memory = int(os.environ.get(ENV_MEMORY_LIMIT) or memory_limit)
+    if os.environ.get(ENV_TIME_LIMIT):
+        time_limit = _number(float, os.environ[ENV_TIME_LIMIT], ENV_TIME_LIMIT)
+    if os.environ.get(ENV_MEMORY_LIMIT):
+        memory_limit = _number(int, os.environ[ENV_MEMORY_LIMIT],
+                               ENV_MEMORY_LIMIT)
     return prover.ProverConfig(command=command, time_limit=time_limit,
-                               memory_limit_mib=memory, workers=workers)
+                               memory_limit_mib=memory_limit, workers=workers)
 
 
 def cmd_run(args) -> int:
     config = None if args.oracle else _prover_config(
         args.prover_cmd, args.time_limit, args.memory_limit, args.workers)
     ontology = _load_ontology(args.ontology)
-    cqs = questions.read_cq_corpus(_read(args.cqs))
+    cqs = questions.read_cq_corpus(_read(args.cqs), args.cqs)
     if config is None:
         verdicts = prover.oracle_run_batch(taxonomy.build_taxonomy(ontology),
                                            cqs, args.journal)
@@ -237,7 +252,7 @@ def cmd_report(args) -> int:
     records = prover.load_journal(args.journal)
     baseline_proved = (reports.proved_keys(prover.load_journal(args.baseline))
                        if args.baseline else None)
-    expected = (questions.read_cq_corpus(_read(args.cqs))
+    expected = (questions.read_cq_corpus(_read(args.cqs), args.cqs)
                 if args.cqs else None)
     tables = _write_reports(records, baseline_proved, expected, args.out_dir)
     sys.stdout.write(tables["competency.txt"] + "\n"
@@ -266,14 +281,14 @@ def cmd_pipeline(args) -> int:
     config = load_config(args.config)
     for required in ("ontology", "mapping", "out"):
         if required not in config:
-            raise kif.KifError(f"pipeline config needs '{required}='")
+            raise kif.KifError(f"{args.config}: needs '{required}='")
     out = Path(config["out"])
     modes = [m.strip() for m in
              config.get("modes", ",".join(closure.MODES)).split(",")
              if m.strip()]
     for mode in modes:
         if mode not in closure.MODES:
-            raise kif.KifError(f"unknown mode in config: {mode!r}")
+            raise kif.KifError(f"{args.config}: unknown mode {mode!r}")
     for kind in lexicon.PAIR_KINDS:
         if kind not in (lexicon.HYPONYMY, lexicon.ANTONYMY) \
                 and config.get(f"pairs.{kind}"):
@@ -282,11 +297,13 @@ def cmd_pipeline(args) -> int:
                 "with gen-cqs --template")
     prover_config = None
     if config.get("oracle", "true").lower() not in ("1", "true", "yes"):
-        prover_config = _prover_config(
-            config.get("prover.command"),
-            config.get("prover.time_limit", 300),
-            config.get("prover.memory_limit", 2048),
-            int(config.get("prover.workers", 1)))
+        limits = [_number(convert, config.get(key, default),
+                          f"{args.config}: {key}")
+                  for convert, key, default in (
+                      (float, "prover.time_limit", "300"),
+                      (int, "prover.memory_limit", "2048"),
+                      (int, "prover.workers", "1"))]
+        prover_config = _prover_config(config.get("prover.command"), *limits)
     ontology = _load_ontology(config["ontology"])
     curation = _load_curation(config.get("curation"))
     cqs, _ = _generate_questions(config["mapping"],

@@ -523,19 +523,22 @@ def _parse_formula(form, bound: frozenset[str], close_tok: _SexpSymbol) -> Formu
 
 def parse_axioms(text: str, source_name: str = "<string>") -> list[Axiom]:
     """Every top-level S-expression as an original axiom, in text order,
-    alpha-equivalent ones included."""
-    forms = _read_sexprs(text)
+    alpha-equivalent ones included. A syntax error names ``source_name``."""
     axioms = []
-    for i, (form, close_tok) in enumerate(forms, start=1):
-        if not isinstance(form, list):
-            raise KifSyntaxError(
-                f"top-level symbol {form!r} is not a formula",
-                form.line, form.column)
-        line, _ = _form_position(form, close_tok)
-        formula = _parse_formula(form, frozenset(), close_tok)
-        axioms.append(Axiom(id=f"orig_{i}", formula=formula,
-                            provenance="original",
-                            source=f"{source_name}:{line}"))
+    try:
+        for i, (form, close_tok) in enumerate(_read_sexprs(text), start=1):
+            if not isinstance(form, list):
+                raise KifSyntaxError(
+                    f"top-level symbol {form!r} is not a formula",
+                    form.line, form.column)
+            line, _ = _form_position(form, close_tok)
+            formula = _parse_formula(form, frozenset(), close_tok)
+            axioms.append(Axiom(id=f"orig_{i}", formula=formula,
+                                provenance="original",
+                                source=f"{source_name}:{line}"))
+    except KifSyntaxError as exc:
+        exc.args = (f"{source_name}: {exc}",)
+        raise
     return axioms
 
 
@@ -548,11 +551,12 @@ def parse_kif(text: str, source_name: str = "<string>") -> Ontology:
     return Ontology(tuple(first.values()))
 
 
-def parse_formula_text(text: str) -> Formula:
+def parse_formula_text(text: str, source_name: str = "<string>") -> Formula:
     """Parse a single formula from text (convenience for tests and tools)."""
-    ontology = parse_kif(text)
+    ontology = parse_kif(text, source_name)
     if len(ontology) != 1:
-        raise KifError(f"expected exactly one formula, found {len(ontology)}")
+        raise KifError(f"{source_name}: expected exactly one formula, "
+                       f"found {len(ontology)}")
     return ontology.axioms[0].formula
 
 

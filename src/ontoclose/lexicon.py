@@ -32,7 +32,7 @@ _POS_CODES = {"n": NOUN, "v": VERB}
 
 
 class LexiconError(kif.KifError):
-    """Malformed lexical input; message carries the line number."""
+    """Malformed lexical input; message carries the file and line."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,28 +73,30 @@ def synset_pos(synset_id: str) -> str:
     return pos
 
 
-def _rows(text: str):
-    # rows end at "\n" only; strip() takes the "\r" of a CRLF file
+def _rows(text: str, source_name: str):
+    # each row's place (for errors) and fields; rows end at "\n" only;
+    # strip() takes the "\r" of a CRLF file
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        yield lineno, line.split("\t")
+        yield f"{source_name}: line {lineno}", line.split("\t")
 
 
-def load_synset_relations(text: str, kind: str) -> list[RelationPair]:
+def load_synset_relations(text: str, kind: str,
+                          source_name: str = "<pairs>") -> list[RelationPair]:
     """Relation pairs from TSV rows ``s1<TAB>s2``, file order, deduplicated."""
     if kind not in PAIR_KINDS:
         raise LexiconError(f"unknown relation kind: {kind!r}")
     pairs: list[RelationPair] = []
     seen: set[tuple[str, str]] = set()
-    for lineno, fields in _rows(text):
+    for where, fields in _rows(text, source_name):
         if len(fields) != 2 or not fields[0].strip() or not fields[1].strip():
             raise LexiconError(
-                f"line {lineno}: expected 's1<TAB>s2', found {fields!r}")
+                f"{where}: expected 's1<TAB>s2', found {fields!r}")
         s1, s2 = fields[0].strip(), fields[1].strip()
         if s1 == s2:
-            raise LexiconError(f"line {lineno}: pair relates {s1!r} to itself")
+            raise LexiconError(f"{where}: pair relates {s1!r} to itself")
         if (s1, s2) in seen:
             continue
         seen.add((s1, s2))
@@ -102,23 +104,24 @@ def load_synset_relations(text: str, kind: str) -> list[RelationPair]:
     return pairs
 
 
-def load_mapping(text: str) -> list[MappingLink]:
+def load_mapping(text: str, source_name: str = "<mapping>"
+                 ) -> list[MappingLink]:
     """Mapping links from TSV rows ``synset<TAB>Concept<symbol>``."""
     links: list[MappingLink] = []
     seen: set[tuple[str, str, str]] = set()
-    for lineno, fields in _rows(text):
+    for where, fields in _rows(text, source_name):
         if len(fields) != 2 or not fields[0].strip():
             raise LexiconError(
-                f"line {lineno}: expected 'synset<TAB>Concept<symbol>', "
+                f"{where}: expected 'synset<TAB>Concept<symbol>', "
                 f"found {fields!r}")
         synset, tagged = fields[0].strip(), fields[1].strip()
         if len(tagged) < 2:
-            raise LexiconError(f"line {lineno}: mapping entry too short: {tagged!r}")
+            raise LexiconError(f"{where}: mapping entry too short: {tagged!r}")
         concept, symbol = tagged[:-1], tagged[-1]
         relation = _RELATION_SYMBOLS.get(symbol)
         if relation is None:
             raise LexiconError(
-                f"line {lineno}: unknown relation symbol {symbol!r} "
+                f"{where}: unknown relation symbol {symbol!r} "
                 f"(expected one of = + @)")
         key = (synset, concept, relation)
         if key in seen:

@@ -102,7 +102,8 @@ class ProverConfig:
         if self.command.count("{problem}") != 1:
             raise ProverError(
                 "prover command needs exactly one {problem} placeholder")
-        if self.time_limit <= 0 or self.memory_limit_mib <= 0:
+        # written so that a NaN limit fails too
+        if not (self.time_limit > 0 and self.memory_limit_mib > 0):
             raise ProverError("prover limits must be positive")
         if self.workers < 1:
             raise ProverError("worker count must be at least 1")
@@ -226,18 +227,10 @@ def classify(truth_proved: bool, falsity_proved: bool) -> str:
     return UNKNOWN
 
 
-def _demangle_used(problem: tptp.TptpProblem,
-                   outcome: ProverOutcome) -> ProverOutcome:
-    if not outcome.used:
-        return outcome
-    return replace(outcome, used=tuple(problem.axiom_id_for(name) or name
-                                       for name in outcome.used))
-
-
-def write_problem(ontology: Ontology, cq: CompetencyQuestion, polarity: str,
-                  workdir: "str | Path", mode_label: str = ""
+def write_problem(block: tptp.AxiomBlock, cq: CompetencyQuestion,
+                  polarity: str, workdir: "str | Path", mode_label: str = ""
                   ) -> tuple[Path, tptp.TptpProblem]:
-    """Write the problem of one test of a question (the ontology's axioms,
+    """Write the problem of one test of a question (the block's axioms,
     then the test as the conjecture ``cq_<polarity>``) to
     ``<workdir>/<first 16 hex digits of sha256(cq.id)>_<polarity>.p``, so
     distinct questions never share a file; return the path and problem."""
@@ -247,7 +240,7 @@ def write_problem(ontology: Ontology, cq: CompetencyQuestion, polarity: str,
 
     formula = cq.conjecture if polarity == TRUTH else Not(cq.conjecture)
     problem = tptp.emit_problem(
-        ontology, formula,
+        block, formula,
         metadata={"cq": cq.id, "pattern": cq.pattern,
                   "polarity": polarity, "mode": mode_label},
         conjecture_name=f"cq_{polarity}")
@@ -372,17 +365,21 @@ def run_batch(ontology: Ontology, cqs, config: ProverConfig,
               mode_label: str = "") -> list[Verdict]:
     """Evaluate many questions with a fixed-size worker pool.
 
-    Results append to the journal as they complete, keyed by question and
-    polarity, so an interrupted run resumes where it stopped.
+    The ontology's axioms are rendered once, and every test's problem
+    shares them. Results append to the journal as they complete, keyed by
+    question and polarity, so an interrupted run resumes where it stopped.
     """
     done = load_journal(journal_path)
     _drop_torn_tail(journal_path)
     lock = threading.Lock()
+    block = tptp.AxiomBlock(ontology)
 
     def run_test(cq: CompetencyQuestion, polarity: str) -> ProverOutcome:
-        path, problem = write_problem(ontology, cq, polarity, workdir,
+        path, problem = write_problem(block, cq, polarity, workdir,
                                       mode_label)
-        outcome = _demangle_used(problem, run_prover(path, config))
+        outcome = run_prover(path, config)
+        used = tuple(problem.axiom_id_for(n) or n for n in outcome.used)
+        outcome = replace(outcome, used=used) if used else outcome
         if outcome.status == ERROR:
             logger.warning("prover error on %s %s test: %s",
                            cq.id, polarity, outcome.detail)

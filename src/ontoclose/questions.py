@@ -217,7 +217,7 @@ def load_template(text: str, source_name: str = "<template>") -> QpTemplate:
 
     return QpTemplate(
         name=headers["template"], pair_kind=headers["kind"],
-        skeleton=kif.parse_formula_text(text),
+        skeleton=kif.parse_formula_text(text, source_name),
         s1_relations=relations("s1-relations"),
         s2_relations=relations("s2-relations"))
 
@@ -277,12 +277,13 @@ def group_by_pattern(questions) -> dict[str, list[CompetencyQuestion]]:
     return dict(sorted(grouped.items()))
 
 
-def read_cq_corpus(text: str) -> list[CompetencyQuestion]:
+def read_cq_corpus(text: str, source_name: str = "<corpus>"
+                   ) -> list[CompetencyQuestion]:
     """Rebuild questions from a corpus file written by write_cq_corpus."""
     # line numbers in Axiom.source count "\n" only
     lines = text.split("\n")
     questions = []
-    for ax in kif.parse_axioms(text):
+    for ax in kif.parse_axioms(text, source_name):
         start_line = int(ax.source.rsplit(":", 1)[1])
         # the comment lines right above the entry, nearest first
         above = (lines[i] for i in range(start_line - 2, -1, -1))
@@ -291,7 +292,7 @@ def read_cq_corpus(text: str) -> list[CompetencyQuestion]:
         required = {"cq", "pattern", "kind", "source"}
         if not required <= headers.keys():
             raise QuestionError(
-                f"corpus entry at line {start_line} is missing headers "
+                f"{source_name}:{start_line}: corpus entry is missing headers "
                 f"{sorted(required - headers.keys())}")
         s1, _, s2 = headers["source"].partition(" ")
         source_pair = RelationPair(kind=headers["kind"], s1=s1, s2=s2)

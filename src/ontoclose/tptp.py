@@ -1,19 +1,20 @@
 """First-order form problem files for external provers.
 
-Ontology symbols become prover-legal lowercase identifiers through a
-reversible per-run table: predicates get an ``s__`` prefix, constants
-``c__``, with numeric suffixes on collisions. Axiom names keep their
-provenance prefix (``orig_``, ``sup_``, ``comp_``, ``cwad_``, ``cwan_``,
-``cur_``) so used-axiom lists read back from proofs can be bucketed.
+A batch renders its axioms once, as an :class:`AxiomBlock` that all its
+problems share. Ontology symbols become prover-legal lowercase
+identifiers through the block's reversible table, and a problem's new
+symbols through a table of its own laid over it: predicates get an
+``s__`` prefix, constants ``c__``, with numeric suffixes on collisions.
+Axiom names keep their provenance prefix (``orig_``, ``sup_``, ``comp_``,
+``cwad_``, ``cwan_``, ``cur_``) so used-axiom lists read back from proofs
+can be bucketed.
 """
 
 from __future__ import annotations
 
 import re
-import threading
-import weakref
 from collections import ChainMap
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from . import kif
@@ -22,11 +23,7 @@ from .kif import (
 )
 
 
-class TptpError(kif.KifError):
-    pass
-
-
-class UnsupportedConstructError(TptpError):
+class UnsupportedConstructError(kif.KifError):
     """The formula cannot be rendered (open formulas, mainly)."""
 
 
@@ -41,11 +38,8 @@ class MangleTable:
         self._backward: dict[str, tuple[str, str]] = {}
 
     def _claim(self, namespace: str, original: str, candidate: str) -> str:
-        chosen = candidate
-        n = 1
+        chosen, n = candidate, 1
         while chosen in self._backward:
-            if self._backward[chosen] == (namespace, original):
-                return chosen
             n += 1
             chosen = f"{candidate}_{n}"
         self._forward[(namespace, original)] = chosen
@@ -56,9 +50,8 @@ class MangleTable:
         key = (namespace, original)
         if key in self._forward:
             return self._forward[key]
-        base = _SANITIZE.sub("_", original.lstrip("$")).lower().strip("_")
-        if not base:
-            base = "x"
+        base = (_SANITIZE.sub("_", original.lstrip("$")).lower().strip("_")
+                or "x")
         return self._claim(namespace, original, prefix + base)
 
     def predicate(self, name: str) -> str:
@@ -109,14 +102,7 @@ _OPERATORS = {And: " & ", Or: " | ", Implies: " => ", Iff: " <=> "}
 
 def to_fof(formula: Formula, table: "MangleTable | None" = None) -> str:
     """Render one closed formula in first-order form syntax."""
-    if table is None:
-        table = MangleTable()
-    free = kif.free_variables(formula)
-    if free:
-        raise UnsupportedConstructError(
-            "cannot emit open formula; free variables: "
-            + ", ".join(sorted(free)))
-    return _render(formula, {}, table, _variable_namer(set()))
+    return _render(formula, {}, table or MangleTable(), _variable_namer(set()))
 
 
 # Module functions that take the table and the namer as arguments:
@@ -126,7 +112,8 @@ def to_fof(formula: Formula, table: "MangleTable | None" = None) -> str:
 def _term(t: kif.Term, env: dict[str, str], table: MangleTable) -> str:
     if t.kind == kif.VARIABLE:
         if t.name not in env:
-            raise UnsupportedConstructError(f"unbound variable {t.name!r}")
+            raise UnsupportedConstructError(
+                f"cannot emit open formula; free variable {t.name!r}")
         return env[t.name]
     return table.constant(t.name)
 
@@ -163,69 +150,43 @@ def _wrap(f: Formula, text: str) -> str:
     return text
 
 
-def _axiom_lines(axioms: tuple[tuple[str, str], ...]) -> str:
-    return "".join(f"fof({name}, axiom, {body}).\n" for name, body in axioms)
+class AxiomBlock:
+    """An ontology's axioms as problem-file lines and the table that named
+    their symbols; neither changes after construction."""
+
+    def __init__(self, ontology: Ontology):
+        self.table = table = MangleTable()
+        self.text = "".join(f"fof({table.axiom_name(ax.id)}, axiom, "
+                            f"{to_fof(ax.formula, table)}).\n"
+                            for ax in ontology)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TptpProblem:
-    """One problem file: named axioms plus exactly one conjecture."""
+    """One problem file: the block's axioms plus exactly one conjecture."""
     header: tuple[str, ...]
-    axioms: tuple[tuple[str, str], ...]  # (name, formula text)
+    block: AxiomBlock
     conjecture: tuple[str, str]
-    table: MangleTable = field(compare=False, repr=False, default_factory=MangleTable)
-    # the axiom lines of ``axioms`` already joined, shared by every
-    # problem over one ontology
-    _axiom_text: "str | None" = field(compare=False, repr=False, default=None)
+    table: MangleTable
 
     @property
     def text(self) -> str:
-        axiom_text = self._axiom_text
-        if axiom_text is None:
-            axiom_text = _axiom_lines(self.axioms)
         name, body = self.conjecture
-        return ("".join(line + "\n" for line in self.header) + axiom_text
+        return ("".join(line + "\n" for line in self.header) + self.block.text
                 + f"fof({name}, conjecture, {body}).\n")
 
     def axiom_id_for(self, fof_name: str) -> "str | None":
         return self.table.demangle(fof_name)
 
 
-# Each ontology's rendered axioms, their joined lines and the table after
-# them, held only as long as the ontology itself (ontologies are
-# immutable).
-_axiom_blocks: "weakref.WeakKeyDictionary[Ontology, tuple]" = \
-    weakref.WeakKeyDictionary()
-_axiom_blocks_lock = threading.Lock()
-
-
-def _axiom_block(ontology: Ontology
-                 ) -> tuple[MangleTable, tuple[tuple[str, str], ...], str]:
-    """The ontology's axioms as (name, formula text), rendered once, the
-    same joined into problem-file lines, and the table that named them;
-    the table is never changed afterwards."""
-    with _axiom_blocks_lock:
-        block = _axiom_blocks.get(ontology)
-        if block is None:
-            table = MangleTable()
-            axioms = tuple((table.axiom_name(ax.id),
-                            to_fof(ax.formula, table)) for ax in ontology)
-            block = _axiom_blocks[ontology] = (table, axioms,
-                                               _axiom_lines(axioms))
-        return block
-
-
-def emit_problem(ontology: Ontology, test_formula: Formula,
+def emit_problem(block: AxiomBlock, test_formula: Formula,
                  metadata: "dict[str, str] | None" = None,
                  conjecture_name: str = "cq") -> TptpProblem:
-    """All ontology axioms in order, then the test as the sole conjecture.
-    The axioms are rendered once per ontology; each problem names its
-    conjecture's new symbols in a table of its own over that rendering."""
-    base, axioms, axiom_text = _axiom_block(ontology)
-    table = base._overlay()
+    """The block's axioms, then the test as the sole conjecture."""
+    table = block.table._overlay()
     header = tuple(f"% {key}: {value}"
                    for key, value in sorted((metadata or {}).items()))
     conjecture = (table.axiom_name(conjecture_name),
                   to_fof(test_formula, table))
-    return TptpProblem(header=header, axioms=axioms, conjecture=conjecture,
-                       table=table, _axiom_text=axiom_text)
+    return TptpProblem(header=header, block=block, conjecture=conjecture,
+                       table=table)

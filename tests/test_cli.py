@@ -659,6 +659,116 @@ def test_main_restores_the_collector_state(tmp_path, monkeypatch,
     assert seen == [False, False]
 
 
+# ---------------------------------------------------------------------------
+# Input errors name the file, config key or variable at fault (exit 3)
+# ---------------------------------------------------------------------------
+
+def test_text_that_is_not_utf8_names_its_file(tmp_path, capsys):
+    bad = tmp_path / "bad.kif"
+    bad.write_bytes(b"($subclass \xff Birth)\n")
+    assert run_cli("parse", bad) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"cannot read {bad}: 'utf-8' codec can't decode byte 0xff" in err
+
+
+@pytest.mark.parametrize("key", ["prover.workers", "prover.time_limit",
+                                 "prover.memory_limit"])
+def test_pipeline_config_number_names_its_key(tmp_path, lexical_files,
+                                              capsys, key):
+    mapping, _, _ = lexical_files
+    config = tmp_path / "run.conf"
+    config.write_text(
+        f"ontology={ONTOLOGY}\nmapping={mapping}\nout={tmp_path / 'out'}\n"
+        f"oracle=false\nprover.command=prover {{problem}}\n{key}=two\n")
+    assert run_cli("pipeline", config) == EXIT_DATA
+    assert f"{config}: {key}: expected " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variable", [cli.ENV_TIME_LIMIT,
+                                      cli.ENV_MEMORY_LIMIT])
+def test_limit_variable_names_itself(tmp_path, lexical_files, monkeypatch,
+                                     capsys, variable):
+    corpus = _generate_corpus(tmp_path, lexical_files)
+    monkeypatch.setenv(variable, "lots")
+    assert run_cli("run", ONTOLOGY, "--cqs", corpus,
+                   "--journal", tmp_path / "j.jsonl",
+                   "--prover-cmd", "prover {problem}") == EXIT_DATA
+    assert f"{variable}: expected " in capsys.readouterr().err
+    assert not (tmp_path / "j.jsonl").exists()
+
+
+# each pipeline input, broken, with the line its message names
+BROKEN_PIPELINE_INPUTS = {
+    "ontology": ("($subclass Birth OrganismProcess)\n($disjoint Birth\n",
+                 "line 2"),
+    "curation": ("($disjoint Birth Death)\n($disjoint Birth\n", "line 2"),
+    "mapping": ("birth#n#2\tBirth=\nbroken row\n", "line 2"),
+    "pairs.hyponymy": ("broken row\n", "line 1"),
+    "pairs.antonymy": ("birth#n#2\tdeath#n#1\nbroken row\n", "line 2"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BROKEN_PIPELINE_INPUTS))
+def test_pipeline_input_error_names_its_file(tmp_path, lexical_files, capsys,
+                                            key):
+    mapping, antonymy, hyponymy = lexical_files
+    inputs = {"ontology": ONTOLOGY, "mapping": mapping,
+              "pairs.antonymy": antonymy, "pairs.hyponymy": hyponymy}
+    text, line = BROKEN_PIPELINE_INPUTS[key]
+    broken = inputs[key] = tmp_path / f"broken-{key}"
+    broken.write_text(text)
+    config = tmp_path / "run.conf"
+    config.write_text("".join(f"{k}={v}\n" for k, v in inputs.items())
+                      + f"out={tmp_path / 'results'}\n")
+    assert run_cli("pipeline", config) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{broken}: " in err and line in err
+
+
+@pytest.mark.parametrize("broken", ["ontology", "cqs"])
+def test_run_syntax_error_names_the_broken_file(tmp_path, lexical_files,
+                                                capsys, broken):
+    files = {"ontology": tmp_path / "o.kif",
+             "cqs": _generate_corpus(tmp_path, lexical_files)}
+    files["ontology"].write_text(ONTOLOGY.read_text())
+    with open(files[broken], "a") as handle:
+        handle.write("\n($subclass Birth\n")
+    assert run_cli("run", files["ontology"], "--oracle", "--cqs",
+                   files["cqs"], "--journal", tmp_path / "j.jsonl") \
+        == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{files[broken]}: unbalanced '('" in err
+    for name, path in files.items():
+        assert (str(path) in err) == (name == broken)
+
+
+def test_template_syntax_error_names_its_file(tmp_path, lexical_files,
+                                             capsys):
+    mapping, _, _ = lexical_files
+    template = tmp_path / "overlap.kif"
+    template.write_text("; template: part-overlap\n; kind: meronymy-part\n"
+                        "(exists (X Y) (and ($instance X C1)\n")
+    pairs = tmp_path / "parts.tsv"
+    pairs.write_text("birth#n#2\tdeath#n#1\n")
+    assert run_cli("gen-cqs", "--mapping", mapping, "--template",
+                   f"{template}:{pairs}") == EXIT_DATA
+    assert f"{template}: unbalanced '(' (line 3, " in capsys.readouterr().err
+
+
+def test_template_pairs_row_error_names_its_file(tmp_path, lexical_files,
+                                                 capsys):
+    mapping, _, _ = lexical_files
+    template = tmp_path / "overlap.kif"
+    template.write_text(
+        "; template: part-overlap\n; kind: meronymy-part\n"
+        "(exists (X Y) (and ($instance X C1) ($instance Y C2) (part X Y)))\n")
+    pairs = tmp_path / "parts.tsv"
+    pairs.write_text("birth#n#2\tbirth#n#2\n")
+    assert run_cli("gen-cqs", "--mapping", mapping, "--template",
+                   f"{template}:{pairs}") == EXIT_DATA
+    assert f"{pairs}: line 1: pair relates" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["close", str(ONTOLOGY)],  # --mode missing
     ["run", "--journal", "j.jsonl"],  # the ontology and --cqs missing

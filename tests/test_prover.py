@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from ontoclose.prover import (
     run_prover, write_problem,
 )
 from ontoclose.taxonomy import build_taxonomy
+from ontoclose.tptp import AxiomBlock
 
 from conftest import antonymy_cq, load_ontology, overlap_cq, subset_cq
 import stub_provers
@@ -41,6 +43,8 @@ def test_config_validation():
         ProverConfig(command="prover {problem} {problem}")
     with pytest.raises(ProverError):
         ProverConfig(command="prover {problem}", time_limit=0)
+    with pytest.raises(ProverError):
+        ProverConfig(command="prover {problem}", time_limit=float("nan"))
     with pytest.raises(ProverError):
         ProverConfig(command="prover {problem}", workers=0)
 
@@ -244,7 +248,7 @@ def test_trivial_entailment_stub(tmp_path, organism_process):
     from ontoclose import tptp
     config = stub_provers.stub_config(tmp_path, stub_provers.TRIVIAL_ENTAILMENT)
     conjecture = kif.parse_formula_text("($subclass Birth OrganismProcess)")
-    problem = tptp.emit_problem(organism_process, conjecture)
+    problem = tptp.emit_problem(tptp.AxiomBlock(organism_process), conjecture)
     path = tmp_path / "trivial.p"
     path.write_text(problem.text)
     outcome = run_prover(path, config)
@@ -428,9 +432,10 @@ def test_run_batch_problem_files_are_distinct_per_question(tmp_path,
 def test_falsity_problem_negates_the_truth_conjecture(tmp_path,
                                                      organism_process):
     cq = antonymy_cq("Birth", "Death")
+    block = AxiomBlock(organism_process)
     problems = {}
     for polarity in (TRUTH, FALSITY):
-        path, _ = write_problem(organism_process, cq, polarity, tmp_path)
+        path, _ = write_problem(block, cq, polarity, tmp_path)
         problems[polarity] = path.read_text(encoding="utf-8").splitlines()
     truth, falsity = (
         [line for line in problems[polarity] if ", conjecture, " in line]
@@ -598,19 +603,16 @@ def test_oracle_monotone_under_closure(organism_process):
         assert base_resolved <= resolved
 
 
-def _fresh_organism_process():
-    # parsed anew, so no earlier test has rendered its axioms yet
-    return load_ontology("organism_process.kif")
-
-
-def test_run_batch_renders_the_axioms_once(tmp_path, monkeypatch):
+def test_run_batch_renders_the_axioms_once(tmp_path, organism_process,
+                                           monkeypatch):
+    # every problem of a batch, in either worker, shares one rendering of
+    # the axioms; each test renders only its own conjecture
     from ontoclose import tptp
-    ontology = _fresh_organism_process()
-    calls = []
+    renders = Counter()
     real_to_fof = tptp.to_fof
 
     def counting_to_fof(formula, table=None):
-        calls.append(formula)
+        renders[id(formula)] += 1
         return real_to_fof(formula, table)
 
     monkeypatch.setattr(tptp, "to_fof", counting_to_fof)
@@ -618,13 +620,17 @@ def test_run_batch_renders_the_axioms_once(tmp_path, monkeypatch):
                                       workers=2)
     cqs = [antonymy_cq("Birth", "Death"), overlap_cq("Breathing", "Mating"),
            subset_cq("Birth", "Unicorn")]
-    run_batch(ontology, cqs, config, tmp_path / "j.jsonl",
+    run_batch(organism_process, cqs, config, tmp_path / "j.jsonl",
               tmp_path / "problems", short_circuit=False)
     tests = 2 * len(cqs)
-    assert len(calls) == len(ontology) + tests
+    assert len(list((tmp_path / "problems").glob("*.p"))) == tests
+    assert [renders[id(ax.formula)] for ax in organism_process] == \
+        [1] * len(organism_process)
+    assert sum(renders.values()) == len(organism_process) + tests
 
 
-def test_run_batch_workers_write_the_same_problem_files(tmp_path):
+def test_run_batch_workers_write_the_same_problem_files(tmp_path,
+                                                       organism_process):
     # questions over classes the ontology lacks name new constants per problem
     cqs = [antonymy_cq(c1, c2) for c1, c2 in (
         ("Birth", "Death"), ("Unicorn", "Griffin"), ("Birth", "BIRTH"),
@@ -634,7 +640,7 @@ def test_run_batch_workers_write_the_same_problem_files(tmp_path):
         config = stub_provers.stub_config(
             tmp_path, stub_provers.COUNTER_SATISFIABLE, workers=workers)
         problems = tmp_path / f"problems{workers}"
-        run_batch(_fresh_organism_process(), cqs, config,
+        run_batch(organism_process, cqs, config,
                   tmp_path / f"j{workers}.jsonl", problems,
                   short_circuit=False)
         contents.append({path.name: path.read_bytes()

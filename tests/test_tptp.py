@@ -1,14 +1,14 @@
-import gc
+import os
 import re
-import weakref
+import sys
+import threading
 
 import pytest
 
 from ontoclose import kif
 from ontoclose.tptp import (
-    MangleTable, TptpProblem, UnsupportedConstructError, emit_problem, to_fof,
+    AxiomBlock, MangleTable, UnsupportedConstructError, emit_problem, to_fof,
 )
-
 
 
 FOF_LINE = re.compile(
@@ -127,12 +127,15 @@ def test_axiom_names_keep_provenance_prefix():
 # Problem emission
 # ---------------------------------------------------------------------------
 
+AXIOM_NAME = re.compile(r"^fof\(([a-z][A-Za-z0-9_]*), axiom, ", re.M)
+
+
 def test_emit_problem_line_structure(organism_process):
     test_formula = kif.parse_formula_text("""
         (forall (X Y)
           (=> (and ($instance X Birth) ($instance Y Death))
               (not (equal X Y))))""")
-    problem = emit_problem(organism_process, test_formula,
+    problem = emit_problem(AxiomBlock(organism_process), test_formula,
                            metadata={"cq": "antonymy-1:birth:death",
                                      "polarity": "truth"})
     text = problem.text
@@ -146,7 +149,7 @@ def test_emit_problem_line_structure(organism_process):
 
 def test_emit_problem_empty_ontology():
     tautology = kif.parse_formula_text("(forall (?x) (equal ?x ?x))")
-    problem = emit_problem(kif.Ontology(), tautology)
+    problem = emit_problem(AxiomBlock(kif.Ontology()), tautology)
     check_problem_text(problem.text)
     lines = [l for l in problem.text.splitlines() if l.strip()]
     assert lines == ["fof(cq, conjecture, ! [X] : (X = X))."]
@@ -154,78 +157,124 @@ def test_emit_problem_empty_ontology():
 
 def test_emit_problem_deterministic(organism_process):
     formula = kif.parse_formula_text("($disjoint Birth Death)")
-    one = emit_problem(organism_process, formula, {"mode": "owa"}).text
-    two = emit_problem(organism_process, formula, {"mode": "owa"}).text
+    one = emit_problem(AxiomBlock(organism_process), formula,
+                       {"mode": "owa"}).text
+    two = emit_problem(AxiomBlock(organism_process), formula,
+                       {"mode": "owa"}).text
     assert one == two
 
 
 def test_emit_problem_axiom_ids_recoverable(organism_process):
     formula = kif.parse_formula_text("($disjoint Birth Death)")
-    problem = emit_problem(organism_process, formula)
-    for name, _ in problem.axioms:
+    problem = emit_problem(AxiomBlock(organism_process), formula)
+    names = AXIOM_NAME.findall(problem.text)
+    assert len(names) == len(organism_process)
+    for name in names:
         assert problem.axiom_id_for(name) is not None
-    assert problem.axiom_id_for(problem.axioms[0][0]) == "orig_1"
+    assert problem.axiom_id_for(names[0]) == "orig_1"
 
 
 def test_emitted_closure_problem_is_well_formed(organism_process):
     from ontoclose.closure import SUBCLASS_DISJOINT, apply_closure
     closed = apply_closure(organism_process, SUBCLASS_DISJOINT)
     formula = kif.parse_formula_text("($disjoint Birth Death)")
-    problem = emit_problem(closed, formula, {"mode": SUBCLASS_DISJOINT})
+    problem = emit_problem(AxiomBlock(closed), formula,
+                           {"mode": SUBCLASS_DISJOINT})
     check_problem_text(problem.text)
-    names = [name for name, _ in problem.axioms]
+    names = AXIOM_NAME.findall(problem.text)
     assert any(name.startswith("comp_") for name in names)
     assert any(name.startswith("cwad_") for name in names)
     assert any(name.startswith("sup_") for name in names)
 
 
 def _fresh_problem(ontology, formula, metadata, conjecture_name):
-    """The problem rendered from scratch: one table for the whole file."""
+    """The problem rendered from scratch, with one table for the whole
+    file: its text and that table."""
     table = MangleTable()
-    axioms = tuple((table.axiom_name(ax.id), to_fof(ax.formula, table))
-                   for ax in ontology)
-    conjecture = (table.axiom_name(conjecture_name), to_fof(formula, table))
-    header = tuple(f"% {k}: {v}" for k, v in sorted(metadata.items()))
-    return TptpProblem(header=header, axioms=axioms, conjecture=conjecture,
-                       table=table)
+    lines = [f"% {k}: {v}" for k, v in sorted(metadata.items())]
+    lines += [f"fof({table.axiom_name(ax.id)}, axiom, "
+              f"{to_fof(ax.formula, table)})." for ax in ontology]
+    lines.append(f"fof({table.axiom_name(conjecture_name)}, conjecture, "
+                 f"{to_fof(formula, table)}).")
+    return "".join(line + "\n" for line in lines), table
+
+
+# Unicorn is no symbol of the fixture ontologies; BIRTH sanitizes to the
+# name of Birth and so takes a suffix, as plain instance does next to
+# $instance
+SHARED_BLOCK_TESTS = (
+    "(exists (X) (and ($instance X Birth) ($instance X Unicorn)))",
+    "(forall (X) (=> ($instance X BIRTH) (instance X Death)))",
+    "($disjoint Birth Death)",
+)
+
+
+def _check_against_fresh(block, ontology, formula, metadata):
+    """A problem emitted over the shared block reads as a fresh render and
+    demangles exactly the names a fresh render does."""
+    got = emit_problem(block, formula, metadata, "cq_truth")
+    want_text, want_table = _fresh_problem(ontology, formula, metadata,
+                                           "cq_truth")
+    assert got.text == want_text
+    for name in set(want_table._backward) | {"c__unicorn", "c__birth_2"}:
+        assert got.axiom_id_for(name) == want_table.demangle(name), name
 
 
 def test_emission_reusing_the_axiom_block_equals_a_fresh_render(
         organism_process, sound_process_ontology):
-    # Unicorn is no symbol of either ontology; BIRTH sanitizes to the name
-    # of Birth and so takes a suffix, as plain instance does next to
-    # $instance
-    tests = [kif.parse_formula_text(text) for text in (
-        "(exists (X) (and ($instance X Birth) ($instance X Unicorn)))",
-        "(forall (X) (=> ($instance X BIRTH) (instance X Death)))",
-        "($disjoint Birth Death)")]
+    tests = [kif.parse_formula_text(text) for text in SHARED_BLOCK_TESTS]
+    blocks = {id(ontology): AxiomBlock(ontology)
+              for ontology in (organism_process, sound_process_ontology)}
     rounds = [organism_process, sound_process_ontology, organism_process,
               sound_process_ontology]
     for ontology in rounds:
         for i, formula in enumerate(tests):
-            metadata = {"cq": f"q{i}", "polarity": "truth"}
-            got = emit_problem(ontology, formula, metadata, "cq_truth")
-            want = _fresh_problem(ontology, formula, metadata, "cq_truth")
-            assert got.text == want.text
-            names = set(want.table._backward) | {"c__unicorn", "c__birth_2"}
-            for name in names:
-                assert got.axiom_id_for(name) == want.axiom_id_for(name), name
-    birth_2 = emit_problem(organism_process, tests[1], {}, "cq")
+            _check_against_fresh(blocks[id(ontology)], ontology, formula,
+                                 {"cq": f"q{i}", "polarity": "truth"})
+    block = blocks[id(organism_process)]
+    birth_2 = emit_problem(block, tests[1], {}, "cq")
     assert "c__birth_2" in birth_2.text
     assert birth_2.axiom_id_for("c__birth_2") == "BIRTH"
     # a problem's new names stay its own
-    plain = emit_problem(organism_process, tests[2], {}, "cq")
+    plain = emit_problem(block, tests[2], {}, "cq")
     assert plain.axiom_id_for("c__unicorn") is None
     assert plain.axiom_id_for("c__birth_2") is None
 
 
-def test_axiom_block_memo_lets_go_of_a_deleted_ontology():
-    from ontoclose import tptp
-    ontology = kif.parse_kif("($subclass Birth OrganismProcess)\n")
-    formula = kif.parse_formula_text("($disjoint Birth Death)")
-    emit_problem(ontology, formula)
-    assert ontology in tptp._axiom_blocks
-    ref = weakref.ref(ontology)
-    del ontology
-    gc.collect()
-    assert ref() is None
+def test_one_axiom_block_under_many_threads(organism_process):
+    # more threads than cores, switching as often as the interpreter
+    # allows, all emitting over one block
+    tests = [kif.parse_formula_text(text) for text in SHARED_BLOCK_TESTS]
+    block = AxiomBlock(organism_process)
+    threads_wanted = len(os.sched_getaffinity(0)) + 3
+    failures = []
+
+    def work(index):
+        try:
+            for round_ in range(20):
+                i = (index + round_) % len(tests)
+                _check_against_fresh(block, organism_process, tests[i],
+                                     {"cq": f"q{index}", "polarity": "truth"})
+                own = emit_problem(block, tests[i], {}, "cq")
+                # only the problem that met Unicorn or BIRTH names them
+                assert (own.axiom_id_for("c__unicorn") == "Unicorn") == (i == 0)
+                assert (own.axiom_id_for("c__birth_2") == "BIRTH") == (i == 1)
+        except Exception as exc:  # reported by the main thread
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,))
+                   for n in range(threads_wanted)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures[0]
+    # the block's own table took none of the problems' names
+    assert block.table.demangle("c__unicorn") is None
+    assert block.table.demangle("c__birth_2") is None
