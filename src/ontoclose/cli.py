@@ -3,6 +3,10 @@
 Every stage is its own subcommand; ``pipeline`` chains them from a flat
 ``key=value`` config file. Exit codes: 0 ok, 2 usage, 3 data error,
 4 prover error, 5 inconsistency detected.
+
+A command imports only the library modules it runs: at module level this
+file imports the standard library and ``modes``, which is all the
+argument parser needs, and each command and helper imports the rest.
 """
 
 from __future__ import annotations
@@ -13,8 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import (closure, kif, lexicon, prover, questions, reports, taxonomy,
-               tptp)
+from .modes import MODES, OWA, SUBCLASS_DISJOINT, SUBCLASS_NONDISJOINT
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -27,6 +30,8 @@ ENV_TIME_LIMIT = "ONTOCLOSE_TIME_LIMIT"
 ENV_MEMORY_LIMIT = "ONTOCLOSE_MEMORY_LIMIT"
 
 def _read(path: str) -> str:
+    from . import kif
+
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -35,6 +40,8 @@ def _read(path: str) -> str:
 
 def _number(convert, text: str, where: str):
     """``text`` as ``convert`` reads it; an error names ``where``."""
+    from . import kif
+
     try:
         return convert(text)
     except ValueError:
@@ -57,10 +64,14 @@ def _write_or_print(path: "str | None", text: str) -> None:
 
 
 def _load_ontology(path: str) -> kif.Ontology:
+    from . import kif
+
     return kif.parse_kif(_read(path), source_name=path)
 
 
 def _load_curation(path: "str | None") -> closure.CurationFile:
+    from . import closure
+
     if not path:
         return closure.CurationFile.empty()
     return closure.load_curation(_read(path), source_name=path)
@@ -71,6 +82,8 @@ def _load_curation(path: "str | None") -> closure.CurationFile:
 # ---------------------------------------------------------------------------
 
 def cmd_parse(args) -> int:
+    from . import kif, taxonomy
+
     ontology = _load_ontology(args.ontology)
     _write_or_print(args.out, kif.serialize_kif(ontology))
     if args.dot or args.edges:
@@ -83,9 +96,11 @@ def cmd_parse(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from . import closure, kif, taxonomy
+
     ontology = _load_ontology(args.ontology)
     labeled = [("original", kif.count_metrics(ontology))]
-    if args.mode and args.mode != closure.OWA:
+    if args.mode and args.mode != OWA:
         curation = _load_curation(args.curation)
         tax = taxonomy.build_taxonomy(ontology)
         for prune in (True, False):
@@ -100,6 +115,8 @@ def cmd_stats(args) -> int:
 def _write_size_stats(labeled, path: "str | Path | None") -> str:
     """Size metrics table of (label, SizeStats) rows as CSV, written to
     ``path`` when one is given."""
+    from . import reports
+
     text = reports.render_size_stats_csv(labeled)
     if path:
         _write(path, text)
@@ -107,6 +124,8 @@ def _write_size_stats(labeled, path: "str | Path | None") -> str:
 
 
 def cmd_close(args) -> int:
+    from . import closure, kif
+
     ontology = _load_ontology(args.ontology)
     curation = _load_curation(args.curation)
     closed = closure.apply_closure(ontology, args.mode, curation,
@@ -117,6 +136,8 @@ def cmd_close(args) -> int:
 
 
 def cmd_suggest_curation(args) -> int:
+    from . import closure, taxonomy
+
     tax = taxonomy.build_taxonomy(_load_ontology(args.ontology))
     advice = closure.suggest_curation(tax, args.mode)
     text = closure.serialize_curation(advice.candidates)
@@ -135,6 +156,8 @@ def _generate_questions(mapping_path: str, hyponymy: "str | None",
     QP1 and QP2, antonymy, then one template at a time), and the number of
     pairs skipped because a synset is unmapped. ``templates`` holds
     ``TEMPLATE_FILE:PAIRS_FILE`` specs."""
+    from . import lexicon, questions
+
     mapping = lexicon.MappingIndex(
         lexicon.load_mapping(_read(mapping_path), mapping_path))
     results: list[questions.GenerationResult] = []
@@ -162,6 +185,8 @@ def _generate_questions(mapping_path: str, hyponymy: "str | None",
 
 
 def cmd_gen_cqs(args) -> int:
+    from . import questions
+
     all_questions, skipped = _generate_questions(
         args.mapping, args.hyponymy, args.antonymy, args.template or ())
     if args.split_dir:
@@ -176,6 +201,8 @@ def cmd_gen_cqs(args) -> int:
 
 
 def cmd_emit(args) -> int:
+    from . import prover, questions, tptp
+
     ontology = _load_ontology(args.ontology)
     cqs = questions.read_cq_corpus(_read(args.cqs), args.cqs)
     Path(args.out_dir).mkdir(parents=True, exist_ok=True)
@@ -194,6 +221,8 @@ def _prover_config(command: "str | None", time_limit: float,
     """Prover settings from the run options or the pipeline's prover.*
     keys; a set ``ONTOCLOSE_*`` variable wins over the command, time
     limit and memory limit given."""
+    from . import prover
+
     command = os.environ.get(ENV_PROVER_COMMAND) or command
     if not command:
         raise prover.ProverError(
@@ -209,6 +238,8 @@ def _prover_config(command: "str | None", time_limit: float,
 
 
 def cmd_run(args) -> int:
+    from . import prover, questions, taxonomy
+
     config = None if args.oracle else _prover_config(
         args.prover_cmd, args.time_limit, args.memory_limit, args.workers)
     ontology = _load_ontology(args.ontology)
@@ -233,6 +264,8 @@ def _write_reports(records, baseline_proved, expected_cqs,
                    out_dir: "str | Path | None") -> dict[str, str]:
     """Competency and efficiency tables as CSV and text, by file name,
     written under ``out_dir`` when one is given."""
+    from . import reports
+
     competency = reports.competency_report(
         records, baseline_proved=baseline_proved, expected_cqs=expected_cqs)
     efficiency = reports.efficiency_report(records)
@@ -249,6 +282,8 @@ def _write_reports(records, baseline_proved, expected_cqs,
 
 
 def cmd_report(args) -> int:
+    from . import prover, questions, reports
+
     records = prover.load_journal(args.journal)
     baseline_proved = (reports.proved_keys(prover.load_journal(args.baseline))
                        if args.baseline else None)
@@ -265,8 +300,12 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 def load_config(path: str) -> dict[str, str]:
+    from . import kif
+
     config: dict[str, str] = {}
-    for lineno, raw in enumerate(_read(path).splitlines(), start=1):
+    # lines end at "\n" only, as in every other input; strip() takes the
+    # "\r" of a CRLF file
+    for lineno, raw in enumerate(_read(path).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -278,16 +317,19 @@ def load_config(path: str) -> dict[str, str]:
 
 
 def cmd_pipeline(args) -> int:
+    from . import (closure, kif, lexicon, prover, questions, reports,
+                   taxonomy)
+
     config = load_config(args.config)
     for required in ("ontology", "mapping", "out"):
         if required not in config:
             raise kif.KifError(f"{args.config}: needs '{required}='")
     out = Path(config["out"])
     modes = [m.strip() for m in
-             config.get("modes", ",".join(closure.MODES)).split(",")
+             config.get("modes", ",".join(MODES)).split(",")
              if m.strip()]
     for mode in modes:
-        if mode not in closure.MODES:
+        if mode not in MODES:
             raise kif.KifError(f"{args.config}: unknown mode {mode!r}")
     for kind in lexicon.PAIR_KINDS:
         if kind not in (lexicon.HYPONYMY, lexicon.ANTONYMY) \
@@ -368,14 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="size metrics, optionally after closure")
     p.add_argument("ontology")
-    p.add_argument("--mode", choices=closure.MODES)
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--curation")
     p.add_argument("--csv")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("close", help="write a closed-world ontology variant")
     p.add_argument("ontology")
-    p.add_argument("--mode", required=True, choices=closure.MODES)
+    p.add_argument("--mode", required=True, choices=MODES)
     p.add_argument("--curation")
     p.add_argument("--no-prune", action="store_true")
     p.add_argument("--strict", action="store_true",
@@ -386,9 +428,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suggest-curation",
                        help="propose curation facts / review lists")
     p.add_argument("ontology")
-    p.add_argument("--mode", default=closure.SUBCLASS_DISJOINT,
-                   choices=[closure.SUBCLASS_DISJOINT,
-                            closure.SUBCLASS_NONDISJOINT])
+    p.add_argument("--mode", default=SUBCLASS_DISJOINT,
+                   choices=[SUBCLASS_DISJOINT, SUBCLASS_NONDISJOINT])
     p.add_argument("--out")
     p.set_defaults(func=cmd_suggest_curation)
 
@@ -449,15 +490,21 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except prover.InconsistencyError as exc:
-        print(f"ontoclose: inconsistency: {exc}", file=sys.stderr)
-        return EXIT_INCONSISTENT
-    except prover.ProverError as exc:
-        print(f"ontoclose: prover error: {exc}", file=sys.stderr)
-        return EXIT_PROVER
-    except (kif.KifError, ValueError) as exc:
-        print(f"ontoclose: {args.command}: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    except Exception as exc:
+        # imported on failure only, as the command may not have run them
+        from .kif import KifError
+        from .prover import InconsistencyError, ProverError
+
+        if isinstance(exc, InconsistencyError):
+            print(f"ontoclose: inconsistency: {exc}", file=sys.stderr)
+            return EXIT_INCONSISTENT
+        if isinstance(exc, ProverError):
+            print(f"ontoclose: prover error: {exc}", file=sys.stderr)
+            return EXIT_PROVER
+        if isinstance(exc, (KifError, ValueError)):
+            print(f"ontoclose: {args.command}: {exc}", file=sys.stderr)
+            return EXIT_DATA
+        raise
     finally:
         if collecting:
             gc.enable()

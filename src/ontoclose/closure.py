@@ -26,15 +26,12 @@ from dataclasses import dataclass
 
 from . import kif
 from .kif import Atom, Axiom, Equal, Forall, Implies, Or, Ontology, const, var
+from .modes import (
+    MODES, OWA, SUBCLASS_DISJOINT, SUBCLASS_NONDISJOINT, SUBCLASS_ONLY,
+)
 from .taxonomy import (
     NONDISJOINT, OPEN, PairSet, Taxonomy, build_taxonomy, pair, pair_set,
 )
-
-OWA = "owa"
-SUBCLASS_ONLY = "subclass-only"
-SUBCLASS_DISJOINT = "subclass+disjointness"
-SUBCLASS_NONDISJOINT = "subclass+nondisjointness"
-MODES = (OWA, SUBCLASS_ONLY, SUBCLASS_DISJOINT, SUBCLASS_NONDISJOINT)
 
 
 class ClosureError(kif.KifError):

@@ -12,21 +12,17 @@ installed.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import re
-import resource
-import shlex
 import signal
 import subprocess
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterator
 
-from . import kif, tptp
+from . import kif
 from .kif import And, Atom, Equal, Exists, Forall, Implies, Not, Ontology
 from .questions import CompetencyQuestion
 from .taxonomy import Taxonomy
@@ -37,6 +33,11 @@ TIMEOUT = "timeout"
 GAVE_UP = "gave-up"
 ERROR = "error"
 
+# Popen.communicate waits at most 2**31 - 1 ms (poll takes an int of
+# milliseconds), about 24.8 days; a time limit and a grace of at most a
+# million seconds each stay within it
+MAX_TIME_LIMIT = 1_000_000
+
 TRUTH = "truth"
 FALSITY = "falsity"
 
@@ -44,8 +45,6 @@ PASSING = "passing"
 NON_PASSING = "non-passing"
 UNKNOWN = "unknown"
 CONTRADICTORY = "contradictory"
-
-logger = logging.getLogger(__name__)
 
 _SZS_RE = re.compile(r"SZS\s+status\s+([A-Za-z]+)")
 _FILE_CITE_RE = re.compile(r"file\([^,()]*,\s*([A-Za-z0-9_]+)\s*\)")
@@ -90,7 +89,8 @@ class ProverConfig:
 
     ``command`` must contain exactly one ``{problem}`` placeholder; any
     prover-side limit flags are part of the command text. ``time_limit``
-    drives the harness-level kill at ``time_limit + grace`` seconds.
+    drives the harness-level kill at ``time_limit + grace`` seconds; each
+    must be finite and at most ``MAX_TIME_LIMIT``.
     """
     command: str
     time_limit: float = 300.0
@@ -105,6 +105,11 @@ class ProverConfig:
         # written so that a NaN limit fails too
         if not (self.time_limit > 0 and self.memory_limit_mib > 0):
             raise ProverError("prover limits must be positive")
+        if not (self.time_limit <= MAX_TIME_LIMIT
+                and 0 <= self.grace <= MAX_TIME_LIMIT):
+            raise ProverError(
+                "prover time limit and grace must be finite and at most "
+                f"{MAX_TIME_LIMIT} seconds")
         if self.workers < 1:
             raise ProverError("worker count must be at least 1")
 
@@ -158,6 +163,11 @@ def run_prover(problem_path: "str | Path", config: ProverConfig) -> ProverOutcom
     (say, above the inherited hard limit) kills the child's session and
     fails this test with an error outcome.
     """
+    # imported here, as are the batch's thread pool and the problem
+    # renderer: oracle runs use none of them
+    import resource
+    import shlex
+
     argv = [part.replace("{problem}", str(problem_path))
             for part in shlex.split(config.command)]
     limit_bytes = config.memory_limit_mib * 1024 * 1024
@@ -237,6 +247,8 @@ def write_problem(block: tptp.AxiomBlock, cq: CompetencyQuestion,
     # imported here: hashlib loads OpenSSL, about 3.5 MiB of resident
     # memory that oracle-only runs need not pay
     import hashlib
+
+    from . import tptp
 
     formula = cq.conjecture if polarity == TRUTH else Not(cq.conjecture)
     problem = tptp.emit_problem(
@@ -369,6 +381,11 @@ def run_batch(ontology: Ontology, cqs, config: ProverConfig,
     shares them. Results append to the journal as they complete, keyed by
     question and polarity, so an interrupted run resumes where it stopped.
     """
+    import logging
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import tptp
+
     done = load_journal(journal_path)
     _drop_torn_tail(journal_path)
     lock = threading.Lock()
@@ -381,8 +398,9 @@ def run_batch(ontology: Ontology, cqs, config: ProverConfig,
         used = tuple(problem.axiom_id_for(n) or n for n in outcome.used)
         outcome = replace(outcome, used=used) if used else outcome
         if outcome.status == ERROR:
-            logger.warning("prover error on %s %s test: %s",
-                           cq.id, polarity, outcome.detail)
+            logging.getLogger(__name__).warning(
+                "prover error on %s %s test: %s", cq.id, polarity,
+                outcome.detail)
         with lock:
             append_journal(journal_path,
                            [journal_record(cq.id, polarity, outcome)])

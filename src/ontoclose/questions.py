@@ -204,7 +204,7 @@ def load_template(text: str, source_name: str = "<template>") -> QpTemplate:
     """Read a template file: one skeleton formula under ``; key: value``
     comment headers naming the template, its pair kind and, optionally,
     comma-separated mapping relations per endpoint."""
-    headers = _headers(text.splitlines())
+    headers = _headers(text.split("\n"))
     if "template" not in headers or "kind" not in headers:
         raise TemplateError(
             f"{source_name}: template files need '; template: <name>' and "

@@ -1,7 +1,11 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 import types
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -10,12 +14,14 @@ from ontoclose.cli import (
     EXIT_DATA, EXIT_INCONSISTENT, EXIT_OK, EXIT_PROVER, EXIT_USAGE,
     load_config, main,
 )
+from ontoclose.prover import MAX_TIME_LIMIT
 
 from conftest import DATA_DIR
 import stub_provers
 
 
 ONTOLOGY = DATA_DIR / "organism_process.kif"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 MAPPING_TSV = (
     "birth#n#2\tBirth=\n"
@@ -348,6 +354,14 @@ def test_load_config(tmp_path):
     assert run_cli("pipeline", bad) == EXIT_DATA
 
 
+def test_config_lines_end_at_newline_only(tmp_path):
+    # str.splitlines would also break at U+2028 and call "b.kif" line 2
+    ontology = f"{tmp_path}/a\u2028b.kif"
+    path = tmp_path / "run.conf"
+    path.write_text(f"ontology={ontology}\nout=results\n", encoding="utf-8")
+    assert load_config(str(path)) == {"ontology": ontology, "out": "results"}
+
+
 def test_pipeline_end_to_end(tmp_path, lexical_files):
     mapping, antonymy, hyponymy = lexical_files
     out = tmp_path / "results"
@@ -660,6 +674,46 @@ def test_main_restores_the_collector_state(tmp_path, monkeypatch,
 
 
 # ---------------------------------------------------------------------------
+# A command imports only the modules it runs
+# ---------------------------------------------------------------------------
+
+def modules_loaded_by(script: str, *argv) -> set:
+    """Modules a child interpreter loads running ``script``, beyond those
+    it held before the script began."""
+    probe = ("import sys\nbare = set(sys.modules)\n" + script
+             + "\nprint('\\n'.join(sorted(set(sys.modules) - bare)))\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", probe, *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+def test_the_parser_loads_no_library_module():
+    loaded = modules_loaded_by("import ontoclose.cli\n"
+                               "ontoclose.cli.build_parser()")
+    assert {m for m in loaded if m.startswith("ontoclose.")} == \
+        {"ontoclose.cli", "ontoclose.modes"}
+    assert not loaded & {"dataclasses", "json", "decimal", "logging",
+                         "concurrent.futures"}
+
+
+def test_an_oracle_pipeline_loads_no_prover_machinery(tmp_path,
+                                                      lexical_files):
+    mapping, antonymy, hyponymy = lexical_files
+    config = tmp_path / "run.conf"
+    config.write_text(
+        f"ontology={ONTOLOGY}\nmapping={mapping}\n"
+        f"pairs.hyponymy={hyponymy}\npairs.antonymy={antonymy}\n"
+        f"out={tmp_path / 'results'}\noracle=true\n")
+    loaded = modules_loaded_by(
+        "from ontoclose import cli\n"
+        "assert cli.main(['pipeline', sys.argv[1]]) == 0", config)
+    assert "ontoclose.prover" in loaded
+    assert not loaded & {"ontoclose.tptp", "logging", "concurrent.futures"}
+
+
+# ---------------------------------------------------------------------------
 # Input errors name the file, config key or variable at fault (exit 3)
 # ---------------------------------------------------------------------------
 
@@ -695,6 +749,36 @@ def test_limit_variable_names_itself(tmp_path, lexical_files, monkeypatch,
                    "--prover-cmd", "prover {problem}") == EXIT_DATA
     assert f"{variable}: expected " in capsys.readouterr().err
     assert not (tmp_path / "j.jsonl").exists()
+
+
+@pytest.mark.parametrize("limit", ["inf", "3e6"])
+@pytest.mark.parametrize("source", ["option", "config", "variable"])
+def test_a_time_limit_no_wait_can_reach_is_a_prover_error(
+        tmp_path, lexical_files, monkeypatch, capsys, source, limit):
+    # Popen.communicate could not wait that long: the run used to end in
+    # an OverflowError traceback with the prover left unreaped
+    mapping, antonymy, hyponymy = lexical_files
+    stub = stub_provers.stub_config(tmp_path, stub_provers.COUNTER_SATISFIABLE)
+    monkeypatch.delenv(cli.ENV_TIME_LIMIT, raising=False)
+    if source == "config":
+        config = tmp_path / "run.conf"
+        config.write_text(
+            f"ontology={ONTOLOGY}\nmapping={mapping}\n"
+            f"pairs.antonymy={antonymy}\nout={tmp_path / 'results'}\n"
+            f"oracle=false\nprover.command={stub.command}\n"
+            f"prover.time_limit={limit}\n")
+        argv = ("pipeline", config)
+    else:
+        corpus = _generate_corpus(tmp_path, lexical_files)
+        argv = ("run", ONTOLOGY, "--cqs", corpus,
+                "--journal", tmp_path / "j.jsonl", "--prover-cmd",
+                stub.command)
+        if source == "option":
+            argv += ("--time-limit", limit)
+        else:
+            monkeypatch.setenv(cli.ENV_TIME_LIMIT, limit)
+    assert run_cli(*argv) == EXIT_PROVER
+    assert f"at most {MAX_TIME_LIMIT} seconds" in capsys.readouterr().err
 
 
 # each pipeline input, broken, with the line its message names

@@ -1,4 +1,6 @@
-"""Every script under demos/ runs to completion against the source tree."""
+"""Every script under demos/ runs to completion against the source tree,
+and so does the README's library quick start, printing what its comments
+say."""
 
 import os
 import subprocess
@@ -17,3 +19,16 @@ def test_demo_runs(demo, tmp_path):
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_library_quick_start_prints_its_comments(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start (library)", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [line[2:] for line in code.splitlines()
+                if line.startswith("# ")]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert expected and done.stdout.splitlines() == expected

@@ -17,12 +17,12 @@ from ontoclose.closure import (
     OWA, SUBCLASS_DISJOINT, SUBCLASS_NONDISJOINT, SUBCLASS_ONLY, apply_closure,
 )
 from ontoclose.prover import (
-    CONTRADICTORY, COUNTER_SATISFIABLE, ERROR, FALSITY, GAVE_UP, NON_PASSING,
-    PASSING, PROVED, TIMEOUT, TRUTH, UNKNOWN, InconsistencyError,
-    ProverConfig, ProverError, ProverOutcome, UnrecognizedShapeError,
-    append_journal, classify, journal_record, load_journal, oracle_run_batch,
-    oracle_verdict, parse_prover_output, recognize_shape, run_batch,
-    run_prover, write_problem,
+    CONTRADICTORY, COUNTER_SATISFIABLE, ERROR, FALSITY, GAVE_UP,
+    MAX_TIME_LIMIT, NON_PASSING, PASSING, PROVED, TIMEOUT, TRUTH, UNKNOWN,
+    InconsistencyError, ProverConfig, ProverError, ProverOutcome,
+    UnrecognizedShapeError, append_journal, classify, journal_record,
+    load_journal, oracle_run_batch, oracle_verdict, parse_prover_output,
+    recognize_shape, run_batch, run_prover, write_problem,
 )
 from ontoclose.taxonomy import build_taxonomy
 from ontoclose.tptp import AxiomBlock
@@ -47,6 +47,23 @@ def test_config_validation():
         ProverConfig(command="prover {problem}", time_limit=float("nan"))
     with pytest.raises(ProverError):
         ProverConfig(command="prover {problem}", workers=0)
+    # Popen.communicate cannot wait that long: inf overflows int(), and
+    # 3e6 s overflows poll's int of milliseconds
+    for limit in (float("inf"), 3e6, MAX_TIME_LIMIT + 1):
+        with pytest.raises(ProverError,
+                           match=f"at most {MAX_TIME_LIMIT} seconds"):
+            ProverConfig(command="prover {problem}", time_limit=limit)
+    for grace in (float("inf"), float("nan"), -1):
+        with pytest.raises(ProverError):
+            ProverConfig(command="prover {problem}", grace=grace)
+
+
+def test_a_run_at_the_time_limit_cap_waits_for_its_prover(tmp_path,
+                                                          problem_file):
+    config = stub_provers.stub_config(
+        tmp_path, stub_provers.COUNTER_SATISFIABLE,
+        time_limit=MAX_TIME_LIMIT, grace=MAX_TIME_LIMIT)
+    assert run_prover(problem_file, config).status == COUNTER_SATISFIABLE
 
 
 # ---------------------------------------------------------------------------
