@@ -362,10 +362,19 @@ def normalize(formula: Formula) -> Formula:
 # Parsing
 # ---------------------------------------------------------------------------
 
+_SYMBOL = r'[^ \t\r\n();"]+'
 # every character starts one of: a whitespace run, a comment, a
 # parenthesis, a string (the closing quote is missing only at the end of
 # an unterminated one) or a symbol
-_TOKEN = re.compile(r'[ \t\r\n]+|;[^\n]*|[()]|"[^"]*"?|[^ \t\r\n();"]+')
+_TOKEN = re.compile(r'[ \t\r\n]+|;[^\n]*|[()]|"[^"]*"?|' + _SYMBOL)
+_CONSTANT_SYMBOL = re.compile(r"(?!\?)" + _SYMBOL)
+
+
+def is_constant_symbol(name: str) -> bool:
+    """Whether ``name`` is written and read back as one constant: a single
+    symbol, holding no space, tab, CR, LF, parenthesis, ``;`` or ``"``,
+    that does not start with ``?``."""
+    return _CONSTANT_SYMBOL.fullmatch(name) is not None
 
 
 class _SexpSymbol(str):

@@ -4,11 +4,13 @@ Both inputs are plain TSV, UTF-8, with ``#`` comment lines. Relation files
 hold two synset ids per row. Mapping files hold a synset id and a class
 name carrying a trailing relation symbol: ``=`` equivalence, ``+``
 subsumption, ``@`` instance. Synset ids are usually ``lemma#pos#sense``
-(pos ``n`` or ``v``) but any opaque id is accepted.
+(pos ``n`` or ``v``) but any opaque id without a space, tab, CR or LF is
+accepted. A class name must be one KIF constant symbol.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from . import kif
@@ -29,6 +31,9 @@ _RELATION_SYMBOLS = {"=": EQUIVALENCE, "+": SUBSUMPTION, "@": INSTANCE}
 NOUN = "noun"
 VERB = "verb"
 _POS_CODES = {"n": NOUN, "v": VERB}
+# a question corpus separates the two synset ids of its source header by
+# a space, and reads lines at CR as well as LF
+_ID_BREAK = re.compile(r"[ \t\r\n]")
 
 
 class LexiconError(kif.KifError):
@@ -83,6 +88,14 @@ def _rows(text: str, source_name: str):
         yield f"{source_name}: line {lineno}", line.split("\t")
 
 
+def _synset_id(where: str, text: str) -> str:
+    synset = text.strip()
+    if _ID_BREAK.search(synset):
+        raise LexiconError(f"{where}: synset id {synset!r} holds a space, "
+                           f"tab, CR or LF")
+    return synset
+
+
 def load_synset_relations(text: str, kind: str,
                           source_name: str = "<pairs>") -> list[RelationPair]:
     """Relation pairs from TSV rows ``s1<TAB>s2``, file order, deduplicated."""
@@ -94,7 +107,7 @@ def load_synset_relations(text: str, kind: str,
         if len(fields) != 2 or not fields[0].strip() or not fields[1].strip():
             raise LexiconError(
                 f"{where}: expected 's1<TAB>s2', found {fields!r}")
-        s1, s2 = fields[0].strip(), fields[1].strip()
+        s1, s2 = _synset_id(where, fields[0]), _synset_id(where, fields[1])
         if s1 == s2:
             raise LexiconError(f"{where}: pair relates {s1!r} to itself")
         if (s1, s2) in seen:
@@ -114,7 +127,7 @@ def load_mapping(text: str, source_name: str = "<mapping>"
             raise LexiconError(
                 f"{where}: expected 'synset<TAB>Concept<symbol>', "
                 f"found {fields!r}")
-        synset, tagged = fields[0].strip(), fields[1].strip()
+        synset, tagged = _synset_id(where, fields[0]), fields[1].strip()
         if len(tagged) < 2:
             raise LexiconError(f"{where}: mapping entry too short: {tagged!r}")
         concept, symbol = tagged[:-1], tagged[-1]
@@ -123,6 +136,10 @@ def load_mapping(text: str, source_name: str = "<mapping>"
             raise LexiconError(
                 f"{where}: unknown relation symbol {symbol!r} "
                 f"(expected one of = + @)")
+        if not kif.is_constant_symbol(concept):
+            raise LexiconError(
+                f"{where}: class name {concept!r} is not one KIF constant "
+                f"symbol")
         key = (synset, concept, relation)
         if key in seen:
             continue

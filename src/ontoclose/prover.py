@@ -16,6 +16,7 @@ import os
 import re
 import signal
 import subprocess
+import sys
 import threading
 import time
 from dataclasses import dataclass, replace
@@ -37,6 +38,8 @@ ERROR = "error"
 # milliseconds), about 24.8 days; a time limit and a grace of at most a
 # million seconds each stay within it
 MAX_TIME_LIMIT = 1_000_000
+# resource.prlimit takes the address-space cap in bytes as a C long
+MAX_MEMORY_LIMIT_MIB = sys.maxsize // (1024 * 1024)
 
 TRUTH = "truth"
 FALSITY = "falsity"
@@ -90,7 +93,9 @@ class ProverConfig:
     ``command`` must contain exactly one ``{problem}`` placeholder; any
     prover-side limit flags are part of the command text. ``time_limit``
     drives the harness-level kill at ``time_limit + grace`` seconds; each
-    must be finite and at most ``MAX_TIME_LIMIT``.
+    must be finite and at most ``MAX_TIME_LIMIT``. ``memory_limit_mib``
+    caps the prover's address space and is at most
+    ``MAX_MEMORY_LIMIT_MIB``.
     """
     command: str
     time_limit: float = 300.0
@@ -110,6 +115,9 @@ class ProverConfig:
             raise ProverError(
                 "prover time limit and grace must be finite and at most "
                 f"{MAX_TIME_LIMIT} seconds")
+        if self.memory_limit_mib > MAX_MEMORY_LIMIT_MIB:
+            raise ProverError("prover memory limit must be at most "
+                              f"{MAX_MEMORY_LIMIT_MIB} MiB")
         if self.workers < 1:
             raise ProverError("worker count must be at least 1")
 

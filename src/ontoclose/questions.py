@@ -1,9 +1,12 @@
 """Competency questions: conjectures derived from lexical relation pairs.
 
-Each question pattern turns a relation pair plus the mapped classes of its
-two synsets into one conjecture per class combination. A question is asked
-as two prover tests: the conjecture itself (truth test) and its negation
-(falsity test). Pairs with an unmapped endpoint are skipped and counted.
+Each question pattern is a ``QpTemplate``: a skeleton formula whose
+placeholder constants ``C1`` and ``C2`` are filled in with the mapped
+classes of a relation pair's two synsets, one conjecture per class
+combination. The three built-in patterns are templates too. A question
+is asked as two prover tests: the conjecture itself (truth test) and its
+negation (falsity test). Pairs with an unmapped endpoint are skipped and
+counted.
 """
 
 from __future__ import annotations
@@ -13,9 +16,8 @@ from dataclasses import dataclass
 from itertools import takewhile
 
 from . import kif
-from .kif import And, Atom, Equal, Exists, Forall, Formula, Implies, Not, const, var
 from .lexicon import (
-    EQUIVALENCE, INSTANCE, PAIR_KINDS, SUBSUMPTION, VERB,
+    ANTONYMY, EQUIVALENCE, HYPONYMY, INSTANCE, PAIR_KINDS, SUBSUMPTION, VERB,
     MappingIndex, RelationPair, synset_pos,
 )
 
@@ -41,7 +43,7 @@ class TemplateError(QuestionError):
     """A question template is unusable as defined."""
 
 
-def _require_closed(formula: Formula, what: str,
+def _require_closed(formula: kif.Formula, what: str,
                     error: type[QuestionError]) -> None:
     free = kif.free_variables(formula)
     if free:
@@ -53,15 +55,7 @@ class CompetencyQuestion:
     id: str
     pattern: str
     source_pair: RelationPair
-    conjecture: Formula
-
-    @classmethod
-    def build(cls, pattern: str, source_pair: RelationPair,
-              c1: str, c2: str, conjecture: Formula) -> "CompetencyQuestion":
-        """The question on ``conjecture``, which the caller keeps closed."""
-        qid = f"{pattern}:{source_pair.s1}:{source_pair.s2}:{c1}:{c2}"
-        return cls(id=qid, pattern=pattern, source_pair=source_pair,
-                   conjecture=conjecture)
+    conjecture: kif.Formula
 
 
 @dataclass(frozen=True)
@@ -74,110 +68,13 @@ class GenerationResult:
         return len(self.skipped_unmapped)
 
 
-def _generate(pairs, mapping: MappingIndex, s1_relations, s2_relations,
-              pattern_for, conjecture_for) -> GenerationResult:
-    questions: list[CompetencyQuestion] = []
-    seen_ids: set[str] = set()
-    skipped: list[RelationPair] = []
-    for rel_pair in pairs:
-        links1 = mapping.concepts_for(rel_pair.s1)
-        links2 = mapping.concepts_for(rel_pair.s2)
-        if not links1 or not links2:
-            skipped.append(rel_pair)
-            continue
-        eligible1 = [l for l in links1
-                     if s1_relations is None or l.relation in s1_relations]
-        eligible2 = [l for l in links2
-                     if s2_relations is None or l.relation in s2_relations]
-        for l1 in eligible1:
-            for l2 in eligible2:
-                pattern = pattern_for(rel_pair)
-                cq = CompetencyQuestion.build(
-                    pattern, rel_pair, l1.concept, l2.concept,
-                    conjecture_for(l1.concept, l2.concept))
-                if cq.id in seen_ids:
-                    continue
-                seen_ids.add(cq.id)
-                questions.append(cq)
-    return GenerationResult(tuple(questions), tuple(skipped))
-
-
-def _require_kind(pairs, kind: str, what: str):
-    bad = [p for p in pairs if p.kind != kind]
-    if bad:
-        raise QuestionError(
-            f"{what} expects {kind} pairs, found kind {bad[0].kind!r}")
-
-
-def gen_hyponymy_qp1(pairs, mapping: MappingIndex) -> GenerationResult:
-    """Existential overlap questions from hyponymy.
-
-    When the narrower synset is mapped by subsumption or instance, both
-    mapped class sets only bound its meaning from above, so all that can
-    be conjectured is that the two classes share an instance.
-    """
-    _require_kind(pairs, "hyponymy", "gen_hyponymy_qp1")
-
-    def conjecture(c1: str, c2: str) -> Formula:
-        x = var("X")
-        return Exists(("X",), And((Atom("$instance", (x, const(c1))),
-                                   Atom("$instance", (x, const(c2))))))
-
-    def pattern(rel_pair: RelationPair) -> str:
-        return HYPO_VERB_1 if synset_pos(rel_pair.s1) == VERB else HYPO_NOUN_1
-
-    return _generate(pairs, mapping, frozenset({SUBSUMPTION, INSTANCE}), None,
-                     pattern, conjecture)
-
-
-def gen_hyponymy_qp2(pairs, mapping: MappingIndex) -> GenerationResult:
-    """Subset questions from hyponymy.
-
-    When the narrower synset is mapped by equivalence its class means
-    exactly what it means, so the broader synset's classes must contain it:
-    every instance of the first class is an instance of the second.
-    """
-    _require_kind(pairs, "hyponymy", "gen_hyponymy_qp2")
-
-    def conjecture(c1: str, c2: str) -> Formula:
-        x = var("X")
-        return Forall(("X",), Implies(Atom("$instance", (x, const(c1))),
-                                      Atom("$instance", (x, const(c2)))))
-
-    def pattern(rel_pair: RelationPair) -> str:
-        return HYPO_VERB_2 if synset_pos(rel_pair.s1) == VERB else HYPO_NOUN_2
-
-    return _generate(pairs, mapping, frozenset({EQUIVALENCE}), None,
-                     pattern, conjecture)
-
-
-def gen_antonymy_cqs(pairs, mapping: MappingIndex) -> GenerationResult:
-    """Distinctness questions from antonymy: no instance of the first class
-    is an instance of the second."""
-    _require_kind(pairs, "antonymy", "gen_antonymy_cqs")
-
-    def conjecture(c1: str, c2: str) -> Formula:
-        x, y = var("X"), var("Y")
-        return Forall(("X", "Y"),
-                      Implies(And((Atom("$instance", (x, const(c1))),
-                                   Atom("$instance", (y, const(c2))))),
-                              Not(Equal(x, y))))
-
-    return _generate(pairs, mapping, None, None,
-                     lambda _pair: ANTONYMY_1, conjecture)
-
-
-# ---------------------------------------------------------------------------
-# User-supplied templates
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class QpTemplate:
     """A question skeleton with ``C1``/``C2`` placeholder constants and
     optional mapping-relation guards per endpoint."""
     name: str
     pair_kind: str
-    skeleton: Formula
+    skeleton: kif.Formula
     s1_relations: "frozenset[str] | None" = None
     s2_relations: "frozenset[str] | None" = None
 
@@ -199,6 +96,104 @@ class QpTemplate:
     def pattern(self) -> str:
         return f"template({self.name})"
 
+
+def _instantiate(skeleton: kif.Formula, table: dict[str, str]) -> kif.Formula:
+    """The skeleton with each constant named in ``table`` renamed."""
+    return kif.map_terms(skeleton, lambda t: kif.const(table[t.name])
+                         if t.kind == kif.CONSTANT and t.name in table else t)
+
+
+# The built-in patterns: the overlap and subset questions of hyponymy and
+# the distinctness question of antonymy.
+_OVERLAP = QpTemplate(
+    "overlap", HYPONYMY, kif.parse_formula_text(
+        "(exists (X) (and ($instance X C1) ($instance X C2)))"),
+    s1_relations=frozenset({SUBSUMPTION, INSTANCE}))
+_SUBSET = QpTemplate(
+    "subset", HYPONYMY, kif.parse_formula_text(
+        "(forall (X) (=> ($instance X C1) ($instance X C2)))"),
+    s1_relations=frozenset({EQUIVALENCE}))
+_DISTINCTNESS = QpTemplate(
+    "distinctness", ANTONYMY, kif.parse_formula_text(
+        "(forall (X Y) (=> (and ($instance X C1) ($instance Y C2))"
+        " (not (equal X Y))))"))
+
+
+def _generate(pairs, mapping: MappingIndex, template: QpTemplate,
+              pattern_for, what: str) -> GenerationResult:
+    """``template`` over each class combination of each pair, under the
+    pattern name ``pattern_for(pair)``."""
+    questions: list[CompetencyQuestion] = []
+    seen_ids: set[str] = set()
+    skipped: list[RelationPair] = []
+    s1_relations, s2_relations = template.s1_relations, template.s2_relations
+    for rel_pair in pairs:
+        if rel_pair.kind != template.pair_kind:
+            raise QuestionError(f"{what} expects {template.pair_kind} pairs, "
+                                f"found kind {rel_pair.kind!r}")
+        links1 = mapping.concepts_for(rel_pair.s1)
+        links2 = mapping.concepts_for(rel_pair.s2)
+        if not links1 or not links2:
+            skipped.append(rel_pair)
+            continue
+        eligible1 = [l for l in links1
+                     if s1_relations is None or l.relation in s1_relations]
+        eligible2 = [l for l in links2
+                     if s2_relations is None or l.relation in s2_relations]
+        pattern = pattern_for(rel_pair)
+        prefix = f"{pattern}:{rel_pair.s1}:{rel_pair.s2}:"
+        for l1 in eligible1:
+            for l2 in eligible2:
+                qid = f"{prefix}{l1.concept}:{l2.concept}"
+                if qid in seen_ids:
+                    continue
+                seen_ids.add(qid)
+                conjecture = _instantiate(
+                    template.skeleton, {"C1": l1.concept, "C2": l2.concept})
+                questions.append(CompetencyQuestion(
+                    id=qid, pattern=pattern, source_pair=rel_pair,
+                    conjecture=conjecture))
+    return GenerationResult(tuple(questions), tuple(skipped))
+
+
+def _by_pos(noun_pattern: str, verb_pattern: str):
+    """The pattern name of a pair by its first synset's part of speech."""
+    return lambda rel_pair: (verb_pattern if synset_pos(rel_pair.s1) == VERB
+                             else noun_pattern)
+
+
+def gen_hyponymy_qp1(pairs, mapping: MappingIndex) -> GenerationResult:
+    """Existential overlap questions from hyponymy.
+
+    When the narrower synset is mapped by subsumption or instance, both
+    mapped class sets only bound its meaning from above, so all that can
+    be conjectured is that the two classes share an instance.
+    """
+    return _generate(pairs, mapping, _OVERLAP,
+                     _by_pos(HYPO_NOUN_1, HYPO_VERB_1), "gen_hyponymy_qp1")
+
+
+def gen_hyponymy_qp2(pairs, mapping: MappingIndex) -> GenerationResult:
+    """Subset questions from hyponymy.
+
+    When the narrower synset is mapped by equivalence its class means
+    exactly what it means, so the broader synset's classes must contain it:
+    every instance of the first class is an instance of the second.
+    """
+    return _generate(pairs, mapping, _SUBSET,
+                     _by_pos(HYPO_NOUN_2, HYPO_VERB_2), "gen_hyponymy_qp2")
+
+
+def gen_antonymy_cqs(pairs, mapping: MappingIndex) -> GenerationResult:
+    """Distinctness questions from antonymy: no instance of the first class
+    is an instance of the second."""
+    return _generate(pairs, mapping, _DISTINCTNESS,
+                     lambda _pair: ANTONYMY_1, "gen_antonymy_cqs")
+
+
+# ---------------------------------------------------------------------------
+# User-supplied templates
+# ---------------------------------------------------------------------------
 
 def load_template(text: str, source_name: str = "<template>") -> QpTemplate:
     """Read a template file: one skeleton formula under ``; key: value``
@@ -222,23 +217,11 @@ def load_template(text: str, source_name: str = "<template>") -> QpTemplate:
         s2_relations=relations("s2-relations"))
 
 
-def _instantiate(skeleton: Formula, table: dict[str, str]) -> Formula:
-    """The skeleton with each constant named in ``table`` renamed."""
-    return kif.map_terms(skeleton, lambda t: const(table[t.name])
-                         if t.kind == kif.CONSTANT and t.name in table else t)
-
-
 def gen_template_cqs(pairs, mapping: MappingIndex,
                      template: QpTemplate) -> GenerationResult:
     """Instantiate a user-supplied skeleton over each class combination."""
-    _require_kind(pairs, template.pair_kind, f"template {template.name!r}")
-
-    def conjecture(c1: str, c2: str) -> Formula:
-        return _instantiate(template.skeleton, {"C1": c1, "C2": c2})
-
-    return _generate(pairs, mapping, template.s1_relations,
-                     template.s2_relations, lambda _pair: template.pattern,
-                     conjecture)
+    return _generate(pairs, mapping, template, lambda _pair: template.pattern,
+                     f"template {template.name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +272,21 @@ def read_cq_corpus(text: str, source_name: str = "<corpus>"
         above = (lines[i] for i in range(start_line - 2, -1, -1))
         headers = _headers(takewhile(
             lambda line: line.strip().startswith(";"), above))
+        where = f"{source_name}:{start_line}"
         required = {"cq", "pattern", "kind", "source"}
         if not required <= headers.keys():
             raise QuestionError(
-                f"{source_name}:{start_line}: corpus entry is missing headers "
+                f"{where}: corpus entry is missing headers "
                 f"{sorted(required - headers.keys())}")
-        s1, _, s2 = headers["source"].partition(" ")
-        source_pair = RelationPair(kind=headers["kind"], s1=s1, s2=s2)
+        synsets = headers["source"].split(" ")
+        if len(synsets) != 2 or not all(synsets):
+            raise QuestionError(
+                f"{where}: '; source:' needs two synset ids separated by a "
+                f"space, found {headers['source']!r}")
+        try:
+            source_pair = RelationPair(headers["kind"], *synsets)
+        except ValueError as exc:
+            raise QuestionError(f"{where}: {exc}") from None
         _require_closed(ax.formula, "conjecture", OpenFormulaError)
         questions.append(CompetencyQuestion(
             id=headers["cq"], pattern=headers["pattern"],

@@ -70,8 +70,9 @@ def _build_cq(pattern: str, kind: str, c1: str, c2: str, text: str):
     from ontoclose.lexicon import RelationPair
     from ontoclose.questions import CompetencyQuestion
     source = RelationPair(kind, f"{c1.lower()}#n#1", f"{c2.lower()}#n#2")
-    return CompetencyQuestion.build(pattern, source, c1, c2,
-                                    kif.parse_formula_text(text))
+    return CompetencyQuestion(
+        id=f"{pattern}:{source.s1}:{source.s2}:{c1}:{c2}", pattern=pattern,
+        source_pair=source, conjecture=kif.parse_formula_text(text))
 
 
 def antonymy_cq(c1: str, c2: str):

@@ -14,7 +14,7 @@ from ontoclose.cli import (
     EXIT_DATA, EXIT_INCONSISTENT, EXIT_OK, EXIT_PROVER, EXIT_USAGE,
     load_config, main,
 )
-from ontoclose.prover import MAX_TIME_LIMIT
+from ontoclose.prover import MAX_MEMORY_LIMIT_MIB, MAX_TIME_LIMIT
 
 from conftest import DATA_DIR
 import stub_provers
@@ -164,6 +164,76 @@ def test_gen_cqs_template(tmp_path, lexical_files):
     assert run_cli("gen-cqs", "--mapping", mapping, "--template",
                    f"{template}:{pairs}", "--out", out) == EXIT_OK
     assert "template(part-overlap)" in out.read_text()
+
+
+def test_gen_cqs_writes_exact_corpus_bytes(tmp_path, capsys):
+    # every built-in pattern: noun and verb hyponymy pairs whose first
+    # synset is mapped by =, + and @, a synset mapped to two classes, two
+    # links to one class (one question), an unmapped pair (skipped by
+    # both hyponymy patterns) and antonymy pairs
+    mapping = tmp_path / "mapping.tsv"
+    mapping.write_text(
+        "cat#n#1\tFeline=\nanimal#n#1\tAnimal+\nanimal#n#1\tOrganism+\n"
+        "animal#n#1\tAnimal=\nfido#n#1\tDog@\nfido#n#1\tDog+\n"
+        "dog#n#1\tCanine=\nrun#v#1\tRunning+\nwalk#v#1\tWalking=\n"
+        "move#v#1\tMotion+\nbirth#n#2\tBirth=\ndeath#n#1\tDeath=\n"
+        "live#v#1\tLiving=\ndie#v#1\tDeath+\n")
+    hyponymy = tmp_path / "hyponymy.tsv"
+    hyponymy.write_text(
+        "cat#n#1\tanimal#n#1\nfido#n#1\tdog#n#1\nrun#v#1\tmove#v#1\n"
+        "walk#v#1\tmove#v#1\nghost#n#1\tanimal#n#1\n")
+    antonymy = tmp_path / "antonymy.tsv"
+    antonymy.write_text("birth#n#2\tdeath#n#1\nlive#v#1\tdie#v#1\n")
+    out = tmp_path / "cqs.kif"
+    assert run_cli("gen-cqs", "--mapping", mapping, "--hyponymy", hyponymy,
+                   "--antonymy", antonymy, "--out", out) == EXIT_OK
+    assert out.read_bytes() == b"""\
+; cq: hypo-noun-1:fido#n#1:dog#n#1:Dog:Canine
+; pattern: hypo-noun-1
+; kind: hyponymy
+; source: fido#n#1 dog#n#1
+(exists (X) (and ($instance X Dog) ($instance X Canine)))
+
+; cq: hypo-verb-1:run#v#1:move#v#1:Running:Motion
+; pattern: hypo-verb-1
+; kind: hyponymy
+; source: run#v#1 move#v#1
+(exists (X) (and ($instance X Running) ($instance X Motion)))
+
+; cq: hypo-noun-2:cat#n#1:animal#n#1:Feline:Animal
+; pattern: hypo-noun-2
+; kind: hyponymy
+; source: cat#n#1 animal#n#1
+(forall (X) (=> ($instance X Feline) ($instance X Animal)))
+
+; cq: hypo-noun-2:cat#n#1:animal#n#1:Feline:Organism
+; pattern: hypo-noun-2
+; kind: hyponymy
+; source: cat#n#1 animal#n#1
+(forall (X) (=> ($instance X Feline) ($instance X Organism)))
+
+; cq: hypo-verb-2:walk#v#1:move#v#1:Walking:Motion
+; pattern: hypo-verb-2
+; kind: hyponymy
+; source: walk#v#1 move#v#1
+(forall (X) (=> ($instance X Walking) ($instance X Motion)))
+
+; cq: antonymy-1:birth#n#2:death#n#1:Birth:Death
+; pattern: antonymy-1
+; kind: antonymy
+; source: birth#n#2 death#n#1
+(forall (X Y)
+  (=> (and ($instance X Birth) ($instance Y Death)) (not (equal X Y))))
+
+; cq: antonymy-1:live#v#1:die#v#1:Living:Death
+; pattern: antonymy-1
+; kind: antonymy
+; source: live#v#1 die#v#1
+(forall (X Y)
+  (=> (and ($instance X Living) ($instance Y Death)) (not (equal X Y))))
+"""
+    assert capsys.readouterr().err == \
+        "generated 7 questions; skipped 2 unmapped pairs\n"
 
 
 def _generate_corpus(tmp_path, lexical_files):
@@ -751,22 +821,37 @@ def test_limit_variable_names_itself(tmp_path, lexical_files, monkeypatch,
     assert not (tmp_path / "j.jsonl").exists()
 
 
-@pytest.mark.parametrize("limit", ["inf", "3e6"])
+# each limit no prover run can take, by name: its option, config key and
+# environment variable, the value given and the cap the error names
+UNREACHABLE_LIMITS = {
+    "inf": ("--time-limit", "prover.time_limit", cli.ENV_TIME_LIMIT, "inf",
+            f"at most {MAX_TIME_LIMIT} seconds"),
+    "3e6": ("--time-limit", "prover.time_limit", cli.ENV_TIME_LIMIT, "3e6",
+            f"at most {MAX_TIME_LIMIT} seconds"),
+    "memory": ("--memory-limit", "prover.memory_limit", cli.ENV_MEMORY_LIMIT,
+               str(10**14), f"at most {MAX_MEMORY_LIMIT_MIB} MiB"),
+}
+
+
+@pytest.mark.parametrize("limit", sorted(UNREACHABLE_LIMITS))
 @pytest.mark.parametrize("source", ["option", "config", "variable"])
 def test_a_time_limit_no_wait_can_reach_is_a_prover_error(
         tmp_path, lexical_files, monkeypatch, capsys, source, limit):
-    # Popen.communicate could not wait that long: the run used to end in
-    # an OverflowError traceback with the prover left unreaped
+    # Popen.communicate could not wait that long, nor could prlimit take
+    # that many bytes: the run used to end in an OverflowError traceback
+    # with the prover left unreaped
+    option, key, variable, value, message = UNREACHABLE_LIMITS[limit]
     mapping, antonymy, hyponymy = lexical_files
     stub = stub_provers.stub_config(tmp_path, stub_provers.COUNTER_SATISFIABLE)
     monkeypatch.delenv(cli.ENV_TIME_LIMIT, raising=False)
+    monkeypatch.delenv(cli.ENV_MEMORY_LIMIT, raising=False)
     if source == "config":
         config = tmp_path / "run.conf"
         config.write_text(
             f"ontology={ONTOLOGY}\nmapping={mapping}\n"
             f"pairs.antonymy={antonymy}\nout={tmp_path / 'results'}\n"
             f"oracle=false\nprover.command={stub.command}\n"
-            f"prover.time_limit={limit}\n")
+            f"{key}={value}\n")
         argv = ("pipeline", config)
     else:
         corpus = _generate_corpus(tmp_path, lexical_files)
@@ -774,11 +859,13 @@ def test_a_time_limit_no_wait_can_reach_is_a_prover_error(
                 "--journal", tmp_path / "j.jsonl", "--prover-cmd",
                 stub.command)
         if source == "option":
-            argv += ("--time-limit", limit)
+            argv += (option, value)
         else:
-            monkeypatch.setenv(cli.ENV_TIME_LIMIT, limit)
+            monkeypatch.setenv(variable, value)
     assert run_cli(*argv) == EXIT_PROVER
-    assert f"at most {MAX_TIME_LIMIT} seconds" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "j.jsonl").exists()
+    assert not list(tmp_path.glob("results/**/*.jsonl"))
 
 
 # each pipeline input, broken, with the line its message names

@@ -117,6 +117,16 @@ def test_only_space_tab_cr_and_lf_separate_symbols():
     assert atom.args == (const("a\x0bb"), const("c\x0c"), const("\u00a0"))
 
 
+def test_constant_symbol_reads_back_as_itself():
+    for name in ("Birth", "a?b", "a\x0bb", "\u00a0"):
+        assert kif.is_constant_symbol(name), name
+        atom = Atom("$p", (const(name),))
+        assert kif.parse_formula_text(kif.serialize_formula(atom)) == atom
+    for name in ("Bir th", "Bi(rth", "Bi)rth", "Bi;rth", '"Birth"',
+                 "Bi\rrth", "Birth\n", "?Birth", ""):
+        assert not kif.is_constant_symbol(name), name
+
+
 def test_axiom_source_is_the_line_of_the_first_symbol():
     ontology = kif.parse_kif('; c\n($p "x\ny")\n\n(\n  $q A)', "f.kif")
     assert [ax.source for ax in ontology] == ["f.kif:2", "f.kif:6"]

@@ -118,6 +118,26 @@ def test_load_mapping_malformed_rows(text, lineno):
         load_mapping(text)
 
 
+def test_class_name_must_be_one_constant_symbol():
+    # such a class made a question corpus that read back as another
+    # conjecture or not at all
+    for concept in ("Bir th", "Bi(rth", "Bi;rth", "?Birth", '"Birth"'):
+        with pytest.raises(LexiconError,
+                           match="^map.tsv: line 2: class name .* constant"):
+            load_mapping(f"ok#n#1\tFine=\nbad#n#1\t{concept}=\n", "map.tsv")
+
+
+def test_synset_id_must_hold_no_space():
+    # a corpus's "; source:" header separates the two ids by a space
+    with pytest.raises(LexiconError, match="^map.tsv: line 1: synset id"):
+        load_mapping("a b#n#1\tBirth=\n", "map.tsv")
+    for row in ("a b#n#1\tc#n#1\n", "c#n#1\ta b#n#1\n", "c#n#1\ta\rb#n#1\n"):
+        with pytest.raises(LexiconError,
+                           match="^pairs.tsv: line 2: synset id"):
+            load_synset_relations("x#n#1\ty#n#1\n" + row, HYPONYMY,
+                                  "pairs.tsv")
+
+
 def test_parse_synset_id():
     assert synset_pos("birth#n#2") == "noun"
     assert synset_pos("poison#v#5") == "verb"

@@ -18,7 +18,8 @@ from ontoclose.closure import (
 )
 from ontoclose.prover import (
     CONTRADICTORY, COUNTER_SATISFIABLE, ERROR, FALSITY, GAVE_UP,
-    MAX_TIME_LIMIT, NON_PASSING, PASSING, PROVED, TIMEOUT, TRUTH, UNKNOWN,
+    MAX_MEMORY_LIMIT_MIB, MAX_TIME_LIMIT, NON_PASSING, PASSING, PROVED,
+    TIMEOUT, TRUTH, UNKNOWN,
     InconsistencyError, ProverConfig, ProverError, ProverOutcome,
     UnrecognizedShapeError, append_journal, classify, journal_record,
     load_journal, oracle_run_batch, oracle_verdict, parse_prover_output,
@@ -56,6 +57,17 @@ def test_config_validation():
     for grace in (float("inf"), float("nan"), -1):
         with pytest.raises(ProverError):
             ProverConfig(command="prover {problem}", grace=grace)
+    # resource.prlimit takes the cap's bytes as a C long: run_prover used
+    # to raise OverflowError and leave its prover unreaped
+    for mib in (10**14, MAX_MEMORY_LIMIT_MIB + 1, float("inf")):
+        with pytest.raises(ProverError,
+                           match=f"at most {MAX_MEMORY_LIMIT_MIB} MiB"):
+            ProverConfig(command="prover {problem}", memory_limit_mib=mib)
+    for mib in (0, float("nan")):
+        with pytest.raises(ProverError, match="must be positive"):
+            ProverConfig(command="prover {problem}", memory_limit_mib=mib)
+    assert ProverConfig(command="prover {problem}",
+                        memory_limit_mib=MAX_MEMORY_LIMIT_MIB)
 
 
 def test_a_run_at_the_time_limit_cap_waits_for_its_prover(tmp_path,

@@ -299,6 +299,17 @@ def test_corpus_empty():
 def test_corpus_requires_headers():
     with pytest.raises(QuestionError):
         read_cq_corpus("($disjoint A B)\n")
+    # a bad kind or source header names its file and line, as a missing
+    # one does
+    for kind, source, message in (
+            ("bogus", "a#n#1 b#n#1", "unknown relation kind: 'bogus'"),
+            ("antonymy", "a#n#1 a#n#1", "relates 'a#n#1' to itself"),
+            ("antonymy", "a#n#1", "needs two synset ids"),
+            ("antonymy", "a#n#1 b#n#1 c#n#1", "needs two synset ids")):
+        text = (f"; cq: x\n; pattern: antonymy-1\n; kind: {kind}\n"
+                f"; source: {source}\n($disjoint A B)\n")
+        with pytest.raises(QuestionError, match=f"^cqs.kif:5: .*{message}"):
+            read_cq_corpus(text, "cqs.kif")
 
 
 def test_corpus_rejects_open_formulas():
