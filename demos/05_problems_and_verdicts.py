@@ -45,7 +45,7 @@ cq = questions[0]
 problem = emit_problem(AxiomBlock(ontology), cq.conjecture,
                        metadata={"cq": cq.id, "polarity": "truth"})
 print("problem file:")
-print(problem.text)
+print(problem)
 
 # ---------------------------------------------------------------------------
 # The harness is exercised here with a scripted prover that answers
@@ -59,7 +59,7 @@ stub.write_text(textwrap.dedent("""
 config = ProverConfig(command=f"{sys.executable} {stub} {{problem}}",
                       time_limit=10)
 path = workdir / "truth.p"
-path.write_text(problem.text)
+path.write_text(problem)
 outcome = run_prover(path, config)
 print(f"stub prover outcome: {outcome.status} (SZS {outcome.szs}) "
       f"in {outcome.wall_time:.3f}s")

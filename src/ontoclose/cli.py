@@ -322,12 +322,14 @@ def cmd_pipeline(args) -> int:
 
     config = load_config(args.config)
     for required in ("ontology", "mapping", "out"):
-        if required not in config:
-            raise kif.KifError(f"{args.config}: needs '{required}='")
+        if not config.get(required):
+            raise kif.KifError(f"{args.config}: needs a path in '{required}='")
     out = Path(config["out"])
     modes = [m.strip() for m in
              config.get("modes", ",".join(MODES)).split(",")
              if m.strip()]
+    if not modes:
+        raise kif.KifError(f"{args.config}: 'modes=' names no mode")
     for mode in modes:
         if mode not in MODES:
             raise kif.KifError(f"{args.config}: unknown mode {mode!r}")
@@ -337,8 +339,12 @@ def cmd_pipeline(args) -> int:
             raise kif.KifError(
                 f"{kind} pairs need a template; generate their questions "
                 "with gen-cqs --template")
+    oracle = config.get("oracle", "true")
+    if oracle.lower() not in ("1", "true", "yes", "0", "false", "no"):
+        raise kif.KifError(f"{args.config}: oracle: expected 1/true/yes or "
+                           f"0/false/no, found {oracle!r}")
     prover_config = None
-    if config.get("oracle", "true").lower() not in ("1", "true", "yes"):
+    if oracle.lower() not in ("1", "true", "yes"):
         limits = [_number(convert, config.get(key, default),
                           f"{args.config}: {key}")
                   for convert, key, default in (

@@ -131,16 +131,15 @@ def _conflict_free(tax: Taxonomy) -> Taxonomy:
 
 
 def _merge_curation(tax: Taxonomy, curation: CurationFile) -> Taxonomy:
-    undeclared = {c for pairs in (curation.disjoint, curation.nondisjoint,
-                                  curation.inheritable)
-                  for p in pairs for c in p} - tax.classes
+    merged = tax.with_facts(
+        disjoint=curation.disjoint, nondisjoint=curation.nondisjoint,
+        inheritable_nondisjoint=curation.inheritable)
+    undeclared = merged.classes - tax.classes
     if undeclared:
         # no stacklevel: all modes warn from this line, so a run shows it once
         warnings.warn("curation names classes the ontology does not declare: "
                       + ", ".join(sorted(undeclared)))
-    return _conflict_free(tax.with_facts(
-        disjoint=curation.disjoint, nondisjoint=curation.nondisjoint,
-        inheritable_nondisjoint=curation.inheritable))
+    return _conflict_free(merged)
 
 
 # ---------------------------------------------------------------------------

@@ -247,11 +247,11 @@ def classify(truth_proved: bool, falsity_proved: bool) -> str:
 
 def write_problem(block: tptp.AxiomBlock, cq: CompetencyQuestion,
                   polarity: str, workdir: "str | Path", mode_label: str = ""
-                  ) -> tuple[Path, tptp.TptpProblem]:
+                  ) -> Path:
     """Write the problem of one test of a question (the block's axioms,
     then the test as the conjecture ``cq_<polarity>``) to
     ``<workdir>/<first 16 hex digits of sha256(cq.id)>_<polarity>.p``, so
-    distinct questions never share a file; return the path and problem."""
+    distinct questions never share a file; return the path."""
     # imported here: hashlib loads OpenSSL, about 3.5 MiB of resident
     # memory that oracle-only runs need not pay
     import hashlib
@@ -259,15 +259,15 @@ def write_problem(block: tptp.AxiomBlock, cq: CompetencyQuestion,
     from . import tptp
 
     formula = cq.conjecture if polarity == TRUTH else Not(cq.conjecture)
-    problem = tptp.emit_problem(
+    text = tptp.emit_problem(
         block, formula,
         metadata={"cq": cq.id, "pattern": cq.pattern,
                   "polarity": polarity, "mode": mode_label},
         conjecture_name=f"cq_{polarity}")
     digest = hashlib.sha256(cq.id.encode("utf-8")).hexdigest()[:16]
     path = Path(workdir) / f"{digest}_{polarity}.p"
-    path.write_text(problem.text, encoding="utf-8")
-    return path, problem
+    path.write_text(text, encoding="utf-8")
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +400,11 @@ def run_batch(ontology: Ontology, cqs, config: ProverConfig,
     block = tptp.AxiomBlock(ontology)
 
     def run_test(cq: CompetencyQuestion, polarity: str) -> ProverOutcome:
-        path, problem = write_problem(block, cq, polarity, workdir,
-                                      mode_label)
+        path = write_problem(block, cq, polarity, workdir, mode_label)
         outcome = run_prover(path, config)
-        used = tuple(problem.axiom_id_for(n) or n for n in outcome.used)
+        # proofs cite the block's axioms and the conjecture, whose name is
+        # its id
+        used = tuple(block.table.demangle(n) or n for n in outcome.used)
         outcome = replace(outcome, used=used) if used else outcome
         if outcome.status == ERROR:
             logging.getLogger(__name__).warning(

@@ -127,6 +127,9 @@ def _generate(pairs, mapping: MappingIndex, template: QpTemplate,
     seen_ids: set[str] = set()
     skipped: list[RelationPair] = []
     s1_relations, s2_relations = template.s1_relations, template.s2_relations
+    # a class named like one of these would read back as the variable
+    bound = {v for f in kif.subformulas(template.skeleton)
+             if isinstance(f, (kif.Forall, kif.Exists)) for v in f.variables}
     for rel_pair in pairs:
         if rel_pair.kind != template.pair_kind:
             raise QuestionError(f"{what} expects {template.pair_kind} pairs, "
@@ -148,6 +151,12 @@ def _generate(pairs, mapping: MappingIndex, template: QpTemplate,
                 if qid in seen_ids:
                     continue
                 seen_ids.add(qid)
+                if l1.concept in bound or l2.concept in bound:
+                    concept = l1.concept if l1.concept in bound else l2.concept
+                    raise QuestionError(
+                        f"class {concept!r} of pair {rel_pair.s1} "
+                        f"{rel_pair.s2} is named like a variable that "
+                        f"template {template.name!r} binds")
                 conjecture = _instantiate(
                     template.skeleton, {"C1": l1.concept, "C2": l2.concept})
                 questions.append(CompetencyQuestion(

@@ -91,12 +91,15 @@ def _close(order: Iterable[str], neighbors: dict[str, set[str]],
 
 class ClassGraph:
     """The subclass graph: direct edges both ways, reachability both ways
-    and the classes meeting each class, all built eagerly. Nothing changes
-    it afterwards, so the taxonomies ``with_facts`` derives share it."""
+    and the classes meeting each class, all built eagerly. The endpoints
+    of its edges are declared with ``classes``. Nothing changes it
+    afterwards, so the taxonomies ``with_facts`` derives share it."""
 
-    def __init__(self, classes: frozenset[str],
+    def __init__(self, classes: Iterable[str],
                  edges: Iterable[tuple[str, str]]):
-        self.classes = classes
+        edges = set(edges)
+        self.classes = classes = (frozenset(classes)
+                                  | {c for e in edges for c in e})
         self.parents: dict[str, set[str]] = {c: set() for c in classes}
         self.children: dict[str, set[str]] = {c: set() for c in classes}
         for sub, sup in edges:
@@ -127,26 +130,14 @@ class ClassGraph:
 
 class Taxonomy:
     """Immutable class graph plus explicit pair facts; all queries are
-    pure. A class that only a fact names is declared with the rest."""
+    pure. A class that only a fact names is declared: the graph is
+    extended with it, and is shared as given when there is none."""
 
-    def __init__(self, classes: Iterable[str],
-                 subclass_edges: Iterable[tuple[str, str]] = (),
+    def __init__(self, graph: ClassGraph,
                  disjoint: Iterable[tuple[str, str]] = (),
                  nondisjoint: Iterable[tuple[str, str]] = (),
                  inheritable_nondisjoint: Iterable[tuple[str, str]] = (),
                  instance_facts: Iterable[tuple[str, str]] = ()):
-        edges = {(sub, sup) for sub, sup in subclass_edges}
-        self._set_pairs(disjoint, nondisjoint, inheritable_nondisjoint,
-                        instance_facts)
-        classes = (frozenset(classes) | {c for e in edges for c in e}
-                   | self._named())
-        self._graph = ClassGraph(classes, edges)
-        self.classes = classes
-
-    def _set_pairs(self, disjoint: Iterable[tuple[str, str]],
-                   nondisjoint: Iterable[tuple[str, str]],
-                   inheritable_nondisjoint: Iterable[tuple[str, str]],
-                   instance_facts: Iterable[tuple[str, str]]):
         self.explicit_disjoint = pair_set(disjoint, "disjoint", TaxonomyError)
         self.explicit_nondisjoint = pair_set(nondisjoint, "nonDisjoint",
                                              TaxonomyError)
@@ -166,14 +157,14 @@ class Taxonomy:
         self._compatible = PairSet(self.explicit_nondisjoint | {
             (a, b) for cs in classes_of.values() for a in cs for b in cs
             if a < b})
-
-    def _named(self) -> set[str]:
-        """The classes the explicit pairs and instance facts name."""
         named = {c for _, c in self.instance_facts}
         for pairs in (self.explicit_disjoint, self.explicit_nondisjoint,
                       self.explicit_inheritable):
             named.update(pairs.partners)
-        return named
+        if not named <= graph.classes:
+            graph = ClassGraph(graph.classes | named, graph.edges())
+        self._graph = graph
+        self.classes = graph.classes
 
     # -- basic queries ------------------------------------------------------
 
@@ -302,22 +293,14 @@ class Taxonomy:
                    nondisjoint: Iterable[tuple[str, str]] = (),
                    inheritable_nondisjoint: Iterable[tuple[str, str]] = ()
                    ) -> "Taxonomy":
-        """A new taxonomy with extra explicit pairs merged in. A class that
-        only a new pair names is declared, as a build declares it; the
-        class graph is this one's unless there is such a class."""
-        merged = Taxonomy.__new__(Taxonomy)
-        merged._set_pairs(self.explicit_disjoint.union(disjoint),
-                          self.explicit_nondisjoint.union(nondisjoint),
-                          self.explicit_inheritable.union(
-                              inheritable_nondisjoint),
-                          self.instance_facts)
-        graph = self._graph
-        new = merged._named() - self.classes
-        if new:
-            graph = ClassGraph(graph.classes | new, graph.edges())
-        merged._graph = graph
-        merged.classes = graph.classes
-        return merged
+        """A new taxonomy with extra explicit pairs merged in, over this
+        one's class graph."""
+        return Taxonomy(self._graph,
+                        self.explicit_disjoint.union(disjoint),
+                        self.explicit_nondisjoint.union(nondisjoint),
+                        self.explicit_inheritable.union(
+                            inheritable_nondisjoint),
+                        self.instance_facts)
 
     def with_axioms(self, axioms: Iterable[kif.Axiom]) -> "Taxonomy":
         """This taxonomy with the pair facts of ``axioms`` merged in, or
@@ -425,4 +408,5 @@ def _harvest(axioms: Iterable[kif.Axiom]) -> tuple[set, ...]:
 
 def build_taxonomy(ontology: kif.Ontology) -> Taxonomy:
     """Harvest ground structural facts from unit clauses of an ontology."""
-    return Taxonomy(*_harvest(ontology))
+    classes, edges, *facts = _harvest(ontology)
+    return Taxonomy(ClassGraph(classes, edges), *facts)

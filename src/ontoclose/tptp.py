@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import re
 from collections import ChainMap
-from dataclasses import dataclass
 from typing import Callable
 
 from . import kif
@@ -161,32 +160,14 @@ class AxiomBlock:
                             for ax in ontology)
 
 
-@dataclass(frozen=True, slots=True)
-class TptpProblem:
-    """One problem file: the block's axioms plus exactly one conjecture."""
-    header: tuple[str, ...]
-    block: AxiomBlock
-    conjecture: tuple[str, str]
-    table: MangleTable
-
-    @property
-    def text(self) -> str:
-        name, body = self.conjecture
-        return ("".join(line + "\n" for line in self.header) + self.block.text
-                + f"fof({name}, conjecture, {body}).\n")
-
-    def axiom_id_for(self, fof_name: str) -> "str | None":
-        return self.table.demangle(fof_name)
-
-
 def emit_problem(block: AxiomBlock, test_formula: Formula,
                  metadata: "dict[str, str] | None" = None,
-                 conjecture_name: str = "cq") -> TptpProblem:
-    """The block's axioms, then the test as the sole conjecture."""
+                 conjecture_name: str = "cq") -> str:
+    """The text of one problem file: the block's axioms, then the test as
+    the sole conjecture."""
     table = block.table._overlay()
-    header = tuple(f"% {key}: {value}"
-                   for key, value in sorted((metadata or {}).items()))
-    conjecture = (table.axiom_name(conjecture_name),
-                  to_fof(test_formula, table))
-    return TptpProblem(header=header, block=block, conjecture=conjecture,
-                       table=table)
+    header = "".join(f"% {key}: {value}\n"
+                     for key, value in sorted((metadata or {}).items()))
+    name = table.axiom_name(conjecture_name)
+    return (header + block.text
+            + f"fof({name}, conjecture, {to_fof(test_formula, table)}).\n")

@@ -896,6 +896,60 @@ def test_pipeline_input_error_names_its_file(tmp_path, lexical_files, capsys,
     assert f"{broken}: " in err and line in err
 
 
+# each pipeline config value that selects nothing, and what its error says
+EMPTY_PIPELINE_SELECTIONS = {
+    "ontology": ("ontology=", "needs a path in 'ontology='"),
+    "mapping": ("mapping=", "needs a path in 'mapping='"),
+    "out": ("out=", "needs a path in 'out='"),
+    "modes": ("modes= , ", "'modes=' names no mode"),
+    "oracle": ("oracle=on",
+               "oracle: expected 1/true/yes or 0/false/no, found 'on'"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(EMPTY_PIPELINE_SELECTIONS))
+def test_pipeline_config_value_that_selects_nothing_is_refused(
+        tmp_path, lexical_files, monkeypatch, capsys, key):
+    # an empty out= wrote every output into the working directory, an
+    # empty modes= ran nothing, and oracle=on quietly selected the prover
+    mapping, antonymy, _ = lexical_files
+    settings = {"ontology": ONTOLOGY, "mapping": mapping,
+                "pairs.antonymy": antonymy, "out": "results",
+                "modes": "owa", "oracle": "true"}
+    line, message = EMPTY_PIPELINE_SELECTIONS[key]
+    del settings[key]
+    config = tmp_path / "run.conf"
+    config.write_text("".join(f"{k}={v}\n" for k, v in settings.items())
+                      + line + "\n")
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert run_cli("pipeline", config) == EXIT_DATA
+    assert f"{config}: {message}" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["gen-cqs", "pipeline"])
+def test_a_class_named_like_a_bound_variable_is_a_data_error(
+        tmp_path, lexical_files, capsys, command):
+    _, antonymy, _ = lexical_files
+    mapping = tmp_path / "mapping.tsv"
+    mapping.write_text("birth#n#2\tX=\ndeath#n#1\tDeath=\n")
+    corpus = tmp_path / "cqs.kif"
+    if command == "gen-cqs":
+        argv = ("gen-cqs", "--mapping", mapping, "--antonymy", antonymy,
+                "--out", corpus)
+    else:
+        config = tmp_path / "run.conf"
+        config.write_text(
+            f"ontology={ONTOLOGY}\nmapping={mapping}\n"
+            f"pairs.antonymy={antonymy}\nout={tmp_path}\n")
+        argv = ("pipeline", config)
+    assert run_cli(*argv) == EXIT_DATA
+    assert ("class 'X' of pair birth#n#2 death#n#1 is named like a variable "
+            "that template 'distinctness' binds") in capsys.readouterr().err
+    assert not corpus.exists()
+
+
 @pytest.mark.parametrize("broken", ["ontology", "cqs"])
 def test_run_syntax_error_names_the_broken_file(tmp_path, lexical_files,
                                                 capsys, broken):

@@ -13,7 +13,7 @@ from ontoclose.closure import (
 )
 from ontoclose.kif import Forall, Implies, Or
 from ontoclose.taxonomy import (
-    DISJOINT, NONDISJOINT, Taxonomy, TaxonomyError, build_taxonomy,
+    DISJOINT, NONDISJOINT, ClassGraph, Taxonomy, TaxonomyError, build_taxonomy,
 )
 
 from conftest import call_depth_limit, subclass_chain
@@ -294,7 +294,7 @@ def probed_tree(classes: int, branching: int, probes: list,
         if y < classes and (every_level or first_child(x) >= classes
                             and first_child(y) >= classes):
             disjoint.append((names[x], names[y]))
-    return Taxonomy(names, edges, disjoint)
+    return Taxonomy(ClassGraph(names, edges), disjoint)
 
 
 def pruning_probes_per_candidate(classes: int,

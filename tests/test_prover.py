@@ -277,12 +277,12 @@ def test_trivial_entailment_stub(tmp_path, organism_process):
     from ontoclose import tptp
     config = stub_provers.stub_config(tmp_path, stub_provers.TRIVIAL_ENTAILMENT)
     conjecture = kif.parse_formula_text("($subclass Birth OrganismProcess)")
-    problem = tptp.emit_problem(tptp.AxiomBlock(organism_process), conjecture)
+    block = tptp.AxiomBlock(organism_process)
     path = tmp_path / "trivial.p"
-    path.write_text(problem.text)
+    path.write_text(tptp.emit_problem(block, conjecture))
     outcome = run_prover(path, config)
     assert outcome.status == PROVED
-    assert problem.axiom_id_for(outcome.used[0]) == "orig_1"
+    assert block.table.demangle(outcome.used[0]) == "orig_1"
 
 
 def test_outcome_invariant_used_only_when_proved():
@@ -464,7 +464,7 @@ def test_falsity_problem_negates_the_truth_conjecture(tmp_path,
     block = AxiomBlock(organism_process)
     problems = {}
     for polarity in (TRUTH, FALSITY):
-        path, _ = write_problem(block, cq, polarity, tmp_path)
+        path = write_problem(block, cq, polarity, tmp_path)
         problems[polarity] = path.read_text(encoding="utf-8").splitlines()
     truth, falsity = (
         [line for line in problems[polarity] if ", conjecture, " in line]

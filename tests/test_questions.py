@@ -242,6 +242,29 @@ def test_generation_is_deterministic():
     assert [cq.id for cq in first.questions] == [cq.id for cq in second.questions]
 
 
+@pytest.mark.parametrize("generate, kind, mapping, name, template", [
+    (gen_antonymy_cqs, ANTONYMY, "a#n#1\tX=\nb#n#1\tDeath=\n", "X",
+     "distinctness"),
+    (gen_antonymy_cqs, ANTONYMY, "a#n#1\tBirth=\nb#n#1\tY=\n", "Y",
+     "distinctness"),
+    (gen_hyponymy_qp1, HYPONYMY, "a#n#1\tX+\nb#n#1\tDeath=\n", "X",
+     "overlap"),
+], ids=["antonymy-X", "antonymy-Y", "overlap-X"])
+def test_a_class_named_like_a_bound_variable_is_refused(
+        generate, kind, mapping, name, template):
+    # written out, ($instance X X) would read back with the class X bound
+    with pytest.raises(QuestionError) as err:
+        generate([RelationPair(kind, "a#n#1", "b#n#1")], index_of(mapping))
+    message = str(err.value)
+    assert f"class {name!r}" in message
+    assert f"template {template!r}" in message
+    assert "a#n#1 b#n#1" in message
+    # a class the skeleton does not bind is kept
+    fine = mapping.replace(f"\t{name}", f"\t{name}y")
+    assert generate([RelationPair(kind, "a#n#1", "b#n#1")],
+                    index_of(fine)).questions
+
+
 # ---------------------------------------------------------------------------
 # Corpus round trip
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from ontoclose import kif
+from ontoclose import kif, taxonomy
 from ontoclose.taxonomy import (
     CONFLICT, DISJOINT, NONDISJOINT, OPEN,
-    PairSet, SubclassCycleError, Taxonomy, TaxonomyError, UnknownClassError,
-    build_taxonomy, pair,
+    ClassGraph, PairSet, SubclassCycleError, Taxonomy, TaxonomyError,
+    UnknownClassError, build_taxonomy, pair,
 )
 
 from conftest import ORGANISM_SUBCLASSES, call_depth_limit, subclass_chain
@@ -114,7 +114,7 @@ def test_reflexive_edge_is_ignored():
     assert tax.subclass_closed("A", "A")
     assert tax.direct_subclasses("B") == {"A"}
     # a self-edge given to the constructor directly is skipped, not a cycle
-    alone = Taxonomy(["A"], [("A", "A")])
+    alone = Taxonomy(ClassGraph(["A"], [("A", "A")]))
     assert alone.down("A") == {"A"}
     assert alone.direct_subclasses("A") == frozenset()
 
@@ -139,7 +139,7 @@ def test_explicitly_contradictory_pairs_rejected():
 def test_a_class_only_a_fact_names_is_declared_silently():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tax = Taxonomy(["A"], [("B", "A")])
+        tax = Taxonomy(ClassGraph(["A"], [("B", "A")]))
     assert tax.classes == {"A", "B"}
     assert tax.subclass_closed("B", "A")
 
@@ -201,7 +201,7 @@ def test_common_subclass_makes_nondisjoint(agent_ontology):
 
 
 def test_fresh_classes_are_open():
-    tax = Taxonomy(["A", "B"])
+    tax = Taxonomy(ClassGraph(["A", "B"], ()))
     assert tax.pair_status("A", "B") == OPEN
 
 
@@ -370,7 +370,7 @@ def test_with_facts_merges_pairs(organism_process):
 
 
 def test_with_facts_declares_a_class_only_a_pair_names():
-    tax = Taxonomy(["A", "B"], [("B", "A")])
+    tax = Taxonomy(ClassGraph(["A", "B"], [("B", "A")]))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         merged = tax.with_facts(disjoint=[("A", "New")])
@@ -424,7 +424,8 @@ def test_with_facts_equals_a_fresh_build_on_random_dags():
             warnings.simplefilter("ignore")
             merged = tax.with_facts(*added)
             fresh = Taxonomy(
-                tax.classes, edges, tax.explicit_disjoint | set(added[0]),
+                ClassGraph(tax.classes, edges),
+                tax.explicit_disjoint | set(added[0]),
                 tax.explicit_nondisjoint | set(added[1]),
                 tax.explicit_inheritable | set(added[2]), tax.instance_facts)
         assert merged.classes == fresh.classes
@@ -436,6 +437,30 @@ def test_with_facts_equals_a_fresh_build_on_random_dags():
                 assert merged.pair_status(a, b) == fresh.pair_status(a, b)
                 assert merged.explicitly_nondisjoint(a, b) == \
                     fresh.explicitly_nondisjoint(a, b)
+
+
+def test_one_class_graph_per_build(monkeypatch):
+    built = []
+
+    class CountedGraph(taxonomy.ClassGraph):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(taxonomy, "ClassGraph", CountedGraph)
+    # pair and instance facts name classes that no subclass fact names
+    tax = tax_of("($subclass B A)\n($disjoint C D)\n($nonDisjoint A E)\n"
+                 "($inheritableNonDisjoint B F)\n($instance g G)")
+    assert len(built) == 1
+    assert tax.classes == set("ABCDEFG")
+    merged = tax.with_facts(disjoint=[("A", "C")], nondisjoint=[("B", "D")],
+                            inheritable_nondisjoint=[("E", "G")])
+    assert len(built) == 1
+    assert merged._graph is tax._graph
+    extended = tax.with_facts(nondisjoint=[("A", "New")])
+    assert len(built) == 2
+    assert extended.classes == tax.classes | {"New"}
+    assert extended.subclass_closed("B", "A")
 
 
 def test_sibling_pairs_fixture(organism_process):
@@ -461,7 +486,7 @@ def test_edge_tsv_and_dot(organism_process):
 
 
 def test_dot_draws_each_kind_of_pair():
-    tax = Taxonomy("ABCD", [("B", "A")], disjoint=[("D", "B")],
+    tax = Taxonomy(ClassGraph("ABCD", [("B", "A")]), disjoint=[("D", "B")],
                    nondisjoint=[("C", "B")],
                    inheritable_nondisjoint=[("D", "C")])
     assert tax.to_dot() == (

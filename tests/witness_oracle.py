@@ -11,7 +11,7 @@ import itertools
 import random
 
 from ontoclose.taxonomy import (
-    CONFLICT, DISJOINT, NONDISJOINT, OPEN, Taxonomy, pair,
+    CONFLICT, DISJOINT, NONDISJOINT, OPEN, ClassGraph, Taxonomy, pair,
 )
 
 
@@ -194,4 +194,5 @@ def random_taxonomy(rng: random.Random, max_classes: int = 12,
             if not dis_derivable(a, b):
                 nondisjoint.add(pair(a, b))
 
-    return Taxonomy(names, edges, disjoint, nondisjoint, inheritable)
+    return Taxonomy(ClassGraph(names, edges), disjoint, nondisjoint,
+                    inheritable)
