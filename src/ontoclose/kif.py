@@ -264,6 +264,47 @@ def map_terms(formula: Formula, fn: Callable[[Term], Term]) -> Formula:
     return rebuild(formula, [map_terms(p, fn) for p in parts(formula)])
 
 
+def constant_filler(formula: Formula, names: frozenset[str]
+                    ) -> Callable[[dict[str, str]], Formula]:
+    """The formula compiled into a function of a table from each name in
+    ``names`` that occurs as a constant to the constant to put in its
+    place. The function returns what ``map_terms`` would with that
+    renaming, but rebuilds only the nodes above a renamed constant and
+    shares the others with ``formula``."""
+    fill = _filler(formula, names)
+    return (lambda table: formula) if fill is None else fill
+
+
+def _filler(node: "Formula | Term", names: frozenset[str]):
+    """``constant_filler`` of a node, or None when no constant named in
+    ``names`` occurs in it."""
+    if isinstance(node, Term):
+        if node.kind != CONSTANT or node.name not in names:
+            return None
+        name = node.name
+        return lambda table: Term(CONSTANT, table[name])
+    _, parts_of, rebuild = _SHAPES[type(node)]
+    parts = parts_of(node)
+    fills = [_filler(part, names) for part in parts]
+    if all(fill is None for fill in fills):
+        return None
+    getters = [fill or _shared(part) for part, fill in zip(parts, fills)]
+    # one and two parts, the common cases, without a list comprehension:
+    # it costs as much again as the node's own construction
+    if len(getters) == 1:
+        [get] = getters
+        return lambda table: rebuild(node, (get(table),))
+    if len(getters) == 2:
+        get_left, get_right = getters
+        return lambda table: rebuild(node, (get_left(table),
+                                            get_right(table)))
+    return lambda table: rebuild(node, [get(table) for get in getters])
+
+
+def _shared(part: "Formula | Term"):
+    return lambda table: part
+
+
 def subformulas(formula: Formula) -> Iterator[Formula]:
     """Pre-order walk over the formula and all nested subformulas."""
     stack = [formula]

@@ -12,6 +12,7 @@ installed.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import signal
@@ -131,8 +132,9 @@ class ProverOutcome:
     detail: str = ""
 
     def __post_init__(self):
-        if self.wall_time < 0:
-            raise ValueError("negative wall time")
+        # written so that a NaN wall time fails too
+        if not 0 <= self.wall_time < math.inf:
+            raise ValueError("wall time must be finite and non-negative")
         if self.status != PROVED and self.used:
             object.__setattr__(self, "used", ())
 
@@ -279,73 +281,134 @@ def journal_record(cq_id: str, polarity: str, outcome: ProverOutcome) -> dict:
             "seconds": round(outcome.wall_time, 6), "used": list(outcome.used)}
 
 
-def verdict_records(verdicts) -> Iterator[dict]:
-    """The journal record of every test the verdicts ran, truth before
-    falsity, in verdict order."""
+def verdict_tests(verdicts) -> Iterator[tuple[str, str, ProverOutcome]]:
+    """(question id, polarity, outcome) of every test the verdicts ran,
+    truth before falsity, in verdict order."""
     for v in verdicts:
-        for polarity, outcome in ((TRUTH, v.truth), (FALSITY, v.falsity)):
-            if outcome is not None:
-                yield journal_record(v.cq_id, polarity, outcome)
+        if v.truth is not None:
+            yield v.cq_id, TRUTH, v.truth
+        if v.falsity is not None:
+            yield v.cq_id, FALSITY, v.falsity
 
 
-# what json.dumps(record, sort_keys=True) builds anew for every record
-_JOURNAL_ENCODER = json.JSONEncoder(sort_keys=True)
+_quote = json.encoder.encode_basestring_ascii
 
 
-def append_journal(path: "str | Path", records) -> None:
-    """Append records to the journal, one JSON line each, through one
-    open file."""
+def _journal_tail(outcome: ProverOutcome) -> str:
+    """The end of the journal line of a test with this outcome, from the
+    separator after its polarity to the newline."""
+    used = ", ".join(map(_quote, outcome.used))
+    return (f', "seconds": {round(outcome.wall_time, 6)!r}, '
+            f'"status": {_quote(outcome.status)}, "used": [{used}]}}\n')
+
+
+def append_journal(path: "str | Path", tests) -> None:
+    """Append one journal line per (question id, polarity, outcome) test,
+    through one open file. A line is ``json.dumps(journal_record(...),
+    sort_keys=True)`` and a newline, rendered field by field; the part
+    after the polarity is rendered once per distinct outcome."""
+    # by id, holding each outcome so that its id is not reused
+    tails: dict[int, tuple[ProverOutcome, str]] = {}
     with open(path, "a", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(_JOURNAL_ENCODER.encode(record) + "\n")
+        for cq_id, polarity, outcome in tests:
+            entry = tails.get(id(outcome))
+            if entry is None:
+                entry = tails[id(outcome)] = (outcome, _journal_tail(outcome))
+            handle.write(f'{{"cq": {_quote(cq_id)}, '
+                         f'"polarity": {_quote(polarity)}{entry[1]}')
 
 
-def _is_record(value) -> bool:
-    return (isinstance(value, dict) and isinstance(value.get("cq"), str)
-            and isinstance(value.get("polarity"), str))
+# the largest number of seconds a report can take as a float
+_MAX_SECONDS = sys.float_info.max
+
+
+def _index_records(path: Path, numbered) -> dict[tuple[str, str], dict]:
+    """Journal records by (question, polarity), from (line number, decoded
+    line) pairs; the first that is not a record raises
+    :class:`ProverError` naming its line."""
+    records = {}
+    for lineno, record in numbered:
+        try:
+            cq_id, polarity = record["cq"], record["polarity"]
+            status, seconds = record["status"], record["seconds"]
+            used = record.get("used", [])
+        except (KeyError, TypeError):
+            cq_id = None
+        # type() rather than isinstance(): the decoder makes no subclass,
+        # and a bool is not a number of seconds
+        if not (type(cq_id) is str and type(polarity) is str
+                and type(status) is str
+                and (type(seconds) is float or type(seconds) is int)
+                and 0 <= seconds <= _MAX_SECONDS
+                and type(used) is list
+                and (not used or all(type(name) is str for name in used))):
+            raise ProverError(
+                f"{path}:{lineno}: journal line is not a record with string "
+                "cq, polarity and status, a finite non-negative number of "
+                "seconds and, if any, a list of strings as used")
+        records[cq_id, polarity] = record
+    return records
+
+
+def _decoded_lines(path: Path, lines):
+    """(line number, decoded line) of each non-blank line, one decode
+    per line."""
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip():
+            try:
+                yield lineno, json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ProverError(
+                    f"{path}:{lineno}: bad journal line: {exc}") from None
+
+
+def _journal_text(path: Path) -> str:
+    """The journal's text up to its last newline, so without a last line
+    torn by a kill mid-append; empty when there is no journal."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return ""
+    except UnicodeDecodeError as exc:
+        raise ProverError(
+            f"{path}: journal is not UTF-8 text: {exc}") from None
+    return text[:text.rfind("\n") + 1]
 
 
 def load_journal(path: "str | Path") -> dict[tuple[str, str], dict]:
     """The journal's records by (question, polarity). Blank lines, and an
     unterminated last line torn by a kill mid-append, are skipped; any
-    other line that is not one JSON object with string ``cq`` and
-    ``polarity`` raises :class:`ProverError` naming it."""
+    other line that is not one JSON object with string ``cq``,
+    ``polarity`` and ``status``, a finite non-negative number ``seconds``
+    (not a bool) and, if it has one, a list of strings ``used`` raises
+    :class:`ProverError` naming it."""
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").split("\n")[:-1]
-    except FileNotFoundError:
-        return {}
-    except UnicodeDecodeError as exc:
-        raise ProverError(
-            f"{path}: journal is not UTF-8 text: {exc}") from None
-    filled = [line for line in lines if line.strip()]
-    # one decode of the whole journal shares each key string among the
-    # records; it stands only when it holds one record per non-blank line
-    # and each line holds one "{" and one "}", which keeps every record
-    # within its own line; or else the loop below names the first line
-    # that is not one record
-    try:
-        decoded = json.loads("[" + ",".join(filled) + "]")
-    except json.JSONDecodeError:
-        decoded = []
-    if len(decoded) != len(filled) or not all(map(_is_record, decoded)) \
-            or not all(line.count("{") == 1 == line.count("}")
-                       for line in filled):
-        decoded = []
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
+    text = _journal_text(path)
+    lines = text.count("\n")
+    # One decode of the whole journal shares each key string among the
+    # records. It is tried when each line starts with "{" and the journal
+    # holds no other "{". If it then yields one record per line, every
+    # "{" opens a record, none sits in a string or a nested object, and
+    # so each line holds one record. Otherwise each line is decoded on its
+    # own, which names the first line that is not a record.
+    if text[:1] == "{" and text.count("{") == lines == text.count("\n{") + 1:
+        whole = "[%s]" % text.replace("\n", ",", lines - 1)
+        # one copy of the journal in memory while its records are built;
+        # the line-by-line decode reads the file again
+        del text
+        try:
+            decoded = json.loads(whole)
+        except json.JSONDecodeError:
+            decoded = []
+        del whole
+        if len(decoded) == lines:
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ProverError(
-                    f"{path}:{lineno}: bad journal line: {exc}") from None
-            if not _is_record(record):
-                raise ProverError(
-                    f"{path}:{lineno}: journal line is not a record with "
-                    "string cq and polarity")
-            decoded.append(record)
-    return {(record["cq"], record["polarity"]): record for record in decoded}
+                return _index_records(path, enumerate(decoded, start=1))
+            except ProverError:
+                pass
+        del decoded
+        text = _journal_text(path)
+    return _index_records(path, _decoded_lines(path, text.split("\n")))
 
 
 def _drop_torn_tail(path: "str | Path") -> None:
@@ -411,8 +474,7 @@ def run_batch(ontology: Ontology, cqs, config: ProverConfig,
                 "prover error on %s %s test: %s", cq.id, polarity,
                 outcome.detail)
         with lock:
-            append_journal(journal_path,
-                           [journal_record(cq.id, polarity, outcome)])
+            append_journal(journal_path, [(cq.id, polarity, outcome)])
         return outcome
 
     def evaluate(cq: CompetencyQuestion) -> Verdict:
@@ -515,6 +577,6 @@ def oracle_run_batch(tax: Taxonomy, cqs,
     records."""
     verdicts = [oracle_verdict(tax, cq) for cq in cqs]
     Path(journal_path).unlink(missing_ok=True)
-    append_journal(journal_path, verdict_records(verdicts))
+    append_journal(journal_path, verdict_tests(verdicts))
     _raise_on_contradiction(verdicts)
     return verdicts

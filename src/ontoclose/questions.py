@@ -85,8 +85,9 @@ class QpTemplate:
             raise TemplateError(f"unknown pair kind: {self.pair_kind!r}")
         _require_closed(self.skeleton, "template skeleton", TemplateError)
         # a placeholder is used when renaming it changes the skeleton
+        fill = self.filler()
         missing = [p for p in _PLACEHOLDERS
-                   if _instantiate(self.skeleton, {p: p + "_"}) == self.skeleton]
+                   if fill({**_IDENTITY, p: p + "_"}) == self.skeleton]
         if missing:
             raise TemplateError(
                 "template skeleton never uses placeholder(s): "
@@ -96,11 +97,15 @@ class QpTemplate:
     def pattern(self) -> str:
         return f"template({self.name})"
 
+    def filler(self):
+        """The skeleton as a function of a table from ``C1`` and ``C2`` to
+        the classes to put in their place: the one way a question's
+        conjecture is built. Compile it once and call it per question;
+        it rebuilds only the nodes above a placeholder."""
+        return kif.constant_filler(self.skeleton, frozenset(_PLACEHOLDERS))
 
-def _instantiate(skeleton: kif.Formula, table: dict[str, str]) -> kif.Formula:
-    """The skeleton with each constant named in ``table`` renamed."""
-    return kif.map_terms(skeleton, lambda t: kif.const(table[t.name])
-                         if t.kind == kif.CONSTANT and t.name in table else t)
+
+_IDENTITY = {p: p for p in _PLACEHOLDERS}
 
 
 # The built-in patterns: the overlap and subset questions of hyponymy and
@@ -127,6 +132,7 @@ def _generate(pairs, mapping: MappingIndex, template: QpTemplate,
     seen_ids: set[str] = set()
     skipped: list[RelationPair] = []
     s1_relations, s2_relations = template.s1_relations, template.s2_relations
+    fill = template.filler()
     # a class named like one of these would read back as the variable
     bound = {v for f in kif.subformulas(template.skeleton)
              if isinstance(f, (kif.Forall, kif.Exists)) for v in f.variables}
@@ -157,8 +163,7 @@ def _generate(pairs, mapping: MappingIndex, template: QpTemplate,
                         f"class {concept!r} of pair {rel_pair.s1} "
                         f"{rel_pair.s2} is named like a variable that "
                         f"template {template.name!r} binds")
-                conjecture = _instantiate(
-                    template.skeleton, {"C1": l1.concept, "C2": l2.concept})
+                conjecture = fill({"C1": l1.concept, "C2": l2.concept})
                 questions.append(CompetencyQuestion(
                     id=qid, pattern=pattern, source_pair=rel_pair,
                     conjecture=conjecture))

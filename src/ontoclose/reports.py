@@ -9,8 +9,11 @@ its proved tests, so faster proofs score higher.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
+from itertools import repeat
+from operator import itemgetter
 
 from .prover import FALSITY, PROVED, TRUTH
 
@@ -18,7 +21,7 @@ _MIN_SECONDS = 1e-9  # instant answers (the oracle) would otherwise divide by ze
 
 
 def pattern_of(cq_id: str) -> str:
-    return cq_id.split(":", 1)[0]
+    return cq_id.partition(":")[0]
 
 
 def round2(value: float) -> str:
@@ -60,52 +63,59 @@ def proved_keys(records: dict[tuple[str, str], dict]
             if record["status"] == PROVED}
 
 
+def _proved_tests(records: dict[tuple[str, str], dict]
+                ) -> dict[str, list[tuple[str, dict]]]:
+    """The question id and record of each proved test, by polarity."""
+    proved = {TRUTH: [], FALSITY: []}
+    for (cq_id, polarity), record in records.items():
+        if record["status"] == PROVED and polarity in proved:
+            proved[polarity].append((cq_id, record))
+    return proved
+
+
+def _pattern_by_id(cq_ids) -> dict[str, str]:
+    """``pattern_of`` of each question id, inlined: a call per id would cost
+    half as much again."""
+    return {cq_id: cq_id.partition(":")[0] for cq_id in cq_ids}
+
+
 def competency_report(records: dict[tuple[str, str], dict], *,
                       baseline_proved: "set[tuple[str, str]] | None" = None,
                       expected_cqs=None) -> list[CompetencyRow]:
     """Per-pattern counts of proved truth and falsity tests, with a Total
     row; exclusive counts are tests proved here whose (question, polarity)
     key is not in ``baseline_proved`` (see ``proved_keys``)."""
-    journal_ids = {cq for cq, _ in records}
+    ids = {cq_id for cq_id, _ in records}
     if expected_cqs is not None:
-        expected_ids = {cq.id for cq in expected_cqs}
-        missing = sorted(expected_ids - journal_ids)
+        missing = {cq.id for cq in expected_cqs} - ids
         if missing:
             warnings.warn("journal incomplete; missing questions: "
-                          + ", ".join(missing), stacklevel=2)
-        all_ids = expected_ids | journal_ids
-    else:
-        all_ids = journal_ids
-
-    by_pattern: dict[str, list[str]] = {}
-    for cq_id in sorted(all_ids):
-        by_pattern.setdefault(pattern_of(cq_id), []).append(cq_id)
-
-    proved = proved_keys(records)
-    rows = []
-    for pattern in sorted(by_pattern):
-        ids = by_pattern[pattern]
-        truth = [(i, TRUTH) for i in ids if (i, TRUTH) in proved]
-        falsity = [(i, FALSITY) for i in ids if (i, FALSITY) in proved]
-        truth_x = falsity_x = None
+                          + ", ".join(sorted(missing)), stacklevel=2)
+            ids |= missing
+    pattern = _pattern_by_id(ids)
+    counts = Counter(pattern.values())
+    # per polarity, proved tests and those of them the baseline lacks,
+    # by pattern
+    proved, exclusive = {}, {}
+    for polarity, tests in _proved_tests(records).items():
+        proved[polarity] = Counter(pattern[cq_id] for cq_id, _ in tests)
         if baseline_proved is not None:
-            truth_x = sum(key not in baseline_proved for key in truth)
-            falsity_x = sum(key not in baseline_proved for key in falsity)
-        rows.append(CompetencyRow(pattern=pattern, count=len(ids),
-                                  truth_proved=len(truth),
-                                  falsity_proved=len(falsity),
-                                  truth_exclusive=truth_x,
-                                  falsity_exclusive=falsity_x))
-    total = CompetencyRow(
-        pattern="Total",
-        count=sum(r.count for r in rows),
-        truth_proved=sum(r.truth_proved for r in rows),
-        falsity_proved=sum(r.falsity_proved for r in rows),
-        truth_exclusive=(sum(r.truth_exclusive for r in rows)
-                         if baseline_proved is not None else None),
-        falsity_exclusive=(sum(r.falsity_exclusive for r in rows)
-                           if baseline_proved is not None else None))
-    rows.append(total)
+            exclusive[polarity] = Counter(
+                pattern[cq_id] for cq_id, _ in tests
+                if (cq_id, polarity) not in baseline_proved)
+
+    def row(name: str, count: int, tally) -> CompetencyRow:
+        return CompetencyRow(
+            pattern=name, count=count, truth_proved=tally(proved[TRUTH]),
+            falsity_proved=tally(proved[FALSITY]),
+            truth_exclusive=(None if baseline_proved is None
+                             else tally(exclusive[TRUTH])),
+            falsity_exclusive=(None if baseline_proved is None
+                               else tally(exclusive[FALSITY])))
+
+    rows = [row(name, counts[name], itemgetter(name))
+            for name in sorted(counts)]
+    rows.append(row("Total", len(ids), Counter.total))
     return rows
 
 
@@ -113,14 +123,15 @@ def _efficiency_cell(pattern: str, polarity_label: str,
                      proved_records: list[dict]) -> EfficiencyRow:
     if not proved_records:
         return EfficiencyRow(pattern, polarity_label, 0.0, 0.0, 0, 0.0)
-    times = [max(r["seconds"], _MIN_SECONDS) for r in proved_records]
+    # max(seconds, _MIN_SECONDS), for the numbers a journal holds
+    times = [s if s >= _MIN_SECONDS else _MIN_SECONDS
+             for s in map(itemgetter("seconds"), proved_records)]
     t = sum(times) / len(times)
-    me = 1000.0 * sum(1.0 / s for s in times) / len(times)
-    proofs = [r["used"] for r in proved_records if r.get("used")]
-    distinct = set()
-    for used in proofs:
-        distinct.update(used)
-    a = sum(len(u) for u in proofs) / len(proofs) if proofs else 0.0
+    me = 1000.0 * sum([1.0 / s for s in times]) / len(times)
+    proofs = list(filter(None, map(dict.get, proved_records,
+                                   repeat("used"))))
+    distinct = set().union(*proofs)
+    a = sum(map(len, proofs)) / len(proofs) if proofs else 0.0
     return EfficiencyRow(pattern, polarity_label, t, me, len(distinct), a)
 
 
@@ -128,26 +139,23 @@ def efficiency_report(records: dict[tuple[str, str], dict]
                       ) -> list[EfficiencyRow]:
     """Per pattern and polarity: mean time, scaled mean inverse time, and
     used-axiom counts over the proved tests, plus Total rows."""
-    cells: dict[tuple[str, str], list[dict]] = {}
-    patterns = sorted({pattern_of(cq) for cq, _ in records})
-    for (cq_id, polarity), record in records.items():
-        if record["status"] != PROVED:
-            continue
-        cells.setdefault((pattern_of(cq_id), polarity), []).append(record)
-
-    rows = []
-    for pattern in patterns:
-        for polarity, label in ((TRUTH, "+"), (FALSITY, "-")):
-            cell = sorted(cells.get((pattern, polarity), ()),
-                          key=lambda r: (r["cq"], r["polarity"]))
-            rows.append(_efficiency_cell(pattern, label, cell))
+    pattern = _pattern_by_id({cq_id for cq_id, _ in records})
+    patterns = sorted(set(pattern.values()))
+    rows = {}
+    proved = _proved_tests(records)
     for polarity, label in ((TRUTH, "+"), (FALSITY, "-")):
-        merged = sorted(
-            (record for (_, pol), cell in cells.items() if pol == polarity
-             for record in cell),
-            key=lambda r: (r["cq"], r["polarity"]))
-        rows.append(_efficiency_cell("Total", label, merged))
-    return rows
+        # every cell, the Total one too, sums its times in question order,
+        # the order that sorting it by (question, polarity) gives
+        tests = sorted(proved[polarity], key=itemgetter(0))
+        cells = {name: [] for name in patterns}
+        for cq_id, record in tests:
+            cells[pattern[cq_id]].append(record)
+        for name, cell in cells.items():
+            rows[name, label] = _efficiency_cell(name, label, cell)
+        rows["Total", label] = _efficiency_cell(
+            "Total", label, list(map(itemgetter(1), tests)))
+    return [rows[name, label] for name in patterns + ["Total"]
+            for label in "+-"]
 
 
 # ---------------------------------------------------------------------------

@@ -405,10 +405,16 @@ def test_report_deterministic(tmp_path, lexical_files, capsys):
 
 def test_report_on_a_journal_line_that_is_not_a_record(tmp_path, capsys):
     journal = tmp_path / "journal.jsonl"
-    journal.write_text('{"cq": "a", "polarity": "truth", "status": "proved"}'
-                       "\n5\n")
-    assert run_cli("report", "--journal", journal) == EXIT_PROVER
-    assert f"{journal}:2:" in capsys.readouterr().err
+    for line in ("5",
+                 # a report read these three and failed with a traceback
+                 '{"cq": "q:1", "polarity": "truth", "status": "proved"}',
+                 '{"cq": "q:1", "polarity": "truth", "status": "proved", '
+                 '"seconds": "fast"}',
+                 '{"cq": "q:1", "polarity": "truth", "seconds": 1.0}'):
+        journal.write_text('{"cq": "a", "polarity": "truth", '
+                           f'"seconds": 0.5, "status": "proved"}}\n{line}\n')
+        assert run_cli("report", "--journal", journal) == EXIT_PROVER, line
+        assert f"{journal}:2:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +428,30 @@ def test_load_config(tmp_path):
     bad = tmp_path / "bad.conf"
     bad.write_text("no equals sign\n")
     assert run_cli("pipeline", bad) == EXIT_DATA
+
+
+def test_config_comment_after_a_value_is_not_part_of_it(tmp_path,
+                                                       lexical_files,
+                                                       monkeypatch):
+    # the comment was kept in the value: the pipeline wrote into a
+    # directory named "results   # where outputs go" and exited 0
+    mapping, antonymy, _ = lexical_files
+    config = tmp_path / "run.conf"
+    config.write_text(f"ontology={ONTOLOGY}\t# the ontology\n"
+                      f"mapping={mapping}\npairs.antonymy={antonymy}\n"
+                      "  # an indented comment\n"
+                      "out=results   # where outputs go\n"
+                      "modes=owa #,subclass-only\n"
+                      "prover.command=prover --tag=#1 {problem}\n")
+    assert load_config(str(config))["prover.command"] == \
+        "prover --tag=#1 {problem}"
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("pipeline", config) == EXIT_OK
+    assert sorted(p.name for p in (tmp_path / "results").iterdir()) == \
+        ["cqs.kif", "owa", "stats.csv"]
+    assert {p.name for p in tmp_path.iterdir()} == \
+        {"run.conf", "results", "mapping.tsv", "antonymy.tsv",
+         "hyponymy.tsv"}
 
 
 def test_config_lines_end_at_newline_only(tmp_path):

@@ -236,6 +236,27 @@ def test_round_trip_identity(name):
             assert kif.normalize(again) == kif.normalize(formula)
 
 
+def test_constant_filler_renames_as_map_terms_does():
+    rng = random.Random(5)
+    names = frozenset({"a", "K9"})
+    table = {"a": "Filled", "K9": "Other"}
+    for _ in range(300):
+        formula = _random_formula(rng, 4)
+        filled = kif.constant_filler(formula, names)(table)
+        assert filled == kif.map_terms(
+            formula, lambda t: const(table[t.name])
+            if t.kind == kif.CONSTANT and t.name in names else t)
+        # the subformulas with nothing to rename are shared, not rebuilt
+        untouched = [f for f in kif.subformulas(formula)
+                     if not names & {t.name for g in kif.subformulas(f)
+                                     if isinstance(g, (Atom, kif.Equal))
+                                     for t in ((g.left, g.right)
+                                               if isinstance(g, kif.Equal)
+                                               else g.args)}]
+        shared = {id(f) for f in kif.subformulas(filled)}
+        assert all(id(f) in shared for f in untouched)
+
+
 def test_round_trip_is_stable():
     text = (DATA_DIR / "shapes.kif").read_text()
     once = kif.serialize_kif(kif.parse_kif(text))

@@ -21,9 +21,10 @@ from ontoclose.prover import (
     MAX_MEMORY_LIMIT_MIB, MAX_TIME_LIMIT, NON_PASSING, PASSING, PROVED,
     TIMEOUT, TRUTH, UNKNOWN,
     InconsistencyError, ProverConfig, ProverError, ProverOutcome,
-    UnrecognizedShapeError, append_journal, classify, journal_record,
-    load_journal, oracle_run_batch, oracle_verdict, parse_prover_output,
-    recognize_shape, run_batch, run_prover, write_problem,
+    UnrecognizedShapeError, _ORACLE_OUTCOMES, append_journal, classify,
+    journal_record, load_journal, oracle_run_batch, oracle_verdict,
+    parse_prover_output, recognize_shape, run_batch, run_prover,
+    write_problem,
 )
 from ontoclose.taxonomy import build_taxonomy
 from ontoclose.tptp import AxiomBlock
@@ -290,6 +291,13 @@ def test_outcome_invariant_used_only_when_proved():
     assert outcome.used == ()
 
 
+@pytest.mark.parametrize("wall_time", [-1.0, float("nan"), float("inf")])
+def test_outcome_refuses_a_wall_time_no_journal_can_hold(wall_time):
+    # a NaN passed the old "< 0" check, and the journal then held NaN
+    with pytest.raises(ValueError, match="wall time"):
+        ProverOutcome(GAVE_UP, wall_time)
+
+
 # ---------------------------------------------------------------------------
 # Verdicts
 # ---------------------------------------------------------------------------
@@ -338,9 +346,8 @@ def test_run_batch_unknown(tmp_path, organism_process):
 def test_journal_round_trip(tmp_path):
     journal = tmp_path / "results.jsonl"
     outcome = ProverOutcome(status=PROVED, wall_time=1.25, used=("orig_1",))
-    append_journal(journal, [journal_record("cq-1", TRUTH, outcome)])
-    append_journal(journal, [journal_record("cq-1", FALSITY,
-                                            ProverOutcome(GAVE_UP, 0.5))])
+    append_journal(journal, [("cq-1", TRUTH, outcome)])
+    append_journal(journal, [("cq-1", FALSITY, ProverOutcome(GAVE_UP, 0.5))])
     records = load_journal(journal)
     assert records[("cq-1", TRUTH)]["status"] == PROVED
     assert records[("cq-1", TRUTH)]["used"] == ["orig_1"]
@@ -351,7 +358,8 @@ def test_load_journal_missing_file(tmp_path):
     assert load_journal(tmp_path / "absent.jsonl") == {}
 
 
-GOOD_LINE = '{"cq": "q", "polarity": "truth", "status": "proved"}'
+GOOD_LINE = ('{"cq": "q", "polarity": "truth", "seconds": 0.5, '
+             '"status": "proved"}')
 
 
 def test_load_journal_rejects_garbage(tmp_path):
@@ -362,12 +370,35 @@ def test_load_journal_rejects_garbage(tmp_path):
                  '{"cq": "b", "polarity": "truth"}',
                  # two records whose decode spans lines 3 and 4
                  '{"cq": "a", "polarity": "truth"}, '
-                 '{"cq": "b", "polarity": "truth", "x": [1\n2]}'):
-        # the bad line is line 3, after a record and a blank line
-        bad.write_text(f"{GOOD_LINE}\n\n{line}\n{GOOD_LINE}\n",
-                       encoding="utf-8")
-        with pytest.raises(ProverError, match=re.escape(f"{bad}:3:")):
-            load_journal(bad)
+                 '{"cq": "b", "polarity": "truth", "x": [1\n2]}',
+                 # two good records on a line, the second one ending on
+                 # the next line, which starts with "{" (or else holds no
+                 # "{"): one decode of the whole journal would take them
+                 '{"cq": "a", "polarity": "truth", "seconds": 1, '
+                 '"status": "proved"}, {"cq": "b", "polarity": "truth", '
+                 '"seconds": 1, "status": "proved", "x": "\n{"}',
+                 '{"cq": "a", "polarity": "truth", "seconds": 1, '
+                 '"status": "proved"}, {"cq": "b", "seconds": 1, '
+                 '"status": "proved"\n"polarity": "truth"}',
+                 # fields that reports and resumed runs read
+                 '{"cq": "a", "polarity": "truth", "status": "proved"}',
+                 '{"cq": "a", "polarity": "truth", "seconds": 1}',
+                 '{"cq": "a", "polarity": "truth", "seconds": 1, '
+                 '"status": 1}',
+                 *(f'{{"cq": "a", "polarity": "truth", "seconds": {seconds}, '
+                   '"status": "proved"}'
+                   for seconds in ('"fast"', "true", "null", "-0.5", "NaN",
+                                   "Infinity", "1e400", "1" + "0" * 400)),
+                 *('{"cq": "a", "polarity": "truth", "seconds": 1, '
+                   f'"status": "proved", "used": {used}}}'
+                   for used in ('"ax"', "null", '["ax", 1]', '[["ax"]]'))):
+        # the bad line follows a record, and a blank line or none
+        for blank, lineno in (("\n", 3), ("", 2)):
+            bad.write_text(f"{GOOD_LINE}\n{blank}{line}\n{GOOD_LINE}\n",
+                           encoding="utf-8")
+            with pytest.raises(ProverError,
+                               match=re.escape(f"{bad}:{lineno}:")):
+                load_journal(bad)
     bad.write_bytes(GOOD_LINE.encode() + b"\n\xff\xfe\n")
     with pytest.raises(ProverError, match=re.escape(f"{bad}: ") + ".*UTF-8"):
         load_journal(bad)
@@ -381,7 +412,113 @@ def test_load_journal_skips_blank_lines_and_a_torn_tail(tmp_path):
     records = load_journal(journal)
     assert sorted(records) == [("q", TRUTH), ("r", TRUTH)]
     assert records[("r", TRUTH)] == {"cq": "r", "polarity": TRUTH,
-                                     "status": PROVED}
+                                     "seconds": 0.5, "status": PROVED}
+
+
+def _load_line_by_line(path):
+    """What load_journal should return, or the line it should name."""
+    records = {}
+    for lineno, line in enumerate(path.read_text().split("\n")[:-1], 1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError:
+            return lineno
+        if not isinstance(record, dict):
+            return lineno
+        seconds, used = record.get("seconds"), record.get("used", [])
+        if not (all(isinstance(record.get(key), str)
+                    for key in ("cq", "polarity", "status"))
+                and type(seconds) in (int, float)
+                and 0 <= seconds <= sys.float_info.max
+                and isinstance(used, list)
+                and all(isinstance(name, str) for name in used)):
+            return lineno
+        records[record["cq"], record["polarity"]] = record
+    return records
+
+
+def test_load_journal_equals_a_line_by_line_load(tmp_path):
+    # one decode of the whole journal must give what decoding each line
+    # gives, on journals with braces and commas in strings, several
+    # records on a line, records across lines, blank lines, torn tails
+    rng = random.Random(7)
+    names = ["q", "{", "}", "{}", "a,b", 'x"}\n{"y', "\u2028", ""]
+
+    def record():
+        name = rng.choice(names) if rng.random() < 0.2 else "q"
+        fields = {"cq": name + str(rng.randrange(4)),
+                  "polarity": rng.choice([TRUTH, FALSITY]),
+                  "seconds": rng.choice([0.0, 1, 2.5]),
+                  "status": rng.choice([PROVED, GAVE_UP]),
+                  "used": (rng.sample(names, rng.randrange(3))
+                           if rng.random() < 0.2 else ["ax"])}
+        for key in rng.sample(list(fields), rng.choice([0] * 20 + [1])):
+            del fields[key]
+        return json.dumps(fields, sort_keys=rng.random() < 0.5)
+
+    def line():
+        kind = rng.randrange(24)
+        if kind == 0:
+            return rng.choice(["", "  "])
+        if kind == 1:
+            return record() + ", " + record()
+        if kind == 2:
+            text = record()
+            cut = rng.randrange(1, len(text))
+            return text[:cut] + "\n" + text[cut:]
+        if kind == 3:
+            return rng.choice(["{}", "[{}]", "{", '{"cq": {"a": 1}}'])
+        return record()
+
+    journal = tmp_path / "journal.jsonl"
+    for trial in range(400):
+        text = "".join(line() + "\n" for _ in range(rng.randrange(6)))
+        if rng.random() < 0.3:
+            text += record()[:rng.randrange(1, 20)]
+        journal.write_text(text, encoding="utf-8")
+        expected = _load_line_by_line(journal)
+        if isinstance(expected, int):
+            with pytest.raises(ProverError,
+                               match=re.escape(f"{journal}:{expected}:")):
+                load_journal(journal)
+        else:
+            assert load_journal(journal) == expected, text
+
+
+ADVERSARIAL_NAMES = [
+    "", "plain", 'quote"d', "back\\slash", "\\\"", "tab\tnew\nline\r",
+    "".join(map(chr, range(32))) + "\x7f", "\u2028\u2029", "caf\u00e9",
+    "\u65e5\u672c", "\U0001f600 astral \U0010ffff", "\ud800 lone",
+    "x" * 5000, "{\"cq\": 1}",
+]
+
+
+def test_journal_lines_are_json_dumps_of_the_record(tmp_path):
+    journal = tmp_path / "journal.jsonl"
+    shared = ProverOutcome(PROVED, 0.25, used=tuple(ADVERSARIAL_NAMES))
+    outcomes = [shared, shared, _ORACLE_OUTCOMES[True],
+                _ORACLE_OUTCOMES[False], _ORACLE_OUTCOMES[True],
+                ProverOutcome(PROVED, 0.25, used=tuple(ADVERSARIAL_NAMES)),
+                ProverOutcome(PROVED, 1.0, used=("only",)),
+                ProverOutcome(PROVED, 2.0, used=tuple(
+                    f"ax_{i}" for i in range(2000))),
+                ProverOutcome(GAVE_UP, 3.0, used=("dropped",)),
+                ProverOutcome(ERROR, 300, detail="no SZS status line")]
+    outcomes += [ProverOutcome(status, seconds)
+                 for status in (PROVED, TIMEOUT, "odd \"status\"\u2028")
+                 for seconds in (0, 0.0, 1e-7, 5e-7, 123.4567891, 0.1 + 0.2,
+                                 1e16, 1e300, 7)]
+    tests = [(cq_id, polarity, outcome)
+             for cq_id, outcome in zip(ADVERSARIAL_NAMES * 3, outcomes)
+             for polarity in (TRUTH, FALSITY, "polar\\ity")]
+    append_journal(journal, tests)
+    append_journal(journal, [])
+    append_journal(journal, iter(tests[:1]))
+    expected = "".join(json.dumps(journal_record(*test), sort_keys=True)
+                       + "\n" for test in tests + tests[:1])
+    assert journal.read_bytes() == expected.encode("utf-8")
 
 
 def test_run_batch_resumes(tmp_path, organism_process):

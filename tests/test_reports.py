@@ -1,10 +1,14 @@
 import math
+import random
+import warnings
+from types import SimpleNamespace
 
 import pytest
 
 from ontoclose.prover import FALSITY, TRUTH
 from ontoclose.reports import (
-    CompetencyRow, competency_report, efficiency_report, pattern_of,
+    CompetencyRow, EfficiencyRow, competency_report, efficiency_report,
+    pattern_of,
     proved_keys, render_competency_csv, render_competency_text,
     render_efficiency_csv, render_size_stats_csv, round2,
 )
@@ -218,3 +222,102 @@ def test_round2_is_half_even():
     assert round2(0.125) == "0.12"
     assert round2(0.135) == "0.14"
     assert round2(375.0) == "375.00"
+
+
+# ---------------------------------------------------------------------------
+# Both reports against a plain reference
+# ---------------------------------------------------------------------------
+
+def _reference_competency(records, baseline_proved, expected_ids):
+    ids = {cq for cq, _ in records} | set(expected_ids or ())
+    rows = []
+    for pattern in sorted({cq.split(":", 1)[0] for cq in ids}):
+        mine = [cq for cq in ids if cq.split(":", 1)[0] == pattern]
+        proved = {polarity: [(cq, polarity) for cq in mine
+                             if records.get((cq, polarity), {}).get("status")
+                             == "proved"]
+                  for polarity in (TRUTH, FALSITY)}
+        exclusive = {polarity: (None if baseline_proved is None else
+                                sum(key not in baseline_proved
+                                    for key in keys))
+                     for polarity, keys in proved.items()}
+        rows.append(CompetencyRow(pattern, len(mine), len(proved[TRUTH]),
+                                  len(proved[FALSITY]), exclusive[TRUTH],
+                                  exclusive[FALSITY]))
+
+    def total(field):
+        values = [getattr(row, field) for row in rows]
+        return None if None in values else sum(values)
+
+    rows.append(CompetencyRow("Total", len(ids), total("truth_proved"),
+                              total("falsity_proved"),
+                              total("truth_exclusive"),
+                              total("falsity_exclusive")))
+    return rows
+
+
+def _reference_efficiency_cell(pattern, label, cell):
+    if not cell:
+        return EfficiencyRow(pattern, label, 0.0, 0.0, 0, 0.0)
+    times = [max(record["seconds"], 1e-9) for record in cell]
+    proofs = [record["used"] for record in cell if record.get("used")]
+    axioms = set()
+    for used in proofs:
+        axioms.update(used)
+    return EfficiencyRow(
+        pattern, label, sum(times) / len(times),
+        1000.0 * sum(1.0 / s for s in times) / len(times), len(axioms),
+        sum(len(used) for used in proofs) / len(proofs) if proofs else 0.0)
+
+
+def _reference_efficiency(records):
+    proved = sorted((key, record) for key, record in records.items()
+                    if record["status"] == "proved")
+    rows = []
+    patterns = sorted({cq.split(":", 1)[0] for cq, _ in records})
+    for pattern in patterns + ["Total"]:
+        for polarity, label in ((TRUTH, "+"), (FALSITY, "-")):
+            rows.append(_reference_efficiency_cell(pattern, label, [
+                record for (cq, pol), record in proved if pol == polarity
+                and pattern in ("Total", cq.split(":", 1)[0])]))
+    return rows
+
+
+def test_reports_equal_a_plain_reference_on_random_journals():
+    rng = random.Random(3)
+    # "a" and "a-b" sort one way as patterns and the other way in ids;
+    # "solo" ids have no colon at all
+    prefixes = ["a:", "a-b:", "hypo-noun-1:", "template(x):", "solo", "z:"]
+    axioms = [f"ax_{i}" for i in range(12)]
+    for trial in range(150):
+        ids = sorted({rng.choice(prefixes) + str(rng.randrange(40))
+                      for _ in range(rng.randrange(60))})
+        data = {}
+        for cq in ids:
+            for polarity in (TRUTH, FALSITY, "other"):
+                if rng.random() < (0.05 if polarity == "other" else 0.8):
+                    data[cq, polarity] = record(
+                        cq, polarity,
+                        rng.choice(["proved", "proved", "gave-up", "timeout"]),
+                        seconds=rng.choice([0.0, 1e-10, 3, round(
+                            rng.expovariate(2.0), 6)]),
+                        used=rng.sample(axioms, rng.randrange(5)))
+                    if rng.random() < 0.2:
+                        del data[cq, polarity]["used"]
+        keys = list(data)
+        rng.shuffle(keys)
+        data = {key: data[key] for key in keys}
+        baseline = (None if rng.random() < 0.4 else
+                    {key for key in data if rng.random() < 0.5}
+                    | {("elsewhere:1", TRUTH)})
+        expected = (None if rng.random() < 0.4 else
+                    [SimpleNamespace(id=cq) for cq in ids
+                     if rng.random() < 0.9]
+                    + [SimpleNamespace(id=f"a:missing{trial}")])
+        expected_ids = None if expected is None else [cq.id for cq in expected]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows = competency_report(data, baseline_proved=baseline,
+                                     expected_cqs=expected)
+        assert rows == _reference_competency(data, baseline, expected_ids)
+        assert efficiency_report(data) == _reference_efficiency(data)
