@@ -29,7 +29,8 @@ for axiom in ontology:
 # ---------------------------------------------------------------------------
 # Serialization is deterministic and re-parseable.
 text = kif.serialize_kif(ontology)
-assert kif.parse_kif(text).structurally_equal(ontology)
+assert [ax.formula for ax in kif.parse_kif(text)] == \
+    [ax.formula for ax in ontology]
 print("\nround trip ok")
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from ontoclose.prover import (
 from ontoclose.questions import gen_antonymy_cqs
 from ontoclose.reports import (
     competency_report, efficiency_report, proved_keys,
-    render_competency_text, render_efficiency_text,
+    render_competency_text, render_efficiency_text, tally,
 )
 from ontoclose.taxonomy import build_taxonomy
 from ontoclose.tptp import AxiomBlock, emit_problem
@@ -83,7 +83,7 @@ records = load_journal(journals["subclass+disjointness"])
 baseline_proved = proved_keys(load_journal(journals["owa"]))
 print("\ncompetency (vs the open-world baseline, exclusives in brackets):")
 print(render_competency_text(
-    competency_report(records, baseline_proved=baseline_proved,
+    competency_report(tally(records), baseline_proved=baseline_proved,
                       expected_cqs=questions)))
 print("efficiency:")
-print(render_efficiency_text(efficiency_report(records)))
+print(render_efficiency_text(efficiency_report(tally(records))))

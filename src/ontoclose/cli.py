@@ -266,9 +266,10 @@ def _write_reports(records, baseline_proved, expected_cqs,
     written under ``out_dir`` when one is given."""
     from . import reports
 
+    tallied = reports.tally(records)
     competency = reports.competency_report(
-        records, baseline_proved=baseline_proved, expected_cqs=expected_cqs)
-    efficiency = reports.efficiency_report(records)
+        tallied, baseline_proved=baseline_proved, expected_cqs=expected_cqs)
+    efficiency = reports.efficiency_report(tallied)
     tables = {
         "competency.csv": reports.render_competency_csv(competency),
         "competency.txt": reports.render_competency_text(competency),

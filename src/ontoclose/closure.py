@@ -179,16 +179,20 @@ def support_axioms() -> list[Axiom]:
 def complete_subclass(tax: Taxonomy) -> list[Axiom]:
     """One axiom per class: anything below it equals it or sits below one
     of its direct subclasses. Only this direction is emitted; the converse
-    already follows from the subclass facts."""
+    already follows from the subclass facts. The axiom binds X, or ?X when
+    it names a class X, which would read back as the variable."""
     axioms = []
-    x = var("X")
+    plain_x, marked_x = var("X"), var("?X")
     for c in sorted(tax.classes):
-        antecedent = Atom("$subclass", (x, const(c)))
-        disjuncts: list[kif.Formula] = [Equal(x, const(c))]
+        children = sorted(tax.direct_subclasses(c))
+        x = marked_x if c == "X" or "X" in children else plain_x
+        term = const(c)
+        antecedent = Atom("$subclass", (x, term))
+        disjuncts: list[kif.Formula] = [Equal(x, term)]
         disjuncts += [Atom("$subclass", (x, const(child)))
-                      for child in sorted(tax.direct_subclasses(c))]
+                      for child in children]
         consequent = disjuncts[0] if len(disjuncts) == 1 else Or(tuple(disjuncts))
-        formula = Forall(("X",), Implies(antecedent, consequent))
+        formula = Forall((x.name,), Implies(antecedent, consequent))
         axioms.append(Axiom(id=f"comp_{c}", formula=formula,
                             provenance="completion"))
     return axioms

@@ -10,7 +10,6 @@ variable list (and references to them inside the quantifier body).
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Callable, Iterator, NamedTuple, Union
@@ -18,14 +17,8 @@ from typing import Callable, Iterator, NamedTuple, Union
 VARIABLE = "variable"
 CONSTANT = "constant"
 
-PROVENANCES = (
-    "original",
-    "completion",
-    "cwa-disjoint",
-    "cwa-nondisjoint",
-    "curation",
-    "support",
-)
+PROVENANCES = ("original", "completion", "cwa-disjoint", "cwa-nondisjoint",
+               "curation", "support")
 
 
 class KifError(Exception):
@@ -175,11 +168,6 @@ class Ontology:
     def extended(self, more: "list[Axiom] | tuple[Axiom, ...]") -> "Ontology":
         return Ontology(self._axioms + tuple(more))
 
-    def structurally_equal(self, other: "Ontology") -> bool:
-        if len(self) != len(other):
-            return False
-        return all(a.formula == b.formula for a, b in zip(self, other))
-
 
 @dataclass(frozen=True)
 class SizeStats:
@@ -209,34 +197,26 @@ class SizeStats:
 # ---------------------------------------------------------------------------
 
 class _Shape(NamedTuple):
-    head: Callable[[Formula], str]  # serialized head: "and", "forall (X Y)"
     # the terms of an atom or an equality, the subformulas of anything
     # else, in order
     parts: Callable[[Formula], tuple]
     rebuild: Callable[[Formula, list], Formula]  # the node with new parts
 
 
-# The one place that knows each node type's shape.
+# The one place that knows each node type's parts.
 _SHAPES: dict[type, _Shape] = {
-    Atom: _Shape(attrgetter("predicate"), attrgetter("args"),
+    Atom: _Shape(attrgetter("args"),
                  lambda f, args: Atom(f.predicate, tuple(args))),
-    Equal: _Shape(lambda f: "equal", lambda f: (f.left, f.right),
-                  lambda f, terms: Equal(*terms)),
-    Not: _Shape(lambda f: "not", lambda f: (f.body,),
-                lambda f, parts: Not(*parts)),
-    And: _Shape(lambda f: "and", attrgetter("parts"),
-                lambda f, parts: And(tuple(parts))),
-    Or: _Shape(lambda f: "or", attrgetter("parts"),
-               lambda f, parts: Or(tuple(parts))),
-    Implies: _Shape(lambda f: "=>", lambda f: (f.left, f.right),
+    Equal: _Shape(lambda f: (f.left, f.right), lambda f, terms: Equal(*terms)),
+    Not: _Shape(lambda f: (f.body,), lambda f, parts: Not(*parts)),
+    And: _Shape(attrgetter("parts"), lambda f, parts: And(tuple(parts))),
+    Or: _Shape(attrgetter("parts"), lambda f, parts: Or(tuple(parts))),
+    Implies: _Shape(lambda f: (f.left, f.right),
                     lambda f, parts: Implies(*parts)),
-    Iff: _Shape(lambda f: "<=>", lambda f: (f.left, f.right),
-                lambda f, parts: Iff(*parts)),
-    Forall: _Shape(lambda f: f"forall ({' '.join(f.variables)})",
-                   lambda f: (f.body,),
+    Iff: _Shape(lambda f: (f.left, f.right), lambda f, parts: Iff(*parts)),
+    Forall: _Shape(lambda f: (f.body,),
                    lambda f, parts: Forall(f.variables, *parts)),
-    Exists: _Shape(lambda f: f"exists ({' '.join(f.variables)})",
-                   lambda f: (f.body,),
+    Exists: _Shape(lambda f: (f.body,),
                    lambda f, parts: Exists(f.variables, *parts)),
 }
 _TERM_NODES = (Atom, Equal)
@@ -251,14 +231,10 @@ def children(formula: Formula) -> tuple[Formula, ...]:
     return _SHAPES[type(formula)].parts(formula)
 
 
-def _rebuild(formula: Formula, parts: list) -> Formula:
-    return _SHAPES[type(formula)].rebuild(formula, parts)
-
-
 def map_terms(formula: Formula, fn: Callable[[Term], Term]) -> Formula:
     """The formula with every term ``t`` replaced by ``fn(t)``, bound
     variables' occurrences included."""
-    _, parts, rebuild = _SHAPES[type(formula)]
+    parts, rebuild = _SHAPES[type(formula)]
     if isinstance(formula, _TERM_NODES):
         return rebuild(formula, [fn(t) for t in parts(formula)])
     return rebuild(formula, [map_terms(p, fn) for p in parts(formula)])
@@ -283,7 +259,7 @@ def _filler(node: "Formula | Term", names: frozenset[str]):
             return None
         name = node.name
         return lambda table: Term(CONSTANT, table[name])
-    _, parts_of, rebuild = _SHAPES[type(node)]
+    parts_of, rebuild = _SHAPES[type(node)]
     parts = parts_of(node)
     fills = [_filler(part, names) for part in parts]
     if all(fill is None for fill in fills):
@@ -353,50 +329,22 @@ def ground_atom(formula: Formula) -> "Atom | None":
 def rename_bound(formula: Formula, fresh: "Iterator[str] | None" = None,
                  mapping: "dict[str, str] | None" = None) -> Formula:
     """Rename bound variables to a canonical _v0, _v1, ... sequence."""
-    if fresh is None:
-        fresh = (f"_v{i}" for i in range(10 ** 9))
-    mapping = mapping or {}
     if isinstance(formula, _TERM_NODES):
+        # outside any quantifier, as most axioms are, an atom or an
+        # equality is its own result: return before making any names
         if not mapping:
             return formula
         return map_terms(formula, lambda t: Term(VARIABLE, mapping[t.name])
                          if t.kind == VARIABLE and t.name in mapping else t)
+    if fresh is None:
+        fresh = (f"_v{i}" for i in range(10 ** 9))
+    mapping = mapping or {}
     if isinstance(formula, _QUANTIFIERS):
         new_vars = tuple(next(fresh) for _ in formula.variables)
         inner = {**mapping, **dict(zip(formula.variables, new_vars))}
         return type(formula)(new_vars, rename_bound(formula.body, fresh, inner))
-    return _rebuild(formula, [rename_bound(p, fresh, mapping)
-                              for p in children(formula)])
-
-
-def alpha_key(formula: Formula) -> str:
-    """Serialized form with canonically renamed bound variables."""
-    return serialize_formula(rename_bound(formula), width=10 ** 9)
-
-
-def _sort_parts(f: Formula) -> Formula:
-    """The formula with equality operands and and/or operands sorted."""
-    if isinstance(f, Equal):
-        return Equal(*sorted((f.left, f.right),
-                             key=lambda t: (t.kind, t.name)))
-    if isinstance(f, Atom):
-        return f
-    parts = [_sort_parts(p) for p in children(f)]
-    if isinstance(f, (And, Or)):
-        parts.sort(key=alpha_key)
-    return _rebuild(f, parts)
-
-
-def normalize(formula: Formula) -> Formula:
-    """Canonical form: bound variables renamed, commutative connective
-    operands sorted, then bound variables renamed again in the new order.
-    Two formulas equal up to variable names and and/or/equal operand order
-    normalize identically."""
-    # renamed first to names that sort in binding order and differ from
-    # alpha_key's, so that the operands sort alike whatever the original
-    # names
-    ordered = rename_bound(formula, (f"_n{i:09d}" for i in range(10 ** 9)))
-    return rename_bound(_sort_parts(ordered))
+    return _SHAPES[type(formula)].rebuild(
+        formula, [rename_bound(p, fresh, mapping) for p in children(formula)])
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +352,12 @@ def normalize(formula: Formula) -> Formula:
 # ---------------------------------------------------------------------------
 
 _SYMBOL = r'[^ \t\r\n();"]+'
-# every character starts one of: a whitespace run, a comment, a
+# the next token after any spaces, tabs, CRs and comments: a line feed, a
 # parenthesis, a string (the closing quote is missing only at the end of
-# an unterminated one) or a symbol
-_TOKEN = re.compile(r'[ \t\r\n]+|;[^\n]*|[()]|"[^"]*"?|' + _SYMBOL)
+# an unterminated one) or a symbol. What a skip leaves starts one of
+# these, so no text goes unread; at the end of the text the token is empty
+_TOKEN = re.compile(
+    r'(?:[ \t\r]+|;[^\n]*)*(\n|[()]|"[^"]*"?|' + _SYMBOL + r'|\Z)')
 _CONSTANT_SYMBOL = re.compile(r"(?!\?)" + _SYMBOL)
 
 
@@ -419,177 +369,198 @@ def is_constant_symbol(name: str) -> bool:
 
 
 class _SexpSymbol(str):
-    """A symbol, a string or a closing parenthesis, with its 1-based line
-    and column."""
-
-    def __new__(cls, text: str, line: int, column: int):
-        sym = super().__new__(cls, text)
-        sym.line = line
-        sym.column = column
-        return sym
+    """A token with its 1-based line and column, read only to word an
+    error."""
+    line: int
+    column: int
 
 
-def _read_sexprs(text: str):
-    """Group the text into nested lists of symbols in one scan. Each
-    top-level form comes with its closing parenthesis (itself for a bare
-    symbol)."""
-    forms = []
-    stack: list[list] = []
-    open_positions: list[tuple[int, int]] = []
-    # an unterminated string is reported before any unbalanced ')' found
-    # earlier, as the error for the whole text
-    unbalanced = None
+class _Unlocated(Exception):
+    """A syntax error found among tokens that carry no position."""
+
+
+def _error(message: str, token: str) -> Exception:
+    """The syntax error at ``token``; without the token's position, the
+    signal to read the text again with positions (see ``parse_axioms``)."""
+    if isinstance(token, _SexpSymbol):
+        return KifSyntaxError(message, token.line, token.column)
+    return _Unlocated()
+
+
+def _located_tokens(text: str) -> Iterator[_SexpSymbol]:
+    """The ``_TOKEN`` tokens of the text, each with its position."""
     # line_start: offset of the newline ending the line before (or -1)
     line, line_start = 1, -1
     for m in _TOKEN.finditer(text):
-        tok = m.group()
-        ch = tok[0]
-        column = m.start() - line_start
-        if ch == "(":
-            stack.append([])
-            open_positions.append((line, column))
-        elif ch == ")" and not stack:
-            unbalanced = unbalanced or KifSyntaxError(
-                "unbalanced ')'", line, column)
-        elif ch == ")":
-            done = stack.pop()
-            open_positions.pop()
-            if stack:
-                stack[-1].append(done)
-            else:
-                forms.append((done, _SexpSymbol(ch, line, column)))
-        elif ch not in " \t\r\n;":
-            if ch == '"' and (len(tok) == 1 or tok[-1] != '"'):
-                raise KifSyntaxError("unterminated string", line, column)
-            sym = _SexpSymbol(tok, line, column)
-            if stack:
-                stack[-1].append(sym)
-            else:
-                forms.append((sym, sym))
-        if "\n" in tok:  # only whitespace and strings span lines
+        tok, start = m[1], m.start(1)
+        sym = _SexpSymbol(tok)
+        sym.line, sym.column = line, start - line_start
+        yield sym
+        if "\n" in tok:  # a line feed or a string that spans lines
             line += tok.count("\n")
-            line_start = m.start() + tok.rindex("\n")
+            line_start = start + tok.rindex("\n")
+
+
+def _read_sexprs(tokens):
+    """Group the tokens of a text into nested lists of symbols in one pass.
+    Each top-level form comes with the line of its first symbol and its
+    closing parenthesis (itself for a bare symbol)."""
+    forms = []
+    form = None  # the list being read, or None at the top level
+    # the lists that contain it, outermost first, each with the '(' that
+    # opened the list read inside it
+    enclosing: list = []
+    # an unterminated string, always the last token, is reported before
+    # any unbalanced ')' found earlier, as the error for the whole text
+    unbalanced = None
+    line = head_line = 1
+    for tok in tokens:
+        if tok == "(":
+            if form is None:
+                head_line = 0
+            enclosing.append((form, tok))
+            form = []
+        elif tok == ")":
+            if form is None:
+                unbalanced = unbalanced or tok
+                continue
+            done = form
+            form, _ = enclosing.pop()
+            if form is None:
+                forms.append((done, head_line, tok))
+            else:
+                form.append(done)
+        elif tok == "\n":
+            line += 1
+        elif tok:  # the empty token ends the text
+            if not head_line:
+                head_line = line
+            if form is None:
+                forms.append((tok, line, tok))
+            else:
+                form.append(tok)
+            if tok[0] == '"':
+                if len(tok) == 1 or tok[-1] != '"':
+                    raise _error("unterminated string", tok)
+                line += tok.count("\n")
     if unbalanced:
-        raise unbalanced
-    if stack:
-        raise KifSyntaxError("unbalanced '('", *open_positions[-1])
+        raise _error("unbalanced ')'", unbalanced)
+    if form is not None:
+        raise _error("unbalanced '('", enclosing[-1][1])
     return forms
 
 
-def _is_variable_token(name: str) -> bool:
-    return name.startswith("?")
+# the connectives but ``and`` and ``or``: the number of arguments each
+# takes, and that number as its syntax error words it
+_ARITY = {"not": (1, "exactly 1 subformula"), "equal": (2, "exactly 2 terms"),
+          **dict.fromkeys(("=>", "<=>"), (2, "exactly 2 subformulas")),
+          **dict.fromkeys(("forall", "exists"),
+                          (2, "a variable list and a body"))}
 
 
-def _is_uppercase_token(name: str) -> bool:
-    return name.isupper() and any(c.isalpha() for c in name)
-
-
-def _form_position(form, fallback: _SexpSymbol) -> tuple[int, int]:
+def _first_symbol(form, fallback: str) -> str:
     node = form
     while isinstance(node, list) and node:
         node = node[0]
-    if isinstance(node, _SexpSymbol):
-        return node.line, node.column
-    return fallback.line, fallback.column
+    return fallback if isinstance(node, list) else node
 
 
-def _parse_term(form, bound: frozenset[str], close_tok: _SexpSymbol) -> Term:
+def _parse_term(form, bound: frozenset[str], close_tok: str,
+                terms: dict) -> Term:
     if isinstance(form, list):
-        line, col = _form_position(form, close_tok)
-        raise KifSyntaxError("expected a term, found a nested expression",
-                             line, col)
-    name = str(form)
-    if _is_variable_token(name):
-        return Term(VARIABLE, name)
-    if _is_uppercase_token(name) and name in bound:
-        return Term(VARIABLE, name)
-    return Term(CONSTANT, name)
+        raise _error("expected a term, found a nested expression",
+                     _first_symbol(form, close_tok))
+    # every bound name is a variable token: ?name or uppercase
+    key = (VARIABLE if form in bound or form[0] == "?" else CONSTANT, form)
+    term = terms.get(key)
+    if term is None:
+        term = terms[key] = Term(key[0], str(form))
+    return term
 
 
-def _parse_formula(form, bound: frozenset[str], close_tok: _SexpSymbol) -> Formula:
+def _parse_formula(form, bound: frozenset[str], close_tok: str,
+                   terms: dict) -> Formula:
+    """The formula of a form; ``terms`` holds the terms made so far, for
+    the whole text to share one object per term."""
     if not isinstance(form, list):
-        raise KifSyntaxError(f"expected a formula, found bare symbol {form!r}",
-                             form.line, form.column)
+        raise _error(f"expected a formula, found bare symbol {form!r}", form)
     if not form:
-        line, col = close_tok.line, close_tok.column
-        raise KifSyntaxError("empty expression", line, col)
-    head = form[0]
+        raise _error("empty expression", close_tok)
+    head, *args = form
     if isinstance(head, list):
-        line, col = _form_position(head, close_tok)
-        raise KifSyntaxError("expression head must be a connective or predicate",
-                             line, col)
+        raise _error("expression head must be a connective or predicate",
+                     _first_symbol(head, close_tok))
     name = str(head)
-    args = form[1:]
-
-    def need(count: int, what: str):
-        if len(args) != count:
-            raise KifSyntaxError(
-                f"'{name}' takes {what}, found {len(args)} arguments",
-                head.line, head.column)
-
-    if name == "not":
-        need(1, "exactly 1 subformula")
-        return Not(_parse_formula(args[0], bound, close_tok))
-    if name in ("and", "or"):
+    if name == "and" or name == "or":
         if len(args) < 2:
-            raise KifSyntaxError(
-                f"'{name}' takes at least 2 subformulas, found {len(args)}",
-                head.line, head.column)
-        parts = tuple(_parse_formula(a, bound, close_tok) for a in args)
+            raise _error(f"'{name}' takes at least 2 subformulas, "
+                         f"found {len(args)}", head)
+        parts = tuple([_parse_formula(a, bound, close_tok, terms)
+                       for a in args])
         return And(parts) if name == "and" else Or(parts)
-    if name in ("=>", "<=>"):
-        need(2, "exactly 2 subformulas")
-        left = _parse_formula(args[0], bound, close_tok)
-        right = _parse_formula(args[1], bound, close_tok)
-        return Implies(left, right) if name == "=>" else Iff(left, right)
-    if name in ("forall", "exists"):
-        need(2, "a variable list and a body")
+    if name not in _ARITY:  # an atom over terms
+        return Atom(name, tuple([_parse_term(a, bound, close_tok, terms)
+                                 for a in args]))
+    count, what = _ARITY[name]
+    if len(args) != count:
+        raise _error(f"'{name}' takes {what}, found {len(args)} arguments",
+                     head)
+    if name == "not":
+        return Not(_parse_formula(args[0], bound, close_tok, terms))
+    if name == "equal":
+        return Equal(_parse_term(args[0], bound, close_tok, terms),
+                     _parse_term(args[1], bound, close_tok, terms))
+    if name == "forall" or name == "exists":
         var_list = args[0]
         if not isinstance(var_list, list) or not var_list:
-            raise KifSyntaxError(f"'{name}' needs a parenthesized variable list",
-                                 head.line, head.column)
-        names = []
+            raise _error(f"'{name}' needs a parenthesized variable list",
+                         head)
         for v in var_list:
             if isinstance(v, list):
-                line, col = _form_position(v, close_tok)
-                raise KifSyntaxError("variable list entries must be symbols",
-                                     line, col)
-            vname = str(v)
-            if not (_is_variable_token(vname) or _is_uppercase_token(vname)):
-                raise KifSyntaxError(
-                    f"{vname!r} is not a variable (use ?name or UPPERCASE)",
-                    v.line, v.column)
-            names.append(vname)
-        body = _parse_formula(args[1], bound | frozenset(names), close_tok)
-        cls = Forall if name == "forall" else Exists
-        return cls(tuple(names), body)
-    if name == "equal":
-        need(2, "exactly 2 terms")
-        return Equal(_parse_term(args[0], bound, close_tok),
-                     _parse_term(args[1], bound, close_tok))
-    # anything else is an atom over terms
-    return Atom(name, tuple(_parse_term(a, bound, close_tok) for a in args))
+                raise _error("variable list entries must be symbols",
+                             _first_symbol(v, close_tok))
+            if not (v[0] == "?" or v.isupper()
+                    and any(c.isalpha() for c in v)):
+                raise _error(f"{str(v)!r} is not a variable "
+                             f"(use ?name or UPPERCASE)", v)
+        names = tuple(map(str, var_list))
+        body = _parse_formula(args[1], bound | frozenset(names), close_tok,
+                              terms)
+        return (Forall if name == "forall" else Exists)(names, body)
+    left = _parse_formula(args[0], bound, close_tok, terms)
+    right = _parse_formula(args[1], bound, close_tok, terms)
+    return Implies(left, right) if name == "=>" else Iff(left, right)
+
+
+def _parse_forms(tokens, source_name: str) -> list[Axiom]:
+    axioms: list[Axiom] = []
+    terms: dict[tuple[str, str], Term] = {}
+    for i, (form, line, close_tok) in enumerate(_read_sexprs(tokens),
+                                                start=1):
+        if not isinstance(form, list):
+            raise _error(f"top-level symbol {form!r} is not a formula", form)
+        axioms.append(Axiom(
+            id=f"orig_{i}",
+            formula=_parse_formula(form, frozenset(), close_tok, terms),
+            provenance="original", source=f"{source_name}:{line}"))
+    return axioms
 
 
 def parse_axioms(text: str, source_name: str = "<string>") -> list[Axiom]:
     """Every top-level S-expression as an original axiom, in text order,
     alpha-equivalent ones included. A syntax error names ``source_name``."""
-    axioms = []
     try:
-        for i, (form, close_tok) in enumerate(_read_sexprs(text), start=1):
-            if not isinstance(form, list):
-                raise KifSyntaxError(
-                    f"top-level symbol {form!r} is not a formula",
-                    form.line, form.column)
-            line, _ = _form_position(form, close_tok)
-            formula = _parse_formula(form, frozenset(), close_tok)
-            axioms.append(Axiom(id=f"orig_{i}", formula=formula,
-                                provenance="original",
-                                source=f"{source_name}:{line}"))
+        return _parse_forms(_TOKEN.findall(text), source_name)
+    except _Unlocated:
+        pass
+    # the tokens held no positions: the same reader and checks over the
+    # same tokens with positions raise the same error, located
+    try:
+        _parse_forms(_located_tokens(text), source_name)
     except KifSyntaxError as exc:
         exc.args = (f"{source_name}: {exc}",)
         raise
-    return axioms
+    raise AssertionError("a syntax error went unlocated")
 
 
 def parse_kif(text: str, source_name: str = "<string>") -> Ontology:
@@ -616,37 +587,47 @@ def parse_formula_text(text: str, source_name: str = "<string>") -> Formula:
 
 def serialize_formula(formula: Formula, width: int = 72, indent: int = 0) -> str:
     """Render one formula; nests onto new lines when the inline form is long."""
-    out: list[str] = []
-    _write_inline(formula, out)
-    flat = "".join(out)
-    if len(flat) + indent <= width or isinstance(formula, _TERM_NODES):
-        return flat
-    pad = "\n" + "  " * (indent // 2 + 1)
-    inner = [serialize_formula(p, width, indent + 2) for p in children(formula)]
-    head = _SHAPES[type(formula)].head(formula)
-    return "(" + head + pad + pad.join(inner) + ")"
+    return _render(formula, width, indent)
 
 
-def _write_inline(formula: Formula, out: list[str]) -> None:
-    """Append the one-line text of the formula to ``out`` in pieces, for
-    the caller to join once (cheaper than a string per node)."""
-    head, parts, _ = _SHAPES[type(formula)]
-    out.append("(" + head(formula))
-    if isinstance(formula, _TERM_NODES):
-        for t in parts(formula):
-            out.append(" " + t.name)
+def _render(f: Formula, width: int, indent: int) -> str:
+    """The formula's text at ``indent``: its one-line text if that fits in
+    ``width``, else its head and each part on a line of its own. Each node
+    is built once, from its parts' texts. A node fits only if its parts
+    do: each is shorter than the node by more than the two columns it is
+    indented by further. So a node with a part laid out on lines, whose
+    joined parts are longer still than its one-line text, fails the test."""
+    kind = type(f)
+    if kind is Atom:
+        args = f.args  # most are binary: a format string is the fastest
+        return (f"({f.predicate} {args[0].name} {args[1].name})"
+                if len(args) == 2 else
+                "(" + " ".join([f.predicate] + [t.name for t in args]) + ")")
+    if kind is Equal:
+        return f"(equal {f.left.name} {f.right.name})"
+    inner = indent + 2
+    if kind is And or kind is Or:
+        head = "and" if kind is And else "or"
+        texts = [_render(part, width, inner) for part in f.parts]
+    elif kind is Implies or kind is Iff:
+        head = "=>" if kind is Implies else "<=>"
+        texts = [_render(f.left, width, inner), _render(f.right, width, inner)]
+    elif kind is Not:
+        head, texts = "not", [_render(f.body, width, inner)]
     else:
-        for part in parts(formula):
-            out.append(" ")
-            _write_inline(part, out)
-    out.append(")")
+        head = ("forall (" if kind is Forall else "exists (") \
+            + " ".join(f.variables) + ")"
+        texts = [_render(f.body, width, inner)]
+    text = "(" + head + " " + " ".join(texts) + ")"
+    if len(text) + indent <= width:
+        return text
+    pad = "\n" + "  " * (indent // 2 + 1)
+    return "(" + head + pad + pad.join(texts) + ")"
 
 
 def serialize_kif(ontology: Ontology) -> str:
     """Text that re-parses to a structurally identical ontology."""
-    if not len(ontology):
-        return ""
-    return "\n".join(serialize_formula(ax.formula) for ax in ontology) + "\n"
+    return "".join([serialize_formula(ax.formula) + "\n" for ax in ontology])
 
 
 # ---------------------------------------------------------------------------
@@ -654,13 +635,15 @@ def serialize_kif(ontology: Ontology) -> str:
 # ---------------------------------------------------------------------------
 
 def count_metrics(ontology: Ontology) -> SizeStats:
-    formulas = [ax.formula for ax in ontology]
-    nodes = Counter(type(sub) for f in formulas for sub in subformulas(f))
-    units = sum(map(is_unit_clause, formulas))
+    nodes = dict.fromkeys(_SHAPES, 0)
+    units = 0
+    for ax in ontology:
+        _count_nodes(ax.formula, nodes)
+        units += is_unit_clause(ax.formula)
     return SizeStats(
-        axiom_count=len(formulas),
+        axiom_count=len(ontology),
         unit_clause_count=units,
-        formula_count=len(formulas) - units,
+        formula_count=len(ontology) - units,
         atom_count=nodes[Atom] + nodes[Equal],
         forall_block_count=nodes[Forall],
         exists_block_count=nodes[Exists],
@@ -671,3 +654,17 @@ def count_metrics(ontology: Ontology) -> SizeStats:
         not_count=nodes[Not],
         equality_count=nodes[Equal],
     )
+
+
+def _count_nodes(f: Formula, nodes: dict[type, int]) -> None:
+    """Add the formula's nodes to their type's count in ``nodes``."""
+    kind = type(f)
+    nodes[kind] += 1
+    if kind is And or kind is Or:
+        for part in f.parts:
+            _count_nodes(part, nodes)
+    elif kind is Implies or kind is Iff:
+        _count_nodes(f.left, nodes)
+        _count_nodes(f.right, nodes)
+    elif kind is not Atom and kind is not Equal:
+        _count_nodes(f.body, nodes)

@@ -25,8 +25,11 @@ from pathlib import Path
 from typing import Iterator
 
 from . import kif
-from .kif import And, Atom, Equal, Exists, Forall, Implies, Not, Ontology
-from .questions import CompetencyQuestion
+from .kif import Not, Ontology
+# the oracle raises UnrecognizedShapeError; its callers find it here too
+from .questions import (
+    CompetencyQuestion, UnrecognizedShapeError, recognize_shape,
+)
 from .taxonomy import Taxonomy
 
 PROVED = "proved"
@@ -81,10 +84,6 @@ class InconsistencyError(kif.KifError):
         super().__init__(
             "contradictory verdicts (truth and falsity both proved) for: "
             + ", ".join(self.cq_ids))
-
-
-class UnrecognizedShapeError(kif.KifError):
-    """The oracle cannot decide this conjecture shape; use a prover."""
 
 
 @dataclass(frozen=True)
@@ -502,53 +501,9 @@ def run_batch(ontology: Ontology, cqs, config: ProverConfig,
 # Structural oracle
 # ---------------------------------------------------------------------------
 
-def _as_instance_atom(formula) -> "tuple[str, str] | None":
-    """(variable, class) of an instance atom with a constant class."""
-    if isinstance(formula, Atom) \
-            and formula.predicate.removeprefix("$") == "instance" \
-            and len(formula.args) == 2 \
-            and formula.args[0].kind == kif.VARIABLE \
-            and formula.args[1].kind == kif.CONSTANT:
-        return formula.args[0].name, formula.args[1].name
-    return None
-
-
-def recognize_shape(conjecture) -> tuple[str, str, str]:
-    """(shape, C1, C2) for the three graph-decidable conjecture forms."""
-    if isinstance(conjecture, Exists) and len(conjecture.variables) == 1 \
-            and isinstance(conjecture.body, And) \
-            and len(conjecture.body.parts) == 2:
-        v = conjecture.variables[0]
-        atoms = [_as_instance_atom(p) for p in conjecture.body.parts]
-        if all(a is not None and a[0] == v for a in atoms):
-            return "overlap", atoms[0][1], atoms[1][1]
-    if isinstance(conjecture, Forall) and len(conjecture.variables) == 1 \
-            and isinstance(conjecture.body, Implies):
-        v = conjecture.variables[0]
-        left = _as_instance_atom(conjecture.body.left)
-        right = _as_instance_atom(conjecture.body.right)
-        if left and right and left[0] == v and right[0] == v:
-            return "subset", left[1], right[1]
-    if isinstance(conjecture, Forall) and len(conjecture.variables) == 2 \
-            and isinstance(conjecture.body, Implies) \
-            and isinstance(conjecture.body.left, And) \
-            and len(conjecture.body.left.parts) == 2 \
-            and isinstance(conjecture.body.right, Not) \
-            and isinstance(conjecture.body.right.body, Equal):
-        x, y = conjecture.variables
-        atoms = [_as_instance_atom(p) for p in conjecture.body.left.parts]
-        eq = conjecture.body.right.body
-        eq_vars = {t.name for t in (eq.left, eq.right) if t.kind == kif.VARIABLE}
-        if all(atoms) and {atoms[0][0], atoms[1][0]} == {x, y} == eq_vars \
-                and atoms[0][0] != atoms[1][0]:
-            by_var = {var_name: cls for var_name, cls in atoms}
-            return "distinct", by_var[x], by_var[y]
-    raise UnrecognizedShapeError(
-        "conjecture is not one of the graph-decidable shapes")
-
-
-def _oracle_routes(tax: Taxonomy, conjecture) -> tuple[bool, bool]:
-    shape, c1, c2 = recognize_shape(conjecture)
+def _oracle_routes(tax: Taxonomy, cq: CompetencyQuestion
+                   ) -> tuple[bool, bool]:
+    shape, c1, c2 = cq.shape or recognize_shape(cq.conjecture)
     if c1 not in tax.classes or c2 not in tax.classes:
         return False, False
     if shape == "overlap":
@@ -566,7 +521,7 @@ _ORACLE_OUTCOMES = {True: ProverOutcome(status=PROVED, wall_time=0.0),
 def oracle_verdict(tax: Taxonomy, cq: CompetencyQuestion) -> Verdict:
     """Verdict-shaped oracle answer; both routes firing (possible only on a
     conflicted taxonomy) surfaces as a contradictory verdict."""
-    truth, falsity = _oracle_routes(tax, cq.conjecture)
+    truth, falsity = _oracle_routes(tax, cq)
     return _verdict(cq.id, _ORACLE_OUTCOMES[truth], _ORACLE_OUTCOMES[falsity])
 
 

@@ -6,7 +6,9 @@ classes of a relation pair's two synsets, one conjecture per class
 combination. The three built-in patterns are templates too. A question
 is asked as two prover tests: the conjecture itself (truth test) and its
 negation (falsity test). Pairs with an unmapped endpoint are skipped and
-counted.
+counted. Each question records its shape, the form by which the
+structural oracle decides it: once per template for a generated
+question, once on reading for a question read from a corpus.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from dataclasses import dataclass
 from itertools import takewhile
 
 from . import kif
+from .kif import And, Atom, Equal, Exists, Forall, Implies, Not
 from .lexicon import (
     ANTONYMY, EQUIVALENCE, HYPONYMY, INSTANCE, PAIR_KINDS, SUBSUMPTION, VERB,
     MappingIndex, RelationPair, synset_pos,
@@ -43,6 +46,10 @@ class TemplateError(QuestionError):
     """A question template is unusable as defined."""
 
 
+class UnrecognizedShapeError(kif.KifError):
+    """The oracle cannot decide this conjecture shape; use a prover."""
+
+
 def _require_closed(formula: kif.Formula, what: str,
                     error: type[QuestionError]) -> None:
     free = kif.free_variables(formula)
@@ -56,6 +63,11 @@ class CompetencyQuestion:
     pattern: str
     source_pair: RelationPair
     conjecture: kif.Formula
+    # recognize_shape(conjecture), recorded when the question is generated
+    # or read so that the oracle need not find it again; None when the
+    # conjecture has none of the shapes or the question was built without
+    # it. A copy with another conjecture must not keep this one's shape.
+    shape: "tuple[str, str, str] | None" = None
 
 
 @dataclass(frozen=True)
@@ -133,6 +145,9 @@ def _generate(pairs, mapping: MappingIndex, template: QpTemplate,
     skipped: list[RelationPair] = []
     s1_relations, s2_relations = template.s1_relations, template.s2_relations
     fill = template.filler()
+    # the skeleton's shape, with the placeholders standing as classes: a
+    # question's shape is this with its own classes in their place
+    shape, c1, c2 = _shape_or_none(template.skeleton) or (None, None, None)
     # a class named like one of these would read back as the variable
     bound = {v for f in kif.subformulas(template.skeleton)
              if isinstance(f, (kif.Forall, kif.Exists)) for v in f.variables}
@@ -163,10 +178,12 @@ def _generate(pairs, mapping: MappingIndex, template: QpTemplate,
                         f"class {concept!r} of pair {rel_pair.s1} "
                         f"{rel_pair.s2} is named like a variable that "
                         f"template {template.name!r} binds")
-                conjecture = fill({"C1": l1.concept, "C2": l2.concept})
+                table = {"C1": l1.concept, "C2": l2.concept}
                 questions.append(CompetencyQuestion(
                     id=qid, pattern=pattern, source_pair=rel_pair,
-                    conjecture=conjecture))
+                    conjecture=fill(table),
+                    shape=shape and (shape, table.get(c1, c1),
+                                     table.get(c2, c2))))
     return GenerationResult(tuple(questions), tuple(skipped))
 
 
@@ -203,6 +220,62 @@ def gen_antonymy_cqs(pairs, mapping: MappingIndex) -> GenerationResult:
     is an instance of the second."""
     return _generate(pairs, mapping, _DISTINCTNESS,
                      lambda _pair: ANTONYMY_1, "gen_antonymy_cqs")
+
+
+# ---------------------------------------------------------------------------
+# Shapes the structural oracle decides
+# ---------------------------------------------------------------------------
+
+def _as_instance_atom(formula) -> "tuple[str, str] | None":
+    """(variable, class) of an instance atom with a constant class."""
+    if isinstance(formula, Atom) \
+            and formula.predicate.removeprefix("$") == "instance" \
+            and len(formula.args) == 2 \
+            and formula.args[0].kind == kif.VARIABLE \
+            and formula.args[1].kind == kif.CONSTANT:
+        return formula.args[0].name, formula.args[1].name
+    return None
+
+
+def recognize_shape(conjecture) -> tuple[str, str, str]:
+    """(shape, C1, C2) for the three graph-decidable conjecture forms."""
+    if isinstance(conjecture, Exists) and len(conjecture.variables) == 1 \
+            and isinstance(conjecture.body, And) \
+            and len(conjecture.body.parts) == 2:
+        v = conjecture.variables[0]
+        atoms = [_as_instance_atom(p) for p in conjecture.body.parts]
+        if all(a is not None and a[0] == v for a in atoms):
+            return "overlap", atoms[0][1], atoms[1][1]
+    if isinstance(conjecture, Forall) and len(conjecture.variables) == 1 \
+            and isinstance(conjecture.body, Implies):
+        v = conjecture.variables[0]
+        left = _as_instance_atom(conjecture.body.left)
+        right = _as_instance_atom(conjecture.body.right)
+        if left and right and left[0] == v and right[0] == v:
+            return "subset", left[1], right[1]
+    if isinstance(conjecture, Forall) and len(conjecture.variables) == 2 \
+            and isinstance(conjecture.body, Implies) \
+            and isinstance(conjecture.body.left, And) \
+            and len(conjecture.body.left.parts) == 2 \
+            and isinstance(conjecture.body.right, Not) \
+            and isinstance(conjecture.body.right.body, Equal):
+        x, y = conjecture.variables
+        atoms = [_as_instance_atom(p) for p in conjecture.body.left.parts]
+        eq = conjecture.body.right.body
+        eq_vars = {t.name for t in (eq.left, eq.right) if t.kind == kif.VARIABLE}
+        if all(atoms) and {atoms[0][0], atoms[1][0]} == {x, y} == eq_vars \
+                and atoms[0][0] != atoms[1][0]:
+            by_var = {var_name: cls for var_name, cls in atoms}
+            return "distinct", by_var[x], by_var[y]
+    raise UnrecognizedShapeError(
+        "conjecture is not one of the graph-decidable shapes")
+
+
+def _shape_or_none(conjecture: kif.Formula) -> "tuple[str, str, str] | None":
+    try:
+        return recognize_shape(conjecture)
+    except UnrecognizedShapeError:
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -304,5 +377,6 @@ def read_cq_corpus(text: str, source_name: str = "<corpus>"
         _require_closed(ax.formula, "conjecture", OpenFormulaError)
         questions.append(CompetencyQuestion(
             id=headers["cq"], pattern=headers["pattern"],
-            source_pair=source_pair, conjecture=ax.formula))
+            source_pair=source_pair, conjecture=ax.formula,
+            shape=_shape_or_none(ax.formula)))
     return questions

@@ -63,14 +63,22 @@ def proved_keys(records: dict[tuple[str, str], dict]
             if record["status"] == PROVED}
 
 
-def _proved_tests(records: dict[tuple[str, str], dict]
-                ) -> dict[str, list[tuple[str, dict]]]:
-    """The question id and record of each proved test, by polarity."""
+@dataclass(frozen=True)
+class Tally:
+    """What both reports read of a journal's records, found in one pass:
+    each question id's pattern and the proved tests by polarity, each as
+    its question id and record, in record order. Build it once with
+    ``tally`` and give it to both reports."""
+    pattern: dict[str, str]
+    proved: dict[str, list[tuple[str, dict]]]
+
+
+def tally(records: dict[tuple[str, str], dict]) -> Tally:
     proved = {TRUTH: [], FALSITY: []}
     for (cq_id, polarity), record in records.items():
         if record["status"] == PROVED and polarity in proved:
             proved[polarity].append((cq_id, record))
-    return proved
+    return Tally(_pattern_by_id({cq_id for cq_id, _ in records}), proved)
 
 
 def _pattern_by_id(cq_ids) -> dict[str, str]:
@@ -79,43 +87,42 @@ def _pattern_by_id(cq_ids) -> dict[str, str]:
     return {cq_id: cq_id.partition(":")[0] for cq_id in cq_ids}
 
 
-def competency_report(records: dict[tuple[str, str], dict], *,
+def competency_report(tallied: Tally, *,
                       baseline_proved: "set[tuple[str, str]] | None" = None,
                       expected_cqs=None) -> list[CompetencyRow]:
     """Per-pattern counts of proved truth and falsity tests, with a Total
     row; exclusive counts are tests proved here whose (question, polarity)
     key is not in ``baseline_proved`` (see ``proved_keys``)."""
-    ids = {cq_id for cq_id, _ in records}
+    pattern = tallied.pattern
     if expected_cqs is not None:
-        missing = {cq.id for cq in expected_cqs} - ids
+        missing = {cq.id for cq in expected_cqs} - pattern.keys()
         if missing:
             warnings.warn("journal incomplete; missing questions: "
                           + ", ".join(sorted(missing)), stacklevel=2)
-            ids |= missing
-    pattern = _pattern_by_id(ids)
+            pattern = {**pattern, **_pattern_by_id(missing)}
     counts = Counter(pattern.values())
     # per polarity, proved tests and those of them the baseline lacks,
     # by pattern
     proved, exclusive = {}, {}
-    for polarity, tests in _proved_tests(records).items():
+    for polarity, tests in tallied.proved.items():
         proved[polarity] = Counter(pattern[cq_id] for cq_id, _ in tests)
         if baseline_proved is not None:
             exclusive[polarity] = Counter(
                 pattern[cq_id] for cq_id, _ in tests
                 if (cq_id, polarity) not in baseline_proved)
 
-    def row(name: str, count: int, tally) -> CompetencyRow:
+    def row(name: str, count: int, count_of) -> CompetencyRow:
         return CompetencyRow(
-            pattern=name, count=count, truth_proved=tally(proved[TRUTH]),
-            falsity_proved=tally(proved[FALSITY]),
+            pattern=name, count=count, truth_proved=count_of(proved[TRUTH]),
+            falsity_proved=count_of(proved[FALSITY]),
             truth_exclusive=(None if baseline_proved is None
-                             else tally(exclusive[TRUTH])),
+                             else count_of(exclusive[TRUTH])),
             falsity_exclusive=(None if baseline_proved is None
-                               else tally(exclusive[FALSITY])))
+                               else count_of(exclusive[FALSITY])))
 
     rows = [row(name, counts[name], itemgetter(name))
             for name in sorted(counts)]
-    rows.append(row("Total", len(ids), Counter.total))
+    rows.append(row("Total", len(pattern), Counter.total))
     return rows
 
 
@@ -135,18 +142,16 @@ def _efficiency_cell(pattern: str, polarity_label: str,
     return EfficiencyRow(pattern, polarity_label, t, me, len(distinct), a)
 
 
-def efficiency_report(records: dict[tuple[str, str], dict]
-                      ) -> list[EfficiencyRow]:
+def efficiency_report(tallied: Tally) -> list[EfficiencyRow]:
     """Per pattern and polarity: mean time, scaled mean inverse time, and
     used-axiom counts over the proved tests, plus Total rows."""
-    pattern = _pattern_by_id({cq_id for cq_id, _ in records})
+    pattern = tallied.pattern
     patterns = sorted(set(pattern.values()))
     rows = {}
-    proved = _proved_tests(records)
     for polarity, label in ((TRUTH, "+"), (FALSITY, "-")):
         # every cell, the Total one too, sums its times in question order,
         # the order that sorting it by (question, polarity) gives
-        tests = sorted(proved[polarity], key=itemgetter(0))
+        tests = sorted(tallied.proved[polarity], key=itemgetter(0))
         cells = {name: [] for name in patterns}
         for cq_id, record in tests:
             cells[pattern[cq_id]].append(record)

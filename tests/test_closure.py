@@ -12,11 +12,13 @@ from ontoclose.closure import (
     support_axioms,
 )
 from ontoclose.kif import Forall, Implies, Or
+from ontoclose.modes import MODES
 from ontoclose.taxonomy import (
     DISJOINT, NONDISJOINT, ClassGraph, Taxonomy, TaxonomyError, build_taxonomy,
 )
 
-from conftest import call_depth_limit, subclass_chain
+from conftest import DATA_DIR, call_depth_limit, subclass_chain
+from normal_form import normalize
 import witness_oracle
 
 
@@ -52,7 +54,7 @@ def test_support_axioms_shapes():
         (forall (CLASS1 CLASS2)
           (=> ($inheritableNonDisjoint CLASS1 CLASS2)
               (not ($disjoint CLASS1 CLASS2))))""")
-    assert kif.normalize(axs[1].formula) == kif.normalize(expected_second)
+    assert normalize(axs[1].formula) == normalize(expected_second)
 
 
 def test_support_axioms_atom_total():
@@ -76,7 +78,7 @@ def test_completion_root_axiom_matches_reference(organism_process, data_dir):
         and isinstance(ax.formula.body.right, Or)
         and len(ax.formula.body.right.parts) == 11)
     generated = axioms["comp_OrganismProcess"].formula
-    assert kif.normalize(generated) == kif.normalize(root_reference)
+    assert normalize(generated) == normalize(root_reference)
 
 
 def test_completion_leaf_axiom(organism_process):
@@ -85,7 +87,7 @@ def test_completion_leaf_axiom(organism_process):
     leaf = axioms["comp_Birth"].formula
     expected = kif.parse_formula_text(
         "(forall (X) (=> ($subclass X Birth) (equal X Birth)))")
-    assert kif.normalize(leaf) == kif.normalize(expected)
+    assert normalize(leaf) == normalize(expected)
 
 
 def test_completion_axiom_and_atom_counts(organism_process):
@@ -497,6 +499,24 @@ def test_apply_closure_deterministic(organism_process):
     first = kif.serialize_kif(apply_closure(organism_process, SUBCLASS_DISJOINT))
     second = kif.serialize_kif(apply_closure(organism_process, SUBCLASS_DISJOINT))
     assert first == second
+
+
+@pytest.mark.parametrize("name", [
+    "class-named-X", "organism_process.kif", "agent.kif", "blood_cell.kif",
+    "sound_process.kif",
+])
+def test_closed_ontology_reads_back_as_written(name):
+    # a class named X, which the completion axioms would otherwise bind
+    text = ("($subclass X T) ($subclass A X) ($subclass B X)"
+            if name == "class-named-X" else (DATA_DIR / name).read_text())
+    ontology = kif.parse_kif(text)
+    for mode in MODES:
+        with warnings.catch_warnings():  # undecided sibling pairs
+            warnings.simplefilter("ignore", UserWarning)
+            closed = apply_closure(ontology, mode)
+        reread = kif.parse_kif(kif.serialize_kif(closed))
+        assert [ax.formula for ax in reread] == \
+            [ax.formula for ax in closed], mode
 
 
 def test_apply_closure_unknown_mode(organism_process):

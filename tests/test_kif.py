@@ -1,15 +1,20 @@
 import operator
 import random
+import re
+import warnings
 from dataclasses import astuple
 
 import pytest
 
 from ontoclose import kif
+from ontoclose.closure import apply_closure
 from ontoclose.kif import Atom, Forall, KifSyntaxError, SizeStats, const, var
 from ontoclose.lexicon import ANTONYMY, SUBSUMPTION, MappingLink, RelationPair
+from ontoclose.modes import MODES
 from ontoclose.prover import GAVE_UP, UNKNOWN, ProverOutcome, Verdict
 
 from conftest import DATA_DIR, antonymy_cq
+from normal_form import normalize, structurally_equal
 
 
 SUPPORT_SHAPE = """
@@ -104,6 +109,15 @@ def test_syntax_errors_carry_position(text, line):
     # the whole text is scanned before any ')' is matched
     ('($p A)) "open\n', "unterminated string", 1, 9),
     ("\r\n\t(($p A))", "expression head", 2, 4),
+    # an error in a later axiom, after a string that spans lines
+    ('($p "a\nb\nc")\n($q A)\n(not ($p A) ($q B))',
+     "'not' takes exactly 1 subformula, found 2 arguments", 5, 2),
+    ('($p "a\n(b;")\n  (forall (x) ($p x))', "'x' is not a variable", 3, 12),
+    # an error after a comment that holds a parenthesis
+    ("($p A) ; closes ) and opens (\n(and ($p A))",
+     "'and' takes at least 2 subformulas, found 1", 2, 2),
+    ("; (\n($p A)))", "unbalanced ')'", 2, 7),
+    ("; )\n(($p A) ; (\n B)", "expression head", 2, 3),
 ])
 def test_syntax_error_positions(text, message, line, column):
     with pytest.raises(KifSyntaxError) as err:
@@ -225,7 +239,7 @@ def test_round_trip_identity(name):
         text = (DATA_DIR / name).read_text()
         ontology = kif.parse_kif(text)
         reparsed = kif.parse_kif(kif.serialize_kif(ontology))
-        assert reparsed.structurally_equal(ontology)
+        assert structurally_equal(reparsed, ontology)
         formulas = [ax.formula for ax in ontology]
     for formula in formulas:
         assert kif.map_terms(formula, lambda t: t) == formula
@@ -233,7 +247,7 @@ def test_round_trip_identity(name):
             again = kif.parse_formula_text(kif.serialize_formula(formula, width))
             assert again == formula
             assert kif.rename_bound(again) == kif.rename_bound(formula)
-            assert kif.normalize(again) == kif.normalize(formula)
+            assert normalize(again) == normalize(formula)
 
 
 def test_constant_filler_renames_as_map_terms_does():
@@ -255,6 +269,102 @@ def test_constant_filler_renames_as_map_terms_does():
                                                else g.args)}]
         shared = {id(f) for f in kif.subformulas(filled)}
         assert all(id(f) in shared for f in untouched)
+
+
+# the separators the reader must skip between two tokens: runs of space,
+# tab, CR and LF, and comments, which may hold parentheses and quotes
+_SEPARATORS = (" ", "\t", "\r\n", "\n", " \r ", "\n\n\t ",
+               " ; a ) comment (\n", ';"(\r\n', "\t;;)\n  ")
+# string constants, which may hold what elsewhere ends a symbol
+_STRINGS = ('"a ; b"', '"(;)"', '"two\nlines ; ("', '""')
+_SEPARATED_TOKEN = re.compile(r'"[^"]*"|[()]|[^\s()"]+')
+
+
+def _with_strings(rng: random.Random, formula: kif.Formula) -> kif.Formula:
+    return kif.map_terms(formula, lambda t: const(rng.choice(_STRINGS))
+                         if t.kind == kif.CONSTANT and rng.random() < 0.3
+                         else t)
+
+
+def test_reader_skips_any_separators_and_counts_lines():
+    rng = random.Random(3)
+    for _ in range(40):
+        formulas = [_with_strings(rng, _random_formula(rng, 3))
+                    for _ in range(rng.randrange(1, 8))]
+        pieces, lines = [rng.choice(("", *_SEPARATORS))], []
+        for formula in formulas:
+            tokens = _SEPARATED_TOKEN.findall(kif.serialize_formula(formula))
+            # an axiom's line is that of its first symbol, the token after
+            # its opening parenthesis
+            for i, token in enumerate(tokens):
+                if i == 1:
+                    lines.append("".join(pieces).count("\n") + 1)
+                pieces += [token, rng.choice(_SEPARATORS)]
+        axioms = kif.parse_axioms("".join(pieces), "f")
+        assert [ax.formula for ax in axioms] == formulas
+        assert [ax.source for ax in axioms] == [f"f:{n}" for n in lines]
+
+
+def _reference_serialize(formula: kif.Formula, width: int = 72,
+                         indent: int = 0) -> str:
+    """The writer as it was before each node's one-line text was built
+    once: it renders each subtree again at every enclosing level."""
+    flat = _reference_inline(formula)
+    if len(flat) + indent <= width or isinstance(formula, (Atom, kif.Equal)):
+        return flat
+    pad = "\n" + "  " * (indent // 2 + 1)
+    inner = [_reference_serialize(p, width, indent + 2)
+             for p in kif.children(formula)]
+    return "(" + _reference_head(formula) + pad + pad.join(inner) + ")"
+
+
+def _reference_head(f: kif.Formula) -> str:
+    if isinstance(f, Atom):
+        return f.predicate
+    if isinstance(f, (Forall, kif.Exists)):
+        kind = "forall" if isinstance(f, Forall) else "exists"
+        return f"{kind} ({' '.join(f.variables)})"
+    return {kif.Equal: "equal", kif.Not: "not", kif.And: "and", kif.Or: "or",
+            kif.Implies: "=>", kif.Iff: "<=>"}[type(f)]
+
+
+def _reference_inline(f: kif.Formula) -> str:
+    if isinstance(f, (Atom, kif.Equal)):
+        terms = f.args if isinstance(f, Atom) else (f.left, f.right)
+        parts = [t.name for t in terms]
+    else:
+        parts = [_reference_inline(p) for p in kif.children(f)]
+    return "(" + " ".join([_reference_head(f), *parts]) + ")"
+
+
+def test_writer_equals_the_reference_writer():
+    rng = random.Random(11)
+    long_names = {"a": "a" * 30, "Birth": "Birth" + "X" * 60}
+    for _ in range(300):
+        formula = _random_formula(rng, 4)
+        if rng.random() < 0.5:
+            formula = kif.map_terms(formula, lambda t: const(
+                long_names.get(t.name, t.name)) if t.kind == kif.CONSTANT
+                else t)
+        for width in (10, 40, 72, 10 ** 9):
+            for indent in (0, 2, 4):
+                assert kif.serialize_formula(formula, width, indent) == \
+                    _reference_serialize(formula, width, indent)
+
+
+# shapes.kif declares a pair both disjoint and non-disjoint: no closure
+@pytest.mark.parametrize("name", [
+    "organism_process.kif", "agent.kif", "blood_cell.kif",
+    "sound_process.kif",
+])
+def test_closed_fixtures_serialize_as_the_reference_writer_does(name):
+    ontology = kif.parse_kif((DATA_DIR / name).read_text())
+    for mode in MODES:
+        with warnings.catch_warnings():  # undecided sibling pairs
+            warnings.simplefilter("ignore", UserWarning)
+            closed = apply_closure(ontology, mode)
+        assert kif.serialize_kif(closed) == "".join(
+            _reference_serialize(ax.formula) + "\n" for ax in closed)
 
 
 def test_round_trip_is_stable():
@@ -429,23 +539,23 @@ def test_normalize_ignores_variable_names_and_or_order():
          "(forall (X) (and (forall (W) ($p X W)) (forall (Z) ($p Z X))))"),
     ]
     for a, b in pairs:
-        assert kif.normalize(kif.parse_formula_text(a)) == \
-            kif.normalize(kif.parse_formula_text(b)), a
+        assert normalize(kif.parse_formula_text(a)) == \
+            normalize(kif.parse_formula_text(b)), a
     rng = random.Random(0)
     for _ in range(300):
         formula = _random_formula(rng, 4)
         names = iter(f"Q{i}" for i in rng.sample(range(1000), 100))
         variant = _shuffled_operands(rng, kif.rename_bound(formula, names))
-        assert kif.normalize(variant) == kif.normalize(formula), formula
+        assert normalize(variant) == normalize(formula), formula
     a = kif.parse_formula_text(pairs[0][0])
     c = kif.parse_formula_text("(forall (?x) (or ($p ?x A) ($q ?x B)))")
-    assert kif.normalize(a) != kif.normalize(c)
+    assert normalize(a) != normalize(c)
 
 
 def test_normalize_keeps_implication_direction():
     a = kif.parse_formula_text("(=> ($p A) ($q B))")
     b = kif.parse_formula_text("(=> ($q B) ($p A))")
-    assert kif.normalize(a) != kif.normalize(b)
+    assert normalize(a) != normalize(b)
 
 
 def test_free_variables_and_closedness():

@@ -10,8 +10,12 @@ from ontoclose.questions import (
     OpenFormulaError, QpTemplate, QuestionError,
     TemplateError, gen_antonymy_cqs, gen_hyponymy_qp1, gen_hyponymy_qp2,
     gen_template_cqs, group_by_pattern, load_template,
-    read_cq_corpus, write_cq_corpus,
+    UnrecognizedShapeError, read_cq_corpus, recognize_shape, write_cq_corpus,
 )
+from ontoclose.prover import oracle_verdict
+from ontoclose.taxonomy import build_taxonomy
+
+from normal_form import normalize
 
 
 def index_of(text: str) -> MappingIndex:
@@ -46,7 +50,7 @@ def test_qp1_lobby_example():
         (exists (X)
           (and ($instance X PoliticalOrganization)
                ($instance X GroupOfPeople)))""")
-    assert kif.normalize(cq.conjecture) == kif.normalize(expected)
+    assert normalize(cq.conjecture) == normalize(expected)
 
 
 def test_qp1_verb_pairs_get_verb_pattern():
@@ -97,7 +101,7 @@ def test_qp2_poison_example():
     expected = kif.parse_formula_text("""
         (forall (X)
           (=> ($instance X Poisoning) ($instance X TherapeuticProcess)))""")
-    assert kif.normalize(cq.conjecture) == kif.normalize(expected)
+    assert normalize(cq.conjecture) == normalize(expected)
 
 
 def test_qp2_excludes_subsumption_mapped_first_synset():
@@ -126,7 +130,7 @@ def test_antonymy_birth_death_example():
         (forall (X Y)
           (=> (and ($instance X Birth) ($instance Y Death))
               (not (equal X Y))))""")
-    assert kif.normalize(cq.conjecture) == kif.normalize(expected)
+    assert normalize(cq.conjecture) == normalize(expected)
 
 
 def test_antonymy_skips_unmapped():
@@ -158,8 +162,8 @@ def test_template_reproduces_antonymy_generator():
     direct = gen_antonymy_cqs([BIRTH_PAIR], BIRTH_MAPPING)
     templated = gen_template_cqs([BIRTH_PAIR], BIRTH_MAPPING, template)
     assert len(templated.questions) == len(direct.questions) == 1
-    assert kif.normalize(templated.questions[0].conjecture) == \
-        kif.normalize(direct.questions[0].conjecture)
+    assert normalize(templated.questions[0].conjecture) == \
+        normalize(direct.questions[0].conjecture)
     assert templated.questions[0].pattern == "template(distinctness)"
 
 
@@ -183,6 +187,35 @@ def test_template_meronymy_part_shape():
     stats = kif.count_metrics(kif.Ontology(
         [kif.Axiom("cq", result.questions[0].conjecture, "original")]))
     assert stats.atom_count == 3
+
+
+def test_each_question_carries_its_conjectures_shape():
+    template = QpTemplate(name="distinctness", pair_kind=ANTONYMY,
+                          skeleton=ANTONYMY_SKELETON)
+    mapping = index_of("birth#n#2\tBirth=\ndeath#n#1\tDeath=\n"
+                       "death#n#1\tC1+\n")
+    questions = [*gen_template_cqs([BIRTH_PAIR], mapping, template).questions,
+                 *_sample_questions()]
+    assert {cq.shape[0] for cq in questions} == {
+        "overlap", "subset", "distinct"}
+    for cq in questions + read_cq_corpus(write_cq_corpus(questions)):
+        assert cq.shape == recognize_shape(cq.conjecture), cq.id
+
+
+def test_a_shape_the_oracle_cannot_decide_fails_when_asked():
+    # generating and reading such questions works: a prover takes any shape
+    skeleton = kif.parse_formula_text(
+        "(exists (X) (and ($instance X C1) ($member X C2)))")
+    template = QpTemplate(name="member", pair_kind=HYPONYMY, skeleton=skeleton)
+    generated = gen_template_cqs([LOBBY_PAIR], LOBBY_MAPPING, template)
+    questions = [*generated.questions,
+                 *read_cq_corpus(write_cq_corpus(generated.questions))]
+    tax = build_taxonomy(kif.parse_kif(
+        "($subclass PoliticalOrganization GroupOfPeople)"))
+    for cq in questions:
+        assert cq.shape is None
+        with pytest.raises(UnrecognizedShapeError):
+            oracle_verdict(tax, cq)
 
 
 def test_template_validation():
