@@ -79,11 +79,11 @@ for mode in MODES:
 # ---------------------------------------------------------------------------
 # Reports are pure functions of the journals: competency counts proved
 # truth/falsity tests per pattern, efficiency averages inverse solve times.
-records = load_journal(journals["subclass+disjointness"])
+outcomes = load_journal(journals["subclass+disjointness"])
 baseline_proved = proved_keys(load_journal(journals["owa"]))
 print("\ncompetency (vs the open-world baseline, exclusives in brackets):")
 print(render_competency_text(
-    competency_report(tally(records), baseline_proved=baseline_proved,
+    competency_report(tally(outcomes), baseline_proved=baseline_proved,
                       expected_cqs=questions)))
 print("efficiency:")
-print(render_efficiency_text(efficiency_report(tally(records))))
+print(render_efficiency_text(efficiency_report(tally(outcomes))))

@@ -244,6 +244,7 @@ def cmd_run(args) -> int:
         args.prover_cmd, args.time_limit, args.memory_limit, args.workers)
     ontology = _load_ontology(args.ontology)
     cqs = questions.read_cq_corpus(_read(args.cqs), args.cqs)
+    Path(args.journal).parent.mkdir(parents=True, exist_ok=True)
     if config is None:
         verdicts = prover.oracle_run_batch(taxonomy.build_taxonomy(ontology),
                                            cqs, args.journal)
@@ -260,13 +261,13 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _write_reports(records, baseline_proved, expected_cqs,
+def _write_reports(outcomes, baseline_proved, expected_cqs,
                    out_dir: "str | Path | None") -> dict[str, str]:
     """Competency and efficiency tables as CSV and text, by file name,
     written under ``out_dir`` when one is given."""
     from . import reports
 
-    tallied = reports.tally(records)
+    tallied = reports.tally(outcomes)
     competency = reports.competency_report(
         tallied, baseline_proved=baseline_proved, expected_cqs=expected_cqs)
     efficiency = reports.efficiency_report(tallied)
@@ -283,14 +284,20 @@ def _write_reports(records, baseline_proved, expected_cqs,
 
 
 def cmd_report(args) -> int:
-    from . import prover, questions, reports
+    from . import kif, prover, questions, reports
 
-    records = prover.load_journal(args.journal)
+    # a run resumes from a missing journal, but a report of one is empty
+    for path in filter(None, (args.journal, args.baseline)):
+        try:
+            open(path, "rb").close()
+        except OSError as exc:
+            raise kif.KifError(f"cannot read {path}: {exc}") from None
+    outcomes = prover.load_journal(args.journal)
     baseline_proved = (reports.proved_keys(prover.load_journal(args.baseline))
                        if args.baseline else None)
     expected = (questions.read_cq_corpus(_read(args.cqs), args.cqs)
                 if args.cqs else None)
-    tables = _write_reports(records, baseline_proved, expected, args.out_dir)
+    tables = _write_reports(outcomes, baseline_proved, expected, args.out_dir)
     sys.stdout.write(tables["competency.txt"] + "\n"
                      + tables["efficiency.txt"])
     return EXIT_OK
@@ -383,23 +390,22 @@ def cmd_pipeline(args) -> int:
             # The reports read them back from it rather than from the
             # verdicts, so they count what the journal holds; and
             # bench/run.py requires the journal load span on every workload.
-            records = prover.load_journal(journal)
+            outcomes = prover.load_journal(journal)
         else:
             verdicts = prover.run_batch(closed, cqs, prover_config, journal,
                                         mode_dir / "problems",
                                         mode_label=mode)
             # a resumed journal can hold records of questions no longer in
             # the corpus: report this run's verdicts only
-            records = {(cq_id, polarity):
-                       prover.journal_record(cq_id, polarity, outcome)
-                       for cq_id, polarity, outcome
-                       in prover.verdict_tests(verdicts)}
+            outcomes = {(cq_id, polarity): outcome
+                        for cq_id, polarity, outcome
+                        in prover.verdict_tests(verdicts)}
             del verdicts
-        _write_reports(records, baseline_proved, cqs, mode_dir)
+        _write_reports(outcomes, baseline_proved, cqs, mode_dir)
         if baseline_proved is None:
-            baseline_proved = reports.proved_keys(records)
-        # free this mode's ontology and records before the next closure
-        del closed, records
+            baseline_proved = reports.proved_keys(outcomes)
+        # free this mode's ontology and outcomes before the next closure
+        del closed, outcomes
     _write_size_stats(labeled_stats, out / "stats.csv")
     print(f"pipeline complete; outputs in {out}", file=sys.stderr)
     return EXIT_OK

@@ -585,12 +585,7 @@ def parse_formula_text(text: str, source_name: str = "<string>") -> Formula:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def serialize_formula(formula: Formula, width: int = 72, indent: int = 0) -> str:
-    """Render one formula; nests onto new lines when the inline form is long."""
-    return _render(formula, width, indent)
-
-
-def _render(f: Formula, width: int, indent: int) -> str:
+def serialize_formula(f: Formula, width: int = 72, indent: int = 0) -> str:
     """The formula's text at ``indent``: its one-line text if that fits in
     ``width``, else its head and each part on a line of its own. Each node
     is built once, from its parts' texts. A node fits only if its parts
@@ -608,16 +603,17 @@ def _render(f: Formula, width: int, indent: int) -> str:
     inner = indent + 2
     if kind is And or kind is Or:
         head = "and" if kind is And else "or"
-        texts = [_render(part, width, inner) for part in f.parts]
+        texts = [serialize_formula(part, width, inner) for part in f.parts]
     elif kind is Implies or kind is Iff:
         head = "=>" if kind is Implies else "<=>"
-        texts = [_render(f.left, width, inner), _render(f.right, width, inner)]
+        texts = [serialize_formula(f.left, width, inner),
+                 serialize_formula(f.right, width, inner)]
     elif kind is Not:
-        head, texts = "not", [_render(f.body, width, inner)]
+        head, texts = "not", [serialize_formula(f.body, width, inner)]
     else:
         head = ("forall (" if kind is Forall else "exists (") \
             + " ".join(f.variables) + ")"
-        texts = [_render(f.body, width, inner)]
+        texts = [serialize_formula(f.body, width, inner)]
     text = "(" + head + " " + " ".join(texts) + ")"
     if len(text) + indent <= width:
         return text

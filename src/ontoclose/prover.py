@@ -26,10 +26,7 @@ from typing import Iterator
 
 from . import kif
 from .kif import Not, Ontology
-# the oracle raises UnrecognizedShapeError; its callers find it here too
-from .questions import (
-    CompetencyQuestion, UnrecognizedShapeError, recognize_shape,
-)
+from .questions import CompetencyQuestion, recognize_shape
 from .taxonomy import Taxonomy
 
 PROVED = "proved"
@@ -134,6 +131,9 @@ class ProverOutcome:
         # written so that a NaN wall time fails too
         if not 0 <= self.wall_time < math.inf:
             raise ValueError("wall time must be finite and non-negative")
+        # the journal's precision, so that an outcome reads the same as
+        # its journal line does
+        object.__setattr__(self, "wall_time", round(self.wall_time, 6))
         if self.status != PROVED and self.used:
             object.__setattr__(self, "used", ())
 
@@ -275,11 +275,6 @@ def write_problem(block: tptp.AxiomBlock, cq: CompetencyQuestion,
 # Results journal
 # ---------------------------------------------------------------------------
 
-def journal_record(cq_id: str, polarity: str, outcome: ProverOutcome) -> dict:
-    return {"cq": cq_id, "polarity": polarity, "status": outcome.status,
-            "seconds": round(outcome.wall_time, 6), "used": list(outcome.used)}
-
-
 def verdict_tests(verdicts) -> Iterator[tuple[str, str, ProverOutcome]]:
     """(question id, polarity, outcome) of every test the verdicts ran,
     truth before falsity, in verdict order."""
@@ -297,15 +292,17 @@ def _journal_tail(outcome: ProverOutcome) -> str:
     """The end of the journal line of a test with this outcome, from the
     separator after its polarity to the newline."""
     used = ", ".join(map(_quote, outcome.used))
-    return (f', "seconds": {round(outcome.wall_time, 6)!r}, '
+    return (f', "seconds": {outcome.wall_time!r}, '
             f'"status": {_quote(outcome.status)}, "used": [{used}]}}\n')
 
 
 def append_journal(path: "str | Path", tests) -> None:
     """Append one journal line per (question id, polarity, outcome) test,
-    through one open file. A line is ``json.dumps(journal_record(...),
-    sort_keys=True)`` and a newline, rendered field by field; the part
-    after the polarity is rendered once per distinct outcome."""
+    through one open file. Each line is rendered field by field: the keys
+    ``cq``, ``polarity``, ``seconds`` (the wall time's ``repr``),
+    ``status`` and ``used`` in that order, with the separators and ASCII
+    escapes of ``json.dumps``, then a newline. The part after the
+    polarity is rendered once per distinct outcome."""
     # by id, holding each outcome so that its id is not reused
     tails: dict[int, tuple[ProverOutcome, str]] = {}
     with open(path, "a", encoding="utf-8") as handle:
@@ -321,11 +318,12 @@ def append_journal(path: "str | Path", tests) -> None:
 _MAX_SECONDS = sys.float_info.max
 
 
-def _index_records(path: Path, numbered) -> dict[tuple[str, str], dict]:
-    """Journal records by (question, polarity), from (line number, decoded
-    line) pairs; the first that is not a record raises
-    :class:`ProverError` naming its line."""
-    records = {}
+def _index_records(path: Path, numbered
+                   ) -> dict[tuple[str, str], ProverOutcome]:
+    """Journal outcomes by (question, polarity), from (line number, decoded
+    line) pairs, equal records sharing one outcome; the first line that is
+    not a record raises :class:`ProverError` naming it."""
+    outcomes, shared = {}, {}
     for lineno, record in numbered:
         try:
             cq_id, polarity = record["cq"], record["polarity"]
@@ -345,8 +343,12 @@ def _index_records(path: Path, numbered) -> dict[tuple[str, str], dict]:
                 f"{path}:{lineno}: journal line is not a record with string "
                 "cq, polarity and status, a finite non-negative number of "
                 "seconds and, if any, a list of strings as used")
-        records[cq_id, polarity] = record
-    return records
+        key = (status, seconds, tuple(used))
+        outcome = shared.get(key)
+        if outcome is None:
+            outcome = shared[key] = ProverOutcome(*key)
+        outcomes[cq_id, polarity] = outcome
+    return outcomes
 
 
 def _decoded_lines(path: Path, lines):
@@ -374,8 +376,10 @@ def _journal_text(path: Path) -> str:
     return text[:text.rfind("\n") + 1]
 
 
-def load_journal(path: "str | Path") -> dict[tuple[str, str], dict]:
-    """The journal's records by (question, polarity). Blank lines, and an
+def load_journal(path: "str | Path"
+                 ) -> dict[tuple[str, str], ProverOutcome]:
+    """The outcome of each test in the journal, by (question, polarity);
+    none when there is no journal. Blank lines, and an
     unterminated last line torn by a kill mid-append, are skipped; any
     other line that is not one JSON object with string ``cq``,
     ``polarity`` and ``status``, a finite non-negative number ``seconds``
@@ -421,11 +425,6 @@ def _drop_torn_tail(path: "str | Path") -> None:
         data = handle.read()
         if not data.endswith(b"\n"):
             handle.truncate(data.rfind(b"\n") + 1)
-
-
-def _outcome_from_record(record: dict) -> ProverOutcome:
-    return ProverOutcome(status=record["status"], wall_time=record["seconds"],
-                         used=tuple(record.get("used", ())))
 
 
 def _verdict(cq_id: str, truth: "ProverOutcome | None",
@@ -479,9 +478,9 @@ def run_batch(ontology: Ontology, cqs, config: ProverConfig,
     def evaluate(cq: CompetencyQuestion) -> Verdict:
         outcomes: dict[str, ProverOutcome | None] = {TRUTH: None, FALSITY: None}
         for polarity in (TRUTH, FALSITY):
-            record = done.get((cq.id, polarity))
-            outcome = (_outcome_from_record(record) if record is not None
-                       else run_test(cq, polarity))
+            outcome = done.get((cq.id, polarity))
+            if outcome is None:
+                outcome = run_test(cq, polarity)
             outcomes[polarity] = outcome
             if polarity == TRUTH and short_circuit and outcome.proved:
                 break

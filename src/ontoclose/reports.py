@@ -1,9 +1,10 @@
-"""Competency and efficiency tables over result journals.
+"""Competency and efficiency tables over test outcomes.
 
-Reports are pure functions of journal records: the same journal always
-renders byte-identical CSV and text. Efficiency follows the inverse-time
-convention: a cell's ``mE`` is 1000 times the mean of ``1/seconds`` over
-its proved tests, so faster proofs score higher.
+Reports are pure functions of the outcomes of a run's tests, keyed by
+(question, polarity) as ``prover.load_journal`` returns them: the same
+outcomes always render byte-identical CSV and text. Efficiency follows the
+inverse-time convention: a cell's ``mE`` is 1000 times the mean of
+``1/wall_time`` over its proved tests, so faster proofs score higher.
 """
 
 from __future__ import annotations
@@ -12,16 +13,11 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
-from itertools import repeat
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
-from .prover import FALSITY, PROVED, TRUTH
+from .prover import FALSITY, PROVED, TRUTH, ProverOutcome
 
 _MIN_SECONDS = 1e-9  # instant answers (the oracle) would otherwise divide by zero
-
-
-def pattern_of(cq_id: str) -> str:
-    return cq_id.partition(":")[0]
 
 
 def round2(value: float) -> str:
@@ -55,35 +51,35 @@ class EfficiencyRow:
     A: float       # mean axioms per proof
 
 
-def proved_keys(records: dict[tuple[str, str], dict]
+def proved_keys(outcomes: dict[tuple[str, str], ProverOutcome]
                 ) -> set[tuple[str, str]]:
-    """The (question, polarity) keys of the proved tests among journal
-    records: all that a baseline run contributes to a competency report."""
-    return {key for key, record in records.items()
-            if record["status"] == PROVED}
+    """The (question, polarity) keys of the proved tests among outcomes:
+    all that a baseline run contributes to a competency report."""
+    return {key for key, outcome in outcomes.items()
+            if outcome.status == PROVED}
 
 
 @dataclass(frozen=True)
 class Tally:
-    """What both reports read of a journal's records, found in one pass:
-    each question id's pattern and the proved tests by polarity, each as
-    its question id and record, in record order. Build it once with
+    """What both reports read of a run's outcomes, found in one pass: each
+    question id's pattern and the proved tests by polarity, each as its
+    question id and outcome, in the outcomes' order. Build it once with
     ``tally`` and give it to both reports."""
     pattern: dict[str, str]
-    proved: dict[str, list[tuple[str, dict]]]
+    proved: dict[str, list[tuple[str, ProverOutcome]]]
 
 
-def tally(records: dict[tuple[str, str], dict]) -> Tally:
+def tally(outcomes: dict[tuple[str, str], ProverOutcome]) -> Tally:
     proved = {TRUTH: [], FALSITY: []}
-    for (cq_id, polarity), record in records.items():
-        if record["status"] == PROVED and polarity in proved:
-            proved[polarity].append((cq_id, record))
-    return Tally(_pattern_by_id({cq_id for cq_id, _ in records}), proved)
+    for (cq_id, polarity), outcome in outcomes.items():
+        if outcome.status == PROVED and polarity in proved:
+            proved[polarity].append((cq_id, outcome))
+    return Tally(_pattern_by_id({cq_id for cq_id, _ in outcomes}), proved)
 
 
 def _pattern_by_id(cq_ids) -> dict[str, str]:
-    """``pattern_of`` of each question id, inlined: a call per id would cost
-    half as much again."""
+    """Each question id's pattern: the id up to its first colon, or the
+    whole id if it has none."""
     return {cq_id: cq_id.partition(":")[0] for cq_id in cq_ids}
 
 
@@ -127,16 +123,15 @@ def competency_report(tallied: Tally, *,
 
 
 def _efficiency_cell(pattern: str, polarity_label: str,
-                     proved_records: list[dict]) -> EfficiencyRow:
-    if not proved_records:
+                     proved: list[ProverOutcome]) -> EfficiencyRow:
+    if not proved:
         return EfficiencyRow(pattern, polarity_label, 0.0, 0.0, 0, 0.0)
-    # max(seconds, _MIN_SECONDS), for the numbers a journal holds
+    # max(wall time, _MIN_SECONDS), for the numbers a journal holds
     times = [s if s >= _MIN_SECONDS else _MIN_SECONDS
-             for s in map(itemgetter("seconds"), proved_records)]
+             for s in map(attrgetter("wall_time"), proved)]
     t = sum(times) / len(times)
     me = 1000.0 * sum([1.0 / s for s in times]) / len(times)
-    proofs = list(filter(None, map(dict.get, proved_records,
-                                   repeat("used"))))
+    proofs = [outcome.used for outcome in proved if outcome.used]
     distinct = set().union(*proofs)
     a = sum(map(len, proofs)) / len(proofs) if proofs else 0.0
     return EfficiencyRow(pattern, polarity_label, t, me, len(distinct), a)
@@ -153,8 +148,8 @@ def efficiency_report(tallied: Tally) -> list[EfficiencyRow]:
         # the order that sorting it by (question, polarity) gives
         tests = sorted(tallied.proved[polarity], key=itemgetter(0))
         cells = {name: [] for name in patterns}
-        for cq_id, record in tests:
-            cells[pattern[cq_id]].append(record)
+        for cq_id, outcome in tests:
+            cells[pattern[cq_id]].append(outcome)
         for name, cell in cells.items():
             rows[name, label] = _efficiency_cell(name, label, cell)
         rows["Total", label] = _efficiency_cell(

@@ -21,7 +21,8 @@ from ontoclose.closure import (
 )
 from ontoclose.prover import (
     COUNTER_SATISFIABLE, ERROR, NON_PASSING, PASSING, PROVED, TIMEOUT,
-    TRUTH, UNKNOWN, ProverConfig, oracle_verdict, run_batch, run_prover,
+    TRUTH, UNKNOWN, ProverConfig, ProverOutcome, oracle_verdict, run_batch,
+    run_prover,
 )
 from ontoclose.reports import efficiency_report, tally
 from ontoclose.taxonomy import DISJOINT, NONDISJOINT, OPEN, build_taxonomy
@@ -280,15 +281,11 @@ def test_criterion_06_completion_shape(organism_process, data_dir):
 # ---------------------------------------------------------------------------
 
 def test_criterion_07_metrics_arithmetic():
-    def record(cq, seconds, used=()):
-        return {"cq": cq, "polarity": TRUTH, "status": PROVED,
-                "seconds": seconds, "used": list(used)}
-
-    journal = {(r["cq"], TRUTH): r for r in (
-        record("antonymy-1:a:b:A:B", 2.0, ["a", "b", "c"]),
-        record("antonymy-1:c:d:C:D", 4.0, ["b", "c", "d"]),
-    )}
-    cell = efficiency_report(tally(journal))[0]
+    outcomes = {
+        ("antonymy-1:a:b:A:B", TRUTH): ProverOutcome(PROVED, 2.0, tuple("abc")),
+        ("antonymy-1:c:d:C:D", TRUTH): ProverOutcome(PROVED, 4.0, tuple("bcd")),
+    }
+    cell = efficiency_report(tally(outcomes))[0]
     assert math.isclose(cell.mE, 375.0, rel_tol=1e-9)
     assert math.isclose(cell.t, 3.0, rel_tol=1e-12)
     assert cell.N == 4

@@ -322,6 +322,22 @@ def test_run_with_stub_prover(tmp_path, lexical_files):
                for line in lines)
 
 
+@pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "prover"])
+def test_run_creates_the_journals_directory(tmp_path, lexical_files, oracle):
+    # a journal in a directory that did not exist yet ended the run in a
+    # FileNotFoundError; the prover's problems go elsewhere here
+    corpus = _generate_corpus(tmp_path, lexical_files)
+    config = stub_provers.stub_config(tmp_path, stub_provers.COUNTER_SATISFIABLE)
+    journal = tmp_path / "new" / "dir" / "journal.jsonl"
+    engine = (("--oracle",) if oracle else
+              ("--problems", tmp_path / "problems", "--prover-cmd",
+               config.command))
+    assert run_cli("run", ONTOLOGY, "--cqs", corpus, "--journal", journal,
+                   *engine) == EXIT_OK
+    assert len(journal.read_text().splitlines()) == \
+        2 * len(list_corpus_ids(corpus))
+
+
 def test_run_prover_env_override(tmp_path, lexical_files, monkeypatch):
     corpus = _generate_corpus(tmp_path, lexical_files)
     config = stub_provers.stub_config(tmp_path, stub_provers.COUNTER_SATISFIABLE)
@@ -416,6 +432,26 @@ def test_report_on_a_journal_line_that_is_not_a_record(tmp_path, capsys):
                            f'"seconds": 0.5, "status": "proved"}}\n{line}\n')
         assert run_cli("report", "--journal", journal) == EXIT_PROVER, line
         assert f"{journal}:2:" in capsys.readouterr().err
+
+
+def test_report_refuses_a_journal_it_cannot_read(tmp_path, lexical_files,
+                                                  capsys):
+    # a missing journal read as an empty one: an empty report, and a
+    # baseline that left every proved test exclusive, both with exit 0
+    corpus = _generate_corpus(tmp_path, lexical_files)
+    journal = tmp_path / "journal.jsonl"
+    assert run_cli("run", ONTOLOGY, "--oracle", "--cqs", corpus,
+                   "--journal", journal) == EXIT_OK
+    missing = tmp_path / "missing.jsonl"
+    out_dir = tmp_path / "reports"
+    for unread, argv in ((missing, ("--journal", missing)),
+                         (tmp_path, ("--journal", tmp_path)),
+                         (missing, ("--journal", journal,
+                                    "--baseline", missing))):
+        capsys.readouterr()
+        assert run_cli("report", *argv, "--out-dir", out_dir) == EXIT_DATA
+        assert f"report: cannot read {unread}: " in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -630,6 +666,40 @@ def test_pipeline_with_stub_prover(tmp_path, lexical_files, monkeypatch):
         assert len(problems) == len(records)
         for path in problems:
             assert f"% mode: {mode}" in path.read_text().splitlines(), path
+
+
+def test_prover_pipeline_reports_equal_report_of_its_journals(
+        tmp_path, lexical_files, monkeypatch):
+    # the pipeline reports from its outcomes, report from their journal
+    # lines: the efficiency tables, whose mE scales inverse times by 1000,
+    # agree only if both read wall times at the journal's precision
+    mapping, antonymy, hyponymy = lexical_files
+    stub = stub_provers.stub_config(tmp_path, stub_provers.THEOREM)
+    monkeypatch.setenv("ONTOCLOSE_PROVER_COMMAND", stub.command)
+    modes = ["subclass-only", "subclass+disjointness"]
+    out = tmp_path / "results"
+    config = tmp_path / "run.conf"
+    config.write_text(
+        f"ontology={ONTOLOGY}\nmapping={mapping}\n"
+        f"pairs.hyponymy={hyponymy}\npairs.antonymy={antonymy}\n"
+        f"out={out}\noracle=false\nmodes={','.join(modes)}\n"
+        "prover.workers=2\nprover.time_limit=10\n")
+    assert run_cli("pipeline", config) == EXIT_OK
+    baseline = ()  # the first mode's run is the baseline of the others
+    for mode in modes:
+        piped = out / mode.replace("+", "_")
+        reported = tmp_path / "reported" / mode.replace("+", "_")
+        assert run_cli("report", "--journal", piped / "journal.jsonl",
+                       *baseline, "--cqs", out / "cqs.kif",
+                       "--out-dir", reported) == EXIT_OK
+        baseline = baseline or ("--baseline", piped / "journal.jsonl")
+        for name in ("competency.csv", "competency.txt", "efficiency.csv",
+                     "efficiency.txt"):
+            assert (piped / name).read_bytes() == \
+                (reported / name).read_bytes(), (mode, name)
+        # every truth test proved, citing the stub's one axiom
+        assert ",1,1.00\nTotal,-,0.00,0.00,0,0.00\n" in \
+            (piped / "efficiency.csv").read_text()
 
 
 def test_pipeline_rerun_with_fewer_questions_reports_the_new_corpus(

@@ -21,11 +21,11 @@ from ontoclose.prover import (
     MAX_MEMORY_LIMIT_MIB, MAX_TIME_LIMIT, NON_PASSING, PASSING, PROVED,
     TIMEOUT, TRUTH, UNKNOWN,
     InconsistencyError, ProverConfig, ProverError, ProverOutcome,
-    UnrecognizedShapeError, _ORACLE_OUTCOMES, append_journal, classify,
-    journal_record, load_journal, oracle_run_batch, oracle_verdict,
-    parse_prover_output, recognize_shape, run_batch, run_prover,
-    write_problem,
+    _ORACLE_OUTCOMES, append_journal, classify, load_journal,
+    oracle_run_batch, oracle_verdict, parse_prover_output, run_batch,
+    run_prover, write_problem,
 )
+from ontoclose.questions import UnrecognizedShapeError, recognize_shape
 from ontoclose.taxonomy import build_taxonomy
 from ontoclose.tptp import AxiomBlock
 
@@ -298,6 +298,17 @@ def test_outcome_refuses_a_wall_time_no_journal_can_hold(wall_time):
         ProverOutcome(GAVE_UP, wall_time)
 
 
+def test_outcome_holds_its_wall_time_at_the_journals_precision(tmp_path):
+    # so that reports of a run's own outcomes read what reports of its
+    # journal read
+    outcome = replace(ProverOutcome(PROVED, 0.1234565001), used=("a",))
+    assert outcome.wall_time == 0.123457
+    written = ProverOutcome(PROVED, 2 / 3)
+    journal = tmp_path / "journal.jsonl"
+    append_journal(journal, [("q", TRUTH, written)])
+    assert load_journal(journal) == {("q", TRUTH): written}
+
+
 # ---------------------------------------------------------------------------
 # Verdicts
 # ---------------------------------------------------------------------------
@@ -348,10 +359,9 @@ def test_journal_round_trip(tmp_path):
     outcome = ProverOutcome(status=PROVED, wall_time=1.25, used=("orig_1",))
     append_journal(journal, [("cq-1", TRUTH, outcome)])
     append_journal(journal, [("cq-1", FALSITY, ProverOutcome(GAVE_UP, 0.5))])
-    records = load_journal(journal)
-    assert records[("cq-1", TRUTH)]["status"] == PROVED
-    assert records[("cq-1", TRUTH)]["used"] == ["orig_1"]
-    assert records[("cq-1", FALSITY)]["status"] == GAVE_UP
+    assert load_journal(journal) == {("cq-1", TRUTH): outcome,
+                                     ("cq-1", FALSITY): ProverOutcome(
+                                         GAVE_UP, 0.5)}
 
 
 def test_load_journal_missing_file(tmp_path):
@@ -409,14 +419,16 @@ def test_load_journal_skips_blank_lines_and_a_torn_tail(tmp_path):
     other = GOOD_LINE.replace('"q"', '"r"')
     journal.write_text(f"\n{GOOD_LINE}\n  \n{other}\n{{\"cq\": ",
                        encoding="utf-8")
-    records = load_journal(journal)
-    assert sorted(records) == [("q", TRUTH), ("r", TRUTH)]
-    assert records[("r", TRUTH)] == {"cq": "r", "polarity": TRUTH,
-                                     "seconds": 0.5, "status": PROVED}
+    outcomes = load_journal(journal)
+    assert sorted(outcomes) == [("q", TRUTH), ("r", TRUTH)]
+    # equal records share one outcome
+    assert outcomes[("r", TRUTH)] is outcomes[("q", TRUTH)]
+    assert outcomes[("r", TRUTH)] == ProverOutcome(PROVED, 0.5)
 
 
 def _load_line_by_line(path):
-    """What load_journal should return, or the line it should name."""
+    """What load_journal should return, with the number of distinct
+    records it holds, or the line it should name."""
     records = {}
     for lineno, line in enumerate(path.read_text().split("\n")[:-1], 1):
         if not line.strip():
@@ -435,8 +447,10 @@ def _load_line_by_line(path):
                 and isinstance(used, list)
                 and all(isinstance(name, str) for name in used)):
             return lineno
-        records[record["cq"], record["polarity"]] = record
-    return records
+        records[record["cq"], record["polarity"]] = (
+            record["status"], seconds, tuple(used))
+    outcomes = {key: ProverOutcome(*fields) for key, fields in records.items()}
+    return outcomes, len(set(records.values()))
 
 
 def test_load_journal_equals_a_line_by_line_load(tmp_path):
@@ -484,7 +498,11 @@ def test_load_journal_equals_a_line_by_line_load(tmp_path):
                                match=re.escape(f"{journal}:{expected}:")):
                 load_journal(journal)
         else:
-            assert load_journal(journal) == expected, text
+            outcomes, distinct = expected
+            loaded = load_journal(journal)
+            assert loaded == outcomes, text
+            # equal records share one outcome
+            assert len(set(map(id, loaded.values()))) == distinct, text
 
 
 ADVERSARIAL_NAMES = [
@@ -493,6 +511,13 @@ ADVERSARIAL_NAMES = [
     "\u65e5\u672c", "\U0001f600 astral \U0010ffff", "\ud800 lone",
     "x" * 5000, "{\"cq\": 1}",
 ]
+
+
+def journal_record(cq_id, polarity, outcome):
+    """The fields of a test's journal line, which is their json.dumps with
+    sorted keys."""
+    return {"cq": cq_id, "polarity": polarity, "status": outcome.status,
+            "seconds": round(outcome.wall_time, 6), "used": list(outcome.used)}
 
 
 def test_journal_lines_are_json_dumps_of_the_record(tmp_path):
@@ -563,8 +588,8 @@ def test_run_batch_aborts_on_contradiction(tmp_path, organism_process):
                   tmp_path / "problems", short_circuit=False)
     assert cq.id in err.value.cq_ids
     # both proved records are journaled before the run aborts
-    records = load_journal(journal)
-    assert {polarity: records[(cq.id, polarity)]["status"]
+    outcomes = load_journal(journal)
+    assert {polarity: outcomes[(cq.id, polarity)].status
             for polarity in (TRUTH, FALSITY)} == {TRUTH: PROVED,
                                                   FALSITY: PROVED}
 
@@ -730,9 +755,9 @@ def test_oracle_run_batch_rewrites_its_journal(tmp_path):
     [second] = oracle_run_batch(compatible, [cq], journal)
     assert second.value == NON_PASSING
     assert len(journal.read_text().splitlines()) == 2
-    records = load_journal(journal)
-    assert records[(cq.id, TRUTH)]["status"] == GAVE_UP
-    assert records[(cq.id, FALSITY)]["status"] == PROVED
+    outcomes = load_journal(journal)
+    assert outcomes[(cq.id, TRUTH)].status == GAVE_UP
+    assert outcomes[(cq.id, FALSITY)].status == PROVED
 
 
 def test_oracle_agrees_with_witness_enumeration_on_random_dags():

@@ -5,10 +5,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from ontoclose.prover import FALSITY, TRUTH
+from ontoclose.prover import FALSITY, TRUTH, ProverOutcome
 from ontoclose.reports import (
     CompetencyRow, EfficiencyRow, competency_report, efficiency_report,
-    pattern_of,
     proved_keys, render_competency_csv, render_competency_text,
     render_efficiency_csv, render_size_stats_csv, round2, tally,
 )
@@ -17,18 +16,21 @@ from conftest import antonymy_cq
 
 
 def record(cq, polarity, status, seconds=1.0, used=()):
-    return {"cq": cq, "polarity": polarity, "status": status,
-            "seconds": seconds, "used": list(used)}
+    """A test's key and outcome, as a loaded journal holds them."""
+    return (cq, polarity), ProverOutcome(status, seconds, tuple(used))
 
 
 def journal(*records):
-    return {(r["cq"], r["polarity"]): r for r in records}
+    return dict(records)
 
 
 def test_pattern_extraction():
-    assert pattern_of("antonymy-1:a#n#1:b#n#1:A:B") == "antonymy-1"
-    assert pattern_of("template(part-overlap):a#n#1:b#n#1:A:B") == \
-        "template(part-overlap)"
+    ids = ["antonymy-1:a#n#1:b#n#1:A:B",
+           "template(part-overlap):a#n#1:b#n#1:A:B", "solo"]
+    assert tally(journal(*(record(cq, TRUTH, "gave-up") for cq in ids))
+                 ).pattern == dict(zip(ids, ["antonymy-1",
+                                             "template(part-overlap)",
+                                             "solo"]))
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +237,8 @@ def _reference_competency(records, baseline_proved, expected_ids):
     for pattern in sorted({cq.split(":", 1)[0] for cq in ids}):
         mine = [cq for cq in ids if cq.split(":", 1)[0] == pattern]
         proved = {polarity: [(cq, polarity) for cq in mine
-                             if records.get((cq, polarity), {}).get("status")
-                             == "proved"]
+                             if (cq, polarity) in records
+                             and records[cq, polarity].status == "proved"]
                   for polarity in (TRUTH, FALSITY)}
         exclusive = {polarity: (None if baseline_proved is None else
                                 sum(key not in baseline_proved
@@ -260,8 +262,8 @@ def _reference_competency(records, baseline_proved, expected_ids):
 def _reference_efficiency_cell(pattern, label, cell):
     if not cell:
         return EfficiencyRow(pattern, label, 0.0, 0.0, 0, 0.0)
-    times = [max(record["seconds"], 1e-9) for record in cell]
-    proofs = [record["used"] for record in cell if record.get("used")]
+    times = [max(outcome.wall_time, 1e-9) for outcome in cell]
+    proofs = [outcome.used for outcome in cell if outcome.used]
     axioms = set()
     for used in proofs:
         axioms.update(used)
@@ -272,14 +274,14 @@ def _reference_efficiency_cell(pattern, label, cell):
 
 
 def _reference_efficiency(records):
-    proved = sorted((key, record) for key, record in records.items()
-                    if record["status"] == "proved")
+    proved = sorted((key, outcome) for key, outcome in records.items()
+                    if outcome.status == "proved")
     rows = []
     patterns = sorted({cq.split(":", 1)[0] for cq, _ in records})
     for pattern in patterns + ["Total"]:
         for polarity, label in ((TRUTH, "+"), (FALSITY, "-")):
             rows.append(_reference_efficiency_cell(pattern, label, [
-                record for (cq, pol), record in proved if pol == polarity
+                outcome for (cq, pol), outcome in proved if pol == polarity
                 and pattern in ("Total", cq.split(":", 1)[0])]))
     return rows
 
@@ -297,14 +299,14 @@ def test_reports_equal_a_plain_reference_on_random_journals():
         for cq in ids:
             for polarity in (TRUTH, FALSITY, "other"):
                 if rng.random() < (0.05 if polarity == "other" else 0.8):
-                    data[cq, polarity] = record(
-                        cq, polarity,
-                        rng.choice(["proved", "proved", "gave-up", "timeout"]),
-                        seconds=rng.choice([0.0, 1e-10, 3, round(
-                            rng.expovariate(2.0), 6)]),
-                        used=rng.sample(axioms, rng.randrange(5)))
+                    status = rng.choice(
+                        ["proved", "proved", "gave-up", "timeout"])
+                    seconds = rng.choice([0.0, 1e-10, 3, round(
+                        rng.expovariate(2.0), 6)])
+                    used = rng.sample(axioms, rng.randrange(5))
                     if rng.random() < 0.2:
-                        del data[cq, polarity]["used"]
+                        used = ()  # a journal line without "used"
+                    data.update([record(cq, polarity, status, seconds, used)])
         keys = list(data)
         rng.shuffle(keys)
         data = {key: data[key] for key in keys}
