@@ -238,13 +238,15 @@ def _prover_config(command: "str | None", time_limit: float,
 
 
 def cmd_run(args) -> int:
-    from . import prover, questions, taxonomy
+    from . import kif, prover, questions, taxonomy
 
     config = None if args.oracle else _prover_config(
         args.prover_cmd, args.time_limit, args.memory_limit, args.workers)
     ontology = _load_ontology(args.ontology)
     cqs = questions.read_cq_corpus(_read(args.cqs), args.cqs)
     Path(args.journal).parent.mkdir(parents=True, exist_ok=True)
+    if Path(args.journal).is_dir():
+        raise kif.KifError(f"cannot write {args.journal}: it is a directory")
     if config is None:
         verdicts = prover.oracle_run_batch(taxonomy.build_taxonomy(ontology),
                                            cqs, args.journal)
@@ -261,13 +263,12 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _write_reports(outcomes, baseline_proved, expected_cqs,
+def _write_reports(tallied, baseline_proved, expected_cqs,
                    out_dir: "str | Path | None") -> dict[str, str]:
-    """Competency and efficiency tables as CSV and text, by file name,
-    written under ``out_dir`` when one is given."""
+    """Competency and efficiency tables of a tally of outcomes as CSV and
+    text, by file name, written under ``out_dir`` when one is given."""
     from . import reports
 
-    tallied = reports.tally(outcomes)
     competency = reports.competency_report(
         tallied, baseline_proved=baseline_proved, expected_cqs=expected_cqs)
     efficiency = reports.efficiency_report(tallied)
@@ -297,7 +298,8 @@ def cmd_report(args) -> int:
                        if args.baseline else None)
     expected = (questions.read_cq_corpus(_read(args.cqs), args.cqs)
                 if args.cqs else None)
-    tables = _write_reports(outcomes, baseline_proved, expected, args.out_dir)
+    tables = _write_reports(reports.tally(outcomes), baseline_proved,
+                            expected, args.out_dir)
     sys.stdout.write(tables["competency.txt"] + "\n"
                      + tables["efficiency.txt"])
     return EXIT_OK
@@ -330,6 +332,8 @@ def load_config(path: str) -> dict[str, str]:
 
 
 def cmd_pipeline(args) -> int:
+    import shutil
+
     from . import (closure, kif, lexicon, prover, questions, reports,
                    taxonomy)
 
@@ -375,37 +379,47 @@ def cmd_pipeline(args) -> int:
     # one taxonomy serves every mode's closure and, with the pair facts
     # each closure appends, its oracle
     tax = taxonomy.build_taxonomy(ontology)
+    input_text = kif.serialize_kif(ontology)
     labeled_stats = []
     baseline_proved = None
+    last_tax = last_journal = None  # of the last oracle pass
     for mode in modes:
         mode_dir = out / mode.replace("+", "_")
         closed = closure.apply_closure(ontology, mode, curation, tax=tax)
-        _write(mode_dir / "closed.kif", kif.serialize_kif(closed))
+        additions = closed.axioms[len(ontology):]
+        _write(mode_dir / "closed.kif", input_text + kif.serialize_kif(additions))
         labeled_stats.append((mode, kif.count_metrics(closed)))
         journal = mode_dir / "journal.jsonl"
-        if prover_config is None:
-            prover.oracle_run_batch(
-                tax.with_axioms(closed.axioms[len(ontology):]), cqs, journal)
-            # the oracle rewrote the journal with this run's records alone.
-            # The reports read them back from it rather than from the
-            # verdicts, so they count what the journal holds; and
-            # bench/run.py requires the journal load span on every workload.
-            outcomes = prover.load_journal(journal)
+        oracle_tax = None if prover_config else tax.with_axioms(additions)
+        if oracle_tax is not None and oracle_tax is last_tax:
+            # additions without pair facts leave the taxonomy, and so
+            # every verdict, as the last oracle pass found them
+            if journal != last_journal:  # else the mode is named twice
+                shutil.copyfile(last_journal, journal)
         else:
-            verdicts = prover.run_batch(closed, cqs, prover_config, journal,
-                                        mode_dir / "problems",
-                                        mode_label=mode)
-            # a resumed journal can hold records of questions no longer in
-            # the corpus: report this run's verdicts only
-            outcomes = {(cq_id, polarity): outcome
-                        for cq_id, polarity, outcome
-                        in prover.verdict_tests(verdicts)}
-            del verdicts
-        _write_reports(outcomes, baseline_proved, cqs, mode_dir)
+            outcomes = tallied = None  # hold one run's results at a time
+            if oracle_tax is not None:
+                prover.oracle_run_batch(oracle_tax, cqs, journal)
+                # the reports count what the journal holds, read back
+                # (bench/run.py requires the journal load span)
+                outcomes = prover.load_journal(journal)
+                last_tax, last_journal = oracle_tax, journal
+            else:
+                verdicts = prover.run_batch(closed, cqs, prover_config,
+                                            journal, mode_dir / "problems",
+                                            mode_label=mode)
+                # a resumed journal can hold records of questions no longer
+                # in the corpus: report this run's verdicts only
+                outcomes = {(cq_id, polarity): outcome
+                            for cq_id, polarity, outcome
+                            in prover.verdict_tests(verdicts)}
+                del verdicts
+            tallied = reports.tally(outcomes)
+        _write_reports(tallied, baseline_proved, cqs, mode_dir)
         if baseline_proved is None:
             baseline_proved = reports.proved_keys(outcomes)
-        # free this mode's ontology and outcomes before the next closure
-        del closed, outcomes
+        # free this mode's ontology before the next closure
+        del closed, additions
     _write_size_stats(labeled_stats, out / "stats.csv")
     print(f"pipeline complete; outputs in {out}", file=sys.stderr)
     return EXIT_OK

@@ -351,67 +351,53 @@ def _index_records(path: Path, numbered
     return outcomes
 
 
-def _decoded_lines(path: Path, lines):
-    """(line number, decoded line) of each non-blank line, one decode
-    per line."""
+# one JSON value at the start of a string, and the index after it
+_decode_value = json.JSONDecoder().raw_decode
+
+
+def _streamed_records(path: Path, lines):
+    """(line number, decoded line) of each line but blank ones and a last
+    one with no newline (torn by a kill mid-append); the first other line
+    that is not one JSON value raises :class:`ProverError` naming it."""
     for lineno, line in enumerate(lines, start=1):
-        if line.strip():
+        try:
+            record, end = _decode_value(line)
+        except json.JSONDecodeError:
+            end = len(line)
+        if line[end:] != "\n":
+            if not line.strip() or line[-1] != "\n":
+                continue
+            # surrounding whitespace (say, the CR of a CRLF line) is
+            # accepted; anything else raises the decoder's own message
             try:
-                yield lineno, json.loads(line)
+                record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ProverError(
                     f"{path}:{lineno}: bad journal line: {exc}") from None
-
-
-def _journal_text(path: Path) -> str:
-    """The journal's text up to its last newline, so without a last line
-    torn by a kill mid-append; empty when there is no journal."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        return ""
-    except UnicodeDecodeError as exc:
-        raise ProverError(
-            f"{path}: journal is not UTF-8 text: {exc}") from None
-    return text[:text.rfind("\n") + 1]
+        yield lineno, record
 
 
 def load_journal(path: "str | Path"
                  ) -> dict[tuple[str, str], ProverOutcome]:
     """The outcome of each test in the journal, by (question, polarity);
-    none when there is no journal. Blank lines, and an
-    unterminated last line torn by a kill mid-append, are skipped; any
-    other line that is not one JSON object with string ``cq``,
-    ``polarity`` and ``status``, a finite non-negative number ``seconds``
-    (not a bool) and, if it has one, a list of strings ``used`` raises
-    :class:`ProverError` naming it."""
+    none when there is no journal. The file is streamed a line at a time
+    and each line decoded once. Blank lines, and an unterminated last
+    line torn by a kill mid-append, are skipped; the first other line
+    that is not one JSON object with string ``cq``, ``polarity`` and
+    ``status``, a finite non-negative number ``seconds`` (not a bool) and,
+    if any, a list of strings ``used`` raises :class:`ProverError` naming
+    it, as do bytes that are not UTF-8."""
     path = Path(path)
-    text = _journal_text(path)
-    lines = text.count("\n")
-    # One decode of the whole journal shares each key string among the
-    # records. It is tried when each line starts with "{" and the journal
-    # holds no other "{". If it then yields one record per line, every
-    # "{" opens a record, none sits in a string or a nested object, and
-    # so each line holds one record. Otherwise each line is decoded on its
-    # own, which names the first line that is not a record.
-    if text[:1] == "{" and text.count("{") == lines == text.count("\n{") + 1:
-        whole = "[%s]" % text.replace("\n", ",", lines - 1)
-        # one copy of the journal in memory while its records are built;
-        # the line-by-line decode reads the file again
-        del text
+    try:
+        handle = open(path, encoding="utf-8", newline="\n")
+    except FileNotFoundError:
+        return {}
+    with handle:
         try:
-            decoded = json.loads(whole)
-        except json.JSONDecodeError:
-            decoded = []
-        del whole
-        if len(decoded) == lines:
-            try:
-                return _index_records(path, enumerate(decoded, start=1))
-            except ProverError:
-                pass
-        del decoded
-        text = _journal_text(path)
-    return _index_records(path, _decoded_lines(path, text.split("\n")))
+            return _index_records(path, _streamed_records(path, handle))
+        except UnicodeDecodeError as exc:
+            raise ProverError(
+                f"{path}: journal is not UTF-8 text: {exc}") from None
 
 
 def _drop_torn_tail(path: "str | Path") -> None:

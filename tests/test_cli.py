@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from ontoclose import cli, closure, kif, taxonomy
+from ontoclose import (cli, closure, kif, prover, questions, reports,
+                       taxonomy)
 from ontoclose.cli import (
     EXIT_DATA, EXIT_INCONSISTENT, EXIT_OK, EXIT_PROVER, EXIT_USAGE,
     load_config, main,
@@ -338,6 +339,23 @@ def test_run_creates_the_journals_directory(tmp_path, lexical_files, oracle):
         2 * len(list_corpus_ids(corpus))
 
 
+@pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "prover"])
+def test_run_refuses_a_journal_that_is_a_directory(tmp_path, lexical_files,
+                                                   capsys, oracle):
+    # it ended in an IsADirectoryError traceback: at the oracle's unlink of
+    # the old journal, or at the prover path's read of it
+    corpus = _generate_corpus(tmp_path, lexical_files)
+    config = stub_provers.stub_config(tmp_path, stub_provers.COUNTER_SATISFIABLE)
+    journal = tmp_path / "journal.jsonl"
+    journal.mkdir()
+    engine = ("--oracle",) if oracle else ("--prover-cmd", config.command)
+    capsys.readouterr()
+    assert run_cli("run", ONTOLOGY, "--cqs", corpus, "--journal", journal,
+                   *engine) == EXIT_DATA
+    assert f"run: cannot write {journal}: " in capsys.readouterr().err
+    assert list(journal.iterdir()) == []
+
+
 def test_run_prover_env_override(tmp_path, lexical_files, monkeypatch):
     corpus = _generate_corpus(tmp_path, lexical_files)
     config = stub_provers.stub_config(tmp_path, stub_provers.COUNTER_SATISFIABLE)
@@ -636,6 +654,96 @@ def test_pipeline_matches_the_stages_run_by_hand(tmp_path, lexical_files):
                 (mode_dir / name).read_bytes(), (mode, name)
         assert _journal_without_seconds(piped / "journal.jsonl") == \
             _journal_without_seconds(journal), mode
+
+
+def test_modes_over_one_oracle_taxonomy_share_one_oracle_pass(
+        tmp_path, lexical_files, monkeypatch):
+    # completion and support axioms hold no pair facts, so owa and
+    # subclass-only ask the oracle of the same taxonomy; each assumption
+    # mode adds pair facts and runs a pass of its own
+    mapping, antonymy, hyponymy = lexical_files
+    modes = ["owa", "subclass-only", "subclass+disjointness",
+             "subclass+nondisjointness"]
+    names = [mode.replace("+", "_") for mode in modes]
+    out = tmp_path / "results"
+    config = tmp_path / "run.conf"
+    config.write_text(
+        f"ontology={ONTOLOGY}\nmapping={mapping}\n"
+        f"pairs.hyponymy={hyponymy}\npairs.antonymy={antonymy}\n"
+        f"out={out}\noracle=true\nmodes={','.join(modes)}\n")
+    real_run, real_load = prover.oracle_run_batch, prover.load_journal
+    passes, loads = [], []
+
+    def counting_run(tax, cqs, journal_path):
+        passes.append((tax, Path(journal_path).parent.name))
+        return real_run(tax, cqs, journal_path)
+
+    def counting_load(path):
+        loads.append(Path(path).parent.name)
+        return real_load(path)
+
+    monkeypatch.setattr(prover, "oracle_run_batch", counting_run)
+    monkeypatch.setattr(prover, "load_journal", counting_load)
+    assert run_cli("pipeline", config) == EXIT_OK
+    monkeypatch.undo()
+    assert [name for _, name in passes] == loads == [names[0], names[2],
+                                                     names[3]]
+    assert len({id(tax) for tax, _ in passes}) == 3
+    assert (out / "owa" / "journal.jsonl").read_bytes() == \
+        (out / "subclass-only" / "journal.jsonl").read_bytes()
+
+    # every output file equals the one the stage functions give, each
+    # mode closed, asked of its own taxonomy and reported on its own
+    ontology = kif.parse_kif(ONTOLOGY.read_text())
+    cqs, _ = cli._generate_questions(str(mapping), str(hyponymy),
+                                     str(antonymy))
+    expected = {"cqs.kif": questions.write_cq_corpus(cqs)}
+    labeled, baseline = [], None
+    for mode, name in zip(modes, names):
+        closed = closure.apply_closure(ontology, mode)
+        labeled.append((mode, kif.count_metrics(closed)))
+        journal = tmp_path / "reference" / name / "journal.jsonl"
+        journal.parent.mkdir(parents=True)
+        prover.oracle_run_batch(taxonomy.build_taxonomy(closed), cqs, journal)
+        outcomes = prover.load_journal(journal)
+        tallied = reports.tally(outcomes)
+        competency = reports.competency_report(
+            tallied, baseline_proved=baseline, expected_cqs=cqs)
+        efficiency = reports.efficiency_report(tallied)
+        expected.update({
+            f"{name}/closed.kif": kif.serialize_kif(closed),
+            f"{name}/journal.jsonl": journal.read_text(),
+            f"{name}/competency.csv":
+                reports.render_competency_csv(competency),
+            f"{name}/competency.txt":
+                reports.render_competency_text(competency),
+            f"{name}/efficiency.csv":
+                reports.render_efficiency_csv(efficiency),
+            f"{name}/efficiency.txt":
+                reports.render_efficiency_text(efficiency)})
+        if baseline is None:
+            baseline = reports.proved_keys(outcomes)
+    expected["stats.csv"] = reports.render_size_stats_csv(labeled)
+    written = {path.relative_to(out).as_posix(): path.read_bytes()
+               for path in out.rglob("*") if path.is_file()}
+    assert written == {name: text.encode() for name, text in expected.items()}
+
+
+def test_pipeline_runs_a_mode_named_twice(tmp_path, lexical_files):
+    # the second owa shares the pass whose journal it would copy onto
+    # itself
+    mapping, antonymy, _ = lexical_files
+    out = tmp_path / "results"
+    config = tmp_path / "run.conf"
+    config.write_text(
+        f"ontology={ONTOLOGY}\nmapping={mapping}\npairs.antonymy={antonymy}\n"
+        f"out={out}\nmodes=owa,subclass-only,owa\n")
+    assert run_cli("pipeline", config) == EXIT_OK
+    assert (out / "owa" / "journal.jsonl").read_bytes() == \
+        (out / "subclass-only" / "journal.jsonl").read_bytes()
+    assert [line.split(",")[0] for line in
+            (out / "stats.csv").read_text().splitlines()[1:]] == \
+        ["owa", "subclass-only", "owa"]
 
 
 def test_pipeline_with_stub_prover(tmp_path, lexical_files, monkeypatch):

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -383,7 +384,7 @@ def test_load_journal_rejects_garbage(tmp_path):
                  '{"cq": "b", "polarity": "truth", "x": [1\n2]}',
                  # two good records on a line, the second one ending on
                  # the next line, which starts with "{" (or else holds no
-                 # "{"): one decode of the whole journal would take them
+                 # "{"): a decode of more than one line would take them
                  '{"cq": "a", "polarity": "truth", "seconds": 1, '
                  '"status": "proved"}, {"cq": "b", "polarity": "truth", '
                  '"seconds": 1, "status": "proved", "x": "\n{"}',
@@ -426,6 +427,41 @@ def test_load_journal_skips_blank_lines_and_a_torn_tail(tmp_path):
     assert outcomes[("r", TRUTH)] == ProverOutcome(PROVED, 0.5)
 
 
+def test_load_journal_reads_a_line_longer_than_its_read_buffer(tmp_path):
+    journal = tmp_path / "journal.jsonl"
+    long = ProverOutcome(PROVED, 0.5, used=tuple(
+        f"axiom_{i}" for i in range(10_000)))
+    append_journal(journal, [("q", TRUTH, long), ("q", FALSITY, long),
+                             ("r", TRUTH, ProverOutcome(GAVE_UP, 1.0))])
+    assert len(journal.read_text().split("\n")[0]) > 10 * io.DEFAULT_BUFFER_SIZE
+    assert load_journal(journal) == {("q", TRUTH): long,
+                                     ("q", FALSITY): long,
+                                     ("r", TRUTH): ProverOutcome(GAVE_UP, 1.0)}
+
+
+def test_load_journal_ends_lines_at_newline_only(tmp_path):
+    # a raw U+2028 in a string ends a line for str.splitlines, not for the
+    # journal; a CR before the newline is whitespace around the record
+    journal = tmp_path / "journal.jsonl"
+    separated = GOOD_LINE.replace('"q"', '"a\u2028b"')
+    journal.write_bytes(f"{separated}\n{GOOD_LINE}\r\n\r\n".encode()
+                        + b'{"cq": "c"}\r\n')
+    with pytest.raises(ProverError, match=re.escape(f"{journal}:4:")):
+        load_journal(journal)
+    journal.write_bytes(f"{separated}\n{GOOD_LINE}\r\n\r\n".encode())
+    assert load_journal(journal) == {("a\u2028b", TRUTH): ProverOutcome(
+        PROVED, 0.5), ("q", TRUTH): ProverOutcome(PROVED, 0.5)}
+
+
+def test_load_journal_rejects_a_late_byte_that_is_not_utf8(tmp_path):
+    journal = tmp_path / "journal.jsonl"
+    journal.write_bytes((GOOD_LINE + "\n").encode() * 100_000
+                        + b'{"cq": "\xff"}\n' + (GOOD_LINE + "\n").encode())
+    with pytest.raises(ProverError, match=re.escape(
+            f"{journal}: journal is not UTF-8 text: ")):
+        load_journal(journal)
+
+
 def _load_line_by_line(path):
     """What load_journal should return, with the number of distinct
     records it holds, or the line it should name."""
@@ -454,8 +490,8 @@ def _load_line_by_line(path):
 
 
 def test_load_journal_equals_a_line_by_line_load(tmp_path):
-    # one decode of the whole journal must give what decoding each line
-    # gives, on journals with braces and commas in strings, several
+    # the streamed load must give what decoding each line of the whole
+    # text gives, on journals with braces and commas in strings, several
     # records on a line, records across lines, blank lines, torn tails
     rng = random.Random(7)
     names = ["q", "{", "}", "{}", "a,b", 'x"}\n{"y', "\u2028", ""]
