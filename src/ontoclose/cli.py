@@ -238,15 +238,13 @@ def _prover_config(command: "str | None", time_limit: float,
 
 
 def cmd_run(args) -> int:
-    from . import kif, prover, questions, taxonomy
+    from . import prover, questions, taxonomy
 
     config = None if args.oracle else _prover_config(
         args.prover_cmd, args.time_limit, args.memory_limit, args.workers)
     ontology = _load_ontology(args.ontology)
     cqs = questions.read_cq_corpus(_read(args.cqs), args.cqs)
     Path(args.journal).parent.mkdir(parents=True, exist_ok=True)
-    if Path(args.journal).is_dir():
-        raise kif.KifError(f"cannot write {args.journal}: it is a directory")
     if config is None:
         verdicts = prover.oracle_run_batch(taxonomy.build_taxonomy(ontology),
                                            cqs, args.journal)
@@ -285,14 +283,8 @@ def _write_reports(tallied, baseline_proved, expected_cqs,
 
 
 def cmd_report(args) -> int:
-    from . import kif, prover, questions, reports
+    from . import prover, questions, reports
 
-    # a run resumes from a missing journal, but a report of one is empty
-    for path in filter(None, (args.journal, args.baseline)):
-        try:
-            open(path, "rb").close()
-        except OSError as exc:
-            raise kif.KifError(f"cannot read {path}: {exc}") from None
     outcomes = prover.load_journal(args.journal)
     baseline_proved = (reports.proved_keys(prover.load_journal(args.baseline))
                        if args.baseline else None)
@@ -536,7 +528,8 @@ def main(argv=None) -> int:
         if isinstance(exc, ProverError):
             print(f"ontoclose: prover error: {exc}", file=sys.stderr)
             return EXIT_PROVER
-        if isinstance(exc, (KifError, ValueError)):
+        # a file-system fault names its path: a data error too
+        if isinstance(exc, (KifError, ValueError, OSError)):
             print(f"ontoclose: {args.command}: {exc}", file=sys.stderr)
             return EXIT_DATA
         raise

@@ -231,9 +231,14 @@ def run_prover(problem_path: "str | Path", config: ProverConfig) -> ProverOutcom
 @dataclass(frozen=True, slots=True)
 class Verdict:
     cq_id: str
-    value: str
     truth: "ProverOutcome | None"
     falsity: "ProverOutcome | None"
+
+    @property
+    def value(self) -> str:
+        """What the two outcomes say; a test not run proves nothing."""
+        return classify(bool(self.truth and self.truth.proved),
+                        bool(self.falsity and self.falsity.proved))
 
 
 def classify(truth_proved: bool, falsity_proved: bool) -> str:
@@ -379,20 +384,16 @@ def _streamed_records(path: Path, lines):
 
 def load_journal(path: "str | Path"
                  ) -> dict[tuple[str, str], ProverOutcome]:
-    """The outcome of each test in the journal, by (question, polarity);
-    none when there is no journal. The file is streamed a line at a time
-    and each line decoded once. Blank lines, and an unterminated last
-    line torn by a kill mid-append, are skipped; the first other line
-    that is not one JSON object with string ``cq``, ``polarity`` and
-    ``status``, a finite non-negative number ``seconds`` (not a bool) and,
-    if any, a list of strings ``used`` raises :class:`ProverError` naming
-    it, as do bytes that are not UTF-8."""
+    """The outcome of each test in the journal, by (question, polarity),
+    streamed a line at a time with each line decoded once. Blank lines,
+    and an unterminated last line torn by a kill mid-append, are skipped;
+    the first other line that is not one JSON object with string ``cq``,
+    ``polarity`` and ``status``, a finite non-negative number ``seconds``
+    (not a bool) and, if any, a list of strings ``used`` raises
+    :class:`ProverError` naming it, as do bytes that are not UTF-8. A
+    missing journal raises ``FileNotFoundError``, as ``open`` does."""
     path = Path(path)
-    try:
-        handle = open(path, encoding="utf-8", newline="\n")
-    except FileNotFoundError:
-        return {}
-    with handle:
+    with open(path, encoding="utf-8", newline="\n") as handle:
         try:
             return _index_records(path, _streamed_records(path, handle))
         except UnicodeDecodeError as exc:
@@ -403,21 +404,10 @@ def load_journal(path: "str | Path"
 def _drop_torn_tail(path: "str | Path") -> None:
     """Cut an unterminated last line off the journal, so that the next
     record appended starts a line of its own."""
-    try:
-        handle = open(path, "r+b")
-    except FileNotFoundError:
-        return
-    with handle:
+    with open(path, "r+b") as handle:
         data = handle.read()
         if not data.endswith(b"\n"):
             handle.truncate(data.rfind(b"\n") + 1)
-
-
-def _verdict(cq_id: str, truth: "ProverOutcome | None",
-             falsity: "ProverOutcome | None") -> Verdict:
-    value = classify(bool(truth and truth.proved),
-                     bool(falsity and falsity.proved))
-    return Verdict(cq_id=cq_id, value=value, truth=truth, falsity=falsity)
 
 
 def _raise_on_contradiction(verdicts: list[Verdict]) -> None:
@@ -434,15 +424,20 @@ def run_batch(ontology: Ontology, cqs, config: ProverConfig,
 
     The ontology's axioms are rendered once, and every test's problem
     shares them. Results append to the journal as they complete, keyed by
-    question and polarity, so an interrupted run resumes where it stopped.
+    question and polarity, so an interrupted run resumes where it stopped;
+    a missing journal means no test has run yet, and the run starts it.
     """
     import logging
     from concurrent.futures import ThreadPoolExecutor
 
     from . import tptp
 
-    done = load_journal(journal_path)
-    _drop_torn_tail(journal_path)
+    try:
+        done = load_journal(journal_path)
+    except FileNotFoundError:
+        done = {}
+    else:
+        _drop_torn_tail(journal_path)
     lock = threading.Lock()
     block = tptp.AxiomBlock(ontology)
 
@@ -470,7 +465,7 @@ def run_batch(ontology: Ontology, cqs, config: ProverConfig,
             outcomes[polarity] = outcome
             if polarity == TRUTH and short_circuit and outcome.proved:
                 break
-        return _verdict(cq.id, outcomes[TRUTH], outcomes[FALSITY])
+        return Verdict(cq.id, outcomes[TRUTH], outcomes[FALSITY])
 
     Path(workdir).mkdir(parents=True, exist_ok=True)
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
@@ -507,7 +502,7 @@ def oracle_verdict(tax: Taxonomy, cq: CompetencyQuestion) -> Verdict:
     """Verdict-shaped oracle answer; both routes firing (possible only on a
     conflicted taxonomy) surfaces as a contradictory verdict."""
     truth, falsity = _oracle_routes(tax, cq)
-    return _verdict(cq.id, _ORACLE_OUTCOMES[truth], _ORACLE_OUTCOMES[falsity])
+    return Verdict(cq.id, _ORACLE_OUTCOMES[truth], _ORACLE_OUTCOMES[falsity])
 
 
 def oracle_run_batch(tax: Taxonomy, cqs,

@@ -141,7 +141,7 @@ def _generate(pairs, mapping: MappingIndex, template: QpTemplate,
     """``template`` over each class combination of each pair, under the
     pattern name ``pattern_for(pair)``."""
     questions: list[CompetencyQuestion] = []
-    seen_ids: set[str] = set()
+    seen: dict[str, tuple] = {}  # the (pair, classes) each id stands for
     skipped: list[RelationPair] = []
     s1_relations, s2_relations = template.s1_relations, template.s2_relations
     fill = template.filler()
@@ -169,9 +169,14 @@ def _generate(pairs, mapping: MappingIndex, template: QpTemplate,
         for l1 in eligible1:
             for l2 in eligible2:
                 qid = f"{prefix}{l1.concept}:{l2.concept}"
-                if qid in seen_ids:
+                combo = (rel_pair.s1, rel_pair.s2, l1.concept, l2.concept)
+                first = seen.setdefault(qid, combo)
+                if first != combo:
+                    raise QuestionError(
+                        "question id {!r} stands for pair {} {} ({}, {}) and "
+                        "for pair {} {} ({}, {})".format(qid, *first, *combo))
+                if first is not combo:  # reached through another relation
                     continue
-                seen_ids.add(qid)
                 if l1.concept in bound or l2.concept in bound:
                     concept = l1.concept if l1.concept in bound else l2.concept
                     raise QuestionError(
@@ -353,6 +358,7 @@ def read_cq_corpus(text: str, source_name: str = "<corpus>"
     # line numbers in Axiom.source count "\n" only
     lines = text.split("\n")
     questions = []
+    entry_of: dict[str, str] = {}  # where each question id was read
     for ax in kif.parse_axioms(text, source_name):
         start_line = int(ax.source.rsplit(":", 1)[1])
         # the comment lines right above the entry, nearest first
@@ -375,6 +381,10 @@ def read_cq_corpus(text: str, source_name: str = "<corpus>"
         except ValueError as exc:
             raise QuestionError(f"{where}: {exc}") from None
         _require_closed(ax.formula, "conjecture", OpenFormulaError)
+        first = entry_of.setdefault(headers["cq"], where)
+        if first != where:
+            raise QuestionError(f"{where}: question id {headers['cq']!r} "
+                                f"is also the id of the entry at {first}")
         questions.append(CompetencyQuestion(
             id=headers["cq"], pattern=headers["pattern"],
             source_pair=source_pair, conjecture=ax.formula,

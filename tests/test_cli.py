@@ -343,7 +343,8 @@ def test_run_creates_the_journals_directory(tmp_path, lexical_files, oracle):
 def test_run_refuses_a_journal_that_is_a_directory(tmp_path, lexical_files,
                                                    capsys, oracle):
     # it ended in an IsADirectoryError traceback: at the oracle's unlink of
-    # the old journal, or at the prover path's read of it
+    # the old journal, or at the prover path's read of it; the error's own
+    # message names the path
     corpus = _generate_corpus(tmp_path, lexical_files)
     config = stub_provers.stub_config(tmp_path, stub_provers.COUNTER_SATISFIABLE)
     journal = tmp_path / "journal.jsonl"
@@ -352,7 +353,8 @@ def test_run_refuses_a_journal_that_is_a_directory(tmp_path, lexical_files,
     capsys.readouterr()
     assert run_cli("run", ONTOLOGY, "--cqs", corpus, "--journal", journal,
                    *engine) == EXIT_DATA
-    assert f"run: cannot write {journal}: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("ontoclose: run: ") and f"'{journal}'" in err
     assert list(journal.iterdir()) == []
 
 
@@ -455,7 +457,8 @@ def test_report_on_a_journal_line_that_is_not_a_record(tmp_path, capsys):
 def test_report_refuses_a_journal_it_cannot_read(tmp_path, lexical_files,
                                                   capsys):
     # a missing journal read as an empty one: an empty report, and a
-    # baseline that left every proved test exclusive, both with exit 0
+    # baseline that left every proved test exclusive, both with exit 0;
+    # the error of the journal's open names it
     corpus = _generate_corpus(tmp_path, lexical_files)
     journal = tmp_path / "journal.jsonl"
     assert run_cli("run", ONTOLOGY, "--oracle", "--cqs", corpus,
@@ -468,8 +471,89 @@ def test_report_refuses_a_journal_it_cannot_read(tmp_path, lexical_files,
                                     "--baseline", missing))):
         capsys.readouterr()
         assert run_cli("report", *argv, "--out-dir", out_dir) == EXIT_DATA
-        assert f"report: cannot read {unread}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("ontoclose: report: ") and f"'{unread}'" in err
     assert not out_dir.exists()
+
+
+def test_a_prover_run_and_pipeline_start_a_missing_journal(
+        tmp_path, lexical_files, monkeypatch):
+    # load_journal raises on a missing journal; a run that resumes from
+    # one starts it, in a directory that does not exist yet too
+    corpus = _generate_corpus(tmp_path, lexical_files)
+    stub = stub_provers.stub_config(tmp_path, stub_provers.COUNTER_SATISFIABLE)
+    monkeypatch.setenv("ONTOCLOSE_PROVER_COMMAND", stub.command)
+    tests = 2 * len(list_corpus_ids(corpus))
+    mapping, antonymy, hyponymy = lexical_files
+    config = tmp_path / "run.conf"
+    config.write_text(
+        f"ontology={ONTOLOGY}\nmapping={mapping}\n"
+        f"pairs.hyponymy={hyponymy}\npairs.antonymy={antonymy}\n"
+        f"out={tmp_path / 'new' / 'results'}\noracle=false\n"
+        "modes=subclass-only\n")
+    assert run_cli("pipeline", config) == EXIT_OK
+    journals = [tmp_path / "new" / "results" / "subclass-only" / "journal.jsonl"]
+    for journal in (tmp_path / "journal.jsonl",
+                    tmp_path / "other" / "journal.jsonl"):
+        assert run_cli("run", ONTOLOGY, "--cqs", corpus,
+                       "--journal", journal) == EXIT_OK
+        journals.append(journal)
+    for journal in journals:
+        assert len(journal.read_text().splitlines()) == tests, journal
+
+
+# each command with a plain file in the way of a path it writes: all of
+# them ended in a FileExistsError traceback with exit 1
+BLOCKED_WRITES = {
+    "parse --out": ("parse", ONTOLOGY, "--out", "{blocked}/x"),
+    "parse --dot": ("parse", ONTOLOGY, "--out", "{tmp}/o.kif",
+                    "--dot", "{blocked}/x"),
+    "stats --csv": ("stats", ONTOLOGY, "--csv", "{blocked}/x"),
+    "close --out": ("close", ONTOLOGY, "--mode", "subclass-only",
+                    "--out", "{blocked}/x"),
+    "suggest-curation --out": ("suggest-curation", ONTOLOGY,
+                               "--out", "{blocked}/x"),
+    "gen-cqs --out": ("gen-cqs", "--mapping", "{mapping}",
+                      "--antonymy", "{antonymy}", "--out", "{blocked}/x"),
+    "gen-cqs --split-dir": ("gen-cqs", "--mapping", "{mapping}",
+                            "--antonymy", "{antonymy}",
+                            "--split-dir", "{blocked}"),
+    "emit --out-dir": ("emit", ONTOLOGY, "--cqs", "{corpus}",
+                       "--out-dir", "{blocked}"),
+    "run --journal": ("run", ONTOLOGY, "--cqs", "{corpus}", "--oracle",
+                      "--journal", "{blocked}/j.jsonl"),
+    "run --problems": ("run", ONTOLOGY, "--cqs", "{corpus}",
+                       "--journal", "{tmp}/j.jsonl", "--problems", "{blocked}",
+                       "--prover-cmd", "{prover}"),
+    "report --out-dir": ("report", "--journal", "{journal}",
+                         "--out-dir", "{blocked}"),
+    "pipeline out=": ("pipeline", "{config}"),
+}
+
+
+@pytest.mark.parametrize("argv", BLOCKED_WRITES.values(), ids=BLOCKED_WRITES)
+def test_a_path_a_command_cannot_write_is_a_data_error(tmp_path, lexical_files,
+                                                       capsys, argv):
+    mapping, antonymy, _ = lexical_files
+    corpus = _generate_corpus(tmp_path, lexical_files)
+    journal = tmp_path / "oracle.jsonl"
+    assert run_cli("run", ONTOLOGY, "--cqs", corpus, "--oracle",
+                   "--journal", journal) == EXIT_OK
+    blocked = tmp_path / "blocked"
+    blocked.write_text("")
+    config = tmp_path / "run.conf"
+    config.write_text(f"ontology={ONTOLOGY}\nmapping={mapping}\n"
+                      f"pairs.antonymy={antonymy}\nout={blocked}\n")
+    prover = stub_provers.stub_config(tmp_path,
+                                      stub_provers.COUNTER_SATISFIABLE).command
+    values = dict(tmp=tmp_path, blocked=blocked, mapping=mapping,
+                  antonymy=antonymy, corpus=corpus, journal=journal,
+                  config=config, prover=prover)
+    capsys.readouterr()
+    assert run_cli(*(str(a).format(**values) for a in argv)) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"ontoclose: {argv[0]}: ") and f"'{blocked}'" in err
+    assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,17 @@ from ontoclose.closure import (
 )
 from ontoclose.kif import Forall, Implies, Or
 from ontoclose.modes import MODES
+from ontoclose.prover import oracle_verdict
 from ontoclose.taxonomy import (
     DISJOINT, NONDISJOINT, ClassGraph, Taxonomy, TaxonomyError, build_taxonomy,
 )
 
-from conftest import DATA_DIR, call_depth_limit, subclass_chain
+from conftest import (
+    DATA_DIR, antonymy_cq, call_depth_limit, load_ontology, overlap_cq,
+    subclass_chain, subset_cq,
+)
 from normal_form import normalize
+from witness_model import WitnessModel
 import witness_oracle
 
 
@@ -540,6 +545,38 @@ def test_closure_decides_sibling_pairs_on_random_dags():
             assert closed_tax.find_conflicts() == []
             for a, b in tax.sibling_pairs():
                 assert closed_tax.pair_status(a, b) in (DISJOINT, NONDISJOINT)
+
+
+def test_every_closed_ontology_has_the_witness_model():
+    # the closure adds answers without making a consistent ontology
+    # inconsistent: every axiom it returns, and the background axioms that
+    # give the predicates their meaning, hold in one finite model, and so
+    # does every test the oracle proves
+    background = [ax for ax in load_ontology("organism_process.kif")
+                  if not kif.is_unit_clause(ax.formula)]
+    assert len(background) == 6
+    rng = random.Random(5151)
+    for round_ in range(120):
+        ontology = taxonomy_to_ontology(
+            witness_oracle.random_taxonomy(rng, max_classes=7))
+        tax = build_taxonomy(ontology)
+        curation = suggest_curation(tax, SUBCLASS_DISJOINT).candidates
+        for mode in MODES:
+            closed = apply_closure(ontology, mode, curation, tax=tax)
+            model = WitnessModel(closed)
+            for ax in (*closed, *background):
+                assert model.holds(ax.formula), (round_, mode, ax)
+            oracle_tax = build_taxonomy(closed)
+            for a in sorted(oracle_tax.classes):
+                for b in sorted(oracle_tax.classes):
+                    for cq in (overlap_cq(a, b), subset_cq(a, b),
+                               antonymy_cq(a, b)):
+                        verdict = oracle_verdict(oracle_tax, cq)
+                        where = (round_, mode, cq.id)
+                        if verdict.truth.proved:
+                            assert model.holds(cq.conjecture), where
+                        if verdict.falsity.proved:
+                            assert not model.holds(cq.conjecture), where
 
 
 def test_input_taxonomy_with_appended_facts_equals_a_rebuild():

@@ -11,7 +11,7 @@ from ontoclose.closure import apply_closure
 from ontoclose.kif import Atom, Forall, KifSyntaxError, SizeStats, const, var
 from ontoclose.lexicon import ANTONYMY, SUBSUMPTION, MappingLink, RelationPair
 from ontoclose.modes import MODES
-from ontoclose.prover import GAVE_UP, UNKNOWN, ProverOutcome, Verdict
+from ontoclose.prover import GAVE_UP, ProverOutcome, Verdict
 
 from conftest import DATA_DIR, antonymy_cq
 from normal_form import normalize, structurally_equal
@@ -591,6 +591,6 @@ def test_one_per_node_classes_have_no_instance_dict():
         RelationPair(ANTONYMY, "a#n#1", "b#n#1"),
         MappingLink("a#n#1", "A", SUBSUMPTION),
         outcome,
-        Verdict(cq_id="q", value=UNKNOWN, truth=outcome, falsity=outcome)]
+        Verdict(cq_id="q", truth=outcome, falsity=outcome)]
     for instance in instances:
         assert not hasattr(instance, "__dict__"), type(instance).__name__

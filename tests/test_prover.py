@@ -21,7 +21,7 @@ from ontoclose.prover import (
     CONTRADICTORY, COUNTER_SATISFIABLE, ERROR, FALSITY, GAVE_UP,
     MAX_MEMORY_LIMIT_MIB, MAX_TIME_LIMIT, NON_PASSING, PASSING, PROVED,
     TIMEOUT, TRUTH, UNKNOWN,
-    InconsistencyError, ProverConfig, ProverError, ProverOutcome,
+    InconsistencyError, ProverConfig, ProverError, ProverOutcome, Verdict,
     _ORACLE_OUTCOMES, append_journal, classify, load_journal,
     oracle_run_batch, oracle_verdict, parse_prover_output, run_batch,
     run_prover, write_problem,
@@ -321,6 +321,16 @@ def test_classify_matrix():
     assert classify(True, True) == CONTRADICTORY
 
 
+def test_a_verdicts_value_comes_from_its_outcomes():
+    # a test not run (short-circuited, say) proves nothing
+    proved, open_ = ProverOutcome(PROVED, 0.0), ProverOutcome(GAVE_UP, 0.0)
+    for truth, falsity, value in ((proved, None, PASSING),
+                                  (open_, proved, NON_PASSING),
+                                  (proved, proved, CONTRADICTORY),
+                                  (open_, None, UNKNOWN)):
+        assert Verdict("q", truth, falsity).value == value
+
+
 def test_run_batch_short_circuits(tmp_path, organism_process):
     config = stub_provers.stub_config(tmp_path, stub_provers.THEOREM)
     cq = antonymy_cq("Birth", "Death")
@@ -366,7 +376,9 @@ def test_journal_round_trip(tmp_path):
 
 
 def test_load_journal_missing_file(tmp_path):
-    assert load_journal(tmp_path / "absent.jsonl") == {}
+    # only a resuming run reads a missing journal as an empty one
+    with pytest.raises(FileNotFoundError):
+        load_journal(tmp_path / "absent.jsonl")
 
 
 GOOD_LINE = ('{"cq": "q", "polarity": "truth", "seconds": 0.5, '

@@ -347,6 +347,34 @@ def test_corpus_lines_break_at_newline_only():
     assert [cq.source_pair for cq in recovered] == [odd]
 
 
+def test_one_question_id_never_stands_for_two_questions():
+    # a ":" in a synset id made two combinations render one id, and the
+    # second question was dropped without a word
+    mapping = index_of("a:b\tBirth=\nc\tDeath=\na\tBirth=\nb:c\tDeath=\n")
+    pairs = [RelationPair(ANTONYMY, "a:b", "c"),
+             RelationPair(ANTONYMY, "a", "b:c")]
+    with pytest.raises(QuestionError, match=r"'antonymy-1:a:b:c:Birth:Death' "
+                       r"stands for pair a:b c \(Birth, Death\) and for "
+                       r"pair a b:c \(Birth, Death\)$"):
+        gen_antonymy_cqs(pairs, mapping)
+    # one combination reached through two mapping relations is one question
+    mapping = index_of("a#n#1\tBirth+\na#n#1\tBirth@\nb#n#1\tDeath=\n")
+    result = gen_hyponymy_qp1([RelationPair(HYPONYMY, "a#n#1", "b#n#1")],
+                              mapping)
+    assert [cq.id for cq in result.questions] == \
+        [f"{HYPO_NOUN_1}:a#n#1:b#n#1:Birth:Death"]
+
+
+def test_corpus_refuses_a_repeated_question_id():
+    # both entries were read: a run evaluated two questions, and a report
+    # of its journal counted one
+    entry = ("; cq: q1\n; pattern: antonymy-1\n; kind: antonymy\n"
+             "; source: birth#n#2 death#n#1\n($disjoint Birth Death)\n")
+    with pytest.raises(QuestionError, match="^cqs.kif:11: question id 'q1' "
+                       "is also the id of the entry at cqs.kif:5$"):
+        read_cq_corpus(entry + "\n" + entry, "cqs.kif")
+
+
 def test_corpus_empty():
     assert write_cq_corpus([]) == ""
     assert read_cq_corpus("") == []
