@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import os
 import sys
 from pathlib import Path
 
@@ -24,10 +23,6 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_PROVER = 4
 EXIT_INCONSISTENT = 5
-
-ENV_PROVER_COMMAND = "ONTOCLOSE_PROVER_COMMAND"
-ENV_TIME_LIMIT = "ONTOCLOSE_TIME_LIMIT"
-ENV_MEMORY_LIMIT = "ONTOCLOSE_MEMORY_LIMIT"
 
 def _read(path: str) -> str:
     from . import kif
@@ -216,32 +211,25 @@ def cmd_emit(args) -> int:
     return EXIT_OK
 
 
-def _prover_config(command: "str | None", time_limit: float,
-                   memory_limit: int, workers: int) -> prover.ProverConfig:
-    """Prover settings from the run options or the pipeline's prover.*
-    keys; a set ``ONTOCLOSE_*`` variable wins over the command, time
-    limit and memory limit given."""
+def _prover_config(command: "str | None", **limits) -> prover.ProverConfig:
+    """Prover settings from ``run``'s options or ``pipeline``'s prover.*
+    keys, their one source; a limit or worker count given as ``None`` or
+    not at all takes the ``ProverConfig`` default."""
     from . import prover
 
-    command = os.environ.get(ENV_PROVER_COMMAND) or command
     if not command:
-        raise prover.ProverError(
-            "no prover command (set --prover-cmd for run, prover.command "
-            f"for pipeline, or {ENV_PROVER_COMMAND})")
-    if os.environ.get(ENV_TIME_LIMIT):
-        time_limit = _number(float, os.environ[ENV_TIME_LIMIT], ENV_TIME_LIMIT)
-    if os.environ.get(ENV_MEMORY_LIMIT):
-        memory_limit = _number(int, os.environ[ENV_MEMORY_LIMIT],
-                               ENV_MEMORY_LIMIT)
-    return prover.ProverConfig(command=command, time_limit=time_limit,
-                               memory_limit_mib=memory_limit, workers=workers)
+        raise prover.ProverError("no prover command (set --prover-cmd for "
+                                 "run, prover.command for pipeline)")
+    return prover.ProverConfig(command=command, **{
+        key: value for key, value in limits.items() if value is not None})
 
 
 def cmd_run(args) -> int:
     from . import prover, questions, taxonomy
 
     config = None if args.oracle else _prover_config(
-        args.prover_cmd, args.time_limit, args.memory_limit, args.workers)
+        args.prover_cmd, time_limit=args.time_limit,
+        memory_limit_mib=args.memory_limit, workers=args.workers)
     ontology = _load_ontology(args.ontology)
     cqs = questions.read_cq_corpus(_read(args.cqs), args.cqs)
     Path(args.journal).parent.mkdir(parents=True, exist_ok=True)
@@ -261,15 +249,15 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _write_reports(tallied, baseline_proved, expected_cqs,
+def _write_reports(tallied, baseline_proved, expected_cqs, efficiency,
                    out_dir: "str | Path | None") -> dict[str, str]:
     """Competency and efficiency tables of a tally of outcomes as CSV and
-    text, by file name, written under ``out_dir`` when one is given."""
+    text, by file name, written under ``out_dir`` when one is given;
+    ``efficiency`` holds the tally's efficiency rows."""
     from . import reports
 
     competency = reports.competency_report(
         tallied, baseline_proved=baseline_proved, expected_cqs=expected_cqs)
-    efficiency = reports.efficiency_report(tallied)
     tables = {
         "competency.csv": reports.render_competency_csv(competency),
         "competency.txt": reports.render_competency_text(competency),
@@ -290,8 +278,9 @@ def cmd_report(args) -> int:
                        if args.baseline else None)
     expected = (questions.read_cq_corpus(_read(args.cqs), args.cqs)
                 if args.cqs else None)
-    tables = _write_reports(reports.tally(outcomes), baseline_proved,
-                            expected, args.out_dir)
+    tallied = reports.tally(outcomes, expected or ())
+    tables = _write_reports(tallied, baseline_proved, expected,
+                            reports.efficiency_report(tallied), args.out_dir)
     sys.stdout.write(tables["competency.txt"] + "\n"
                      + tables["efficiency.txt"])
     return EXIT_OK
@@ -354,13 +343,13 @@ def cmd_pipeline(args) -> int:
                            f"0/false/no, found {oracle!r}")
     prover_config = None
     if oracle.lower() not in ("1", "true", "yes"):
-        limits = [_number(convert, config.get(key, default),
-                          f"{args.config}: {key}")
-                  for convert, key, default in (
-                      (float, "prover.time_limit", "300"),
-                      (int, "prover.memory_limit", "2048"),
-                      (int, "prover.workers", "1"))]
-        prover_config = _prover_config(config.get("prover.command"), *limits)
+        limits = {field: _number(convert, config[key], f"{args.config}: {key}")
+                  for convert, key, field in (
+                      (float, "prover.time_limit", "time_limit"),
+                      (int, "prover.memory_limit", "memory_limit_mib"),
+                      (int, "prover.workers", "workers"))
+                  if key in config}
+        prover_config = _prover_config(config.get("prover.command"), **limits)
     ontology = _load_ontology(config["ontology"])
     curation = _load_curation(config.get("curation"))
     cqs, _ = _generate_questions(config["mapping"],
@@ -385,7 +374,8 @@ def cmd_pipeline(args) -> int:
         oracle_tax = None if prover_config else tax.with_axioms(additions)
         if oracle_tax is not None and oracle_tax is last_tax:
             # additions without pair facts leave the taxonomy, and so
-            # every verdict, as the last oracle pass found them
+            # every verdict and the efficiency rows, as the last oracle
+            # pass found them
             if journal != last_journal:  # else the mode is named twice
                 shutil.copyfile(last_journal, journal)
         else:
@@ -406,8 +396,9 @@ def cmd_pipeline(args) -> int:
                             for cq_id, polarity, outcome
                             in prover.verdict_tests(verdicts)}
                 del verdicts
-            tallied = reports.tally(outcomes)
-        _write_reports(tallied, baseline_proved, cqs, mode_dir)
+            tallied = reports.tally(outcomes, cqs)
+            efficiency = reports.efficiency_report(tallied)
+        _write_reports(tallied, baseline_proved, cqs, efficiency, mode_dir)
         if baseline_proved is None:
             baseline_proved = reports.proved_keys(outcomes)
         # free this mode's ontology before the next closure
@@ -486,9 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problems", help="directory for emitted problem files")
     p.add_argument("--prover-cmd",
                    help="command template with a {problem} placeholder")
-    p.add_argument("--time-limit", type=float, default=300.0)
-    p.add_argument("--memory-limit", type=int, default=2048)
-    p.add_argument("--workers", type=int, default=1)
+    # a limit left out takes the ProverConfig default
+    p.add_argument("--time-limit", type=float)
+    p.add_argument("--memory-limit", type=int)
+    p.add_argument("--workers", type=int)
     p.add_argument("--no-short-circuit", action="store_true")
     p.set_defaults(func=cmd_run)
 

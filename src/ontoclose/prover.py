@@ -1,7 +1,7 @@
 """External prover harness, verdicts, and a prover-free structural oracle.
 
 Each test runs as one external process with a wall-clock kill at the
-configured limit plus a grace period, and an address-space cap. Prover
+configured limit plus a fixed grace period, and an address-space cap. Prover
 results are read from ``SZS status`` lines; axiom names cited in proofs are
 collected so reports can count them. The oracle decides the graph-shaped
 conjectures (instance overlap, subset, distinctness) straight from the
@@ -15,10 +15,7 @@ import json
 import math
 import os
 import re
-import signal
-import subprocess
 import sys
-import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -35,9 +32,11 @@ TIMEOUT = "timeout"
 GAVE_UP = "gave-up"
 ERROR = "error"
 
+# seconds a prover may run past its time limit before it is killed
+KILL_GRACE = 5.0
 # Popen.communicate waits at most 2**31 - 1 ms (poll takes an int of
-# milliseconds), about 24.8 days; a time limit and a grace of at most a
-# million seconds each stay within it
+# milliseconds), about 24.8 days; a time limit of at most a million
+# seconds plus the grace stays within it
 MAX_TIME_LIMIT = 1_000_000
 # resource.prlimit takes the address-space cap in bytes as a C long
 MAX_MEMORY_LIMIT_MIB = sys.maxsize // (1024 * 1024)
@@ -89,16 +88,16 @@ class ProverConfig:
 
     ``command`` must contain exactly one ``{problem}`` placeholder; any
     prover-side limit flags are part of the command text. ``time_limit``
-    drives the harness-level kill at ``time_limit + grace`` seconds; each
-    must be finite and at most ``MAX_TIME_LIMIT``. ``memory_limit_mib``
-    caps the prover's address space and is at most
-    ``MAX_MEMORY_LIMIT_MIB``.
+    drives the harness-level kill at ``time_limit + KILL_GRACE`` seconds
+    and must be finite and at most ``MAX_TIME_LIMIT``.
+    ``memory_limit_mib`` caps the prover's address space and is at most
+    ``MAX_MEMORY_LIMIT_MIB``. The defaults here are the only ones: the
+    ``run`` options and ``pipeline`` keys left out take them.
     """
     command: str
     time_limit: float = 300.0
     memory_limit_mib: int = 2048
     workers: int = 1
-    grace: float = 5.0
 
     def __post_init__(self):
         if self.command.count("{problem}") != 1:
@@ -107,11 +106,9 @@ class ProverConfig:
         # written so that a NaN limit fails too
         if not (self.time_limit > 0 and self.memory_limit_mib > 0):
             raise ProverError("prover limits must be positive")
-        if not (self.time_limit <= MAX_TIME_LIMIT
-                and 0 <= self.grace <= MAX_TIME_LIMIT):
-            raise ProverError(
-                "prover time limit and grace must be finite and at most "
-                f"{MAX_TIME_LIMIT} seconds")
+        if not self.time_limit <= MAX_TIME_LIMIT:
+            raise ProverError("prover time limit must be finite and at most "
+                              f"{MAX_TIME_LIMIT} seconds")
         if self.memory_limit_mib > MAX_MEMORY_LIMIT_MIB:
             raise ProverError("prover memory limit must be at most "
                               f"{MAX_MEMORY_LIMIT_MIB} MiB")
@@ -152,7 +149,10 @@ def parse_prover_output(output: str) -> tuple["str | None", tuple[str, ...]]:
     return szs, tuple(cites)
 
 
-def _kill_session(process: subprocess.Popen) -> None:
+def _kill_session(process) -> None:
+    """Kill every process in the session a ``Popen`` started."""
+    import signal
+
     try:
         os.killpg(process.pid, signal.SIGKILL)
     except ProcessLookupError:
@@ -172,10 +172,11 @@ def run_prover(problem_path: "str | Path", config: ProverConfig) -> ProverOutcom
     (say, above the inherited hard limit) kills the child's session and
     fails this test with an error outcome.
     """
-    # imported here, as are the batch's thread pool and the problem
-    # renderer: oracle runs use none of them
+    # imported here, as are the batch's threads and the problem renderer:
+    # oracle runs use none of them
     import resource
     import shlex
+    import subprocess
 
     argv = [part.replace("{problem}", str(problem_path))
             for part in shlex.split(config.command)]
@@ -202,7 +203,7 @@ def run_prover(problem_path: "str | Path", config: ProverConfig) -> ProverOutcom
     killed = False
     try:
         stdout, stderr = process.communicate(
-            timeout=config.time_limit + config.grace)
+            timeout=config.time_limit + KILL_GRACE)
     except subprocess.TimeoutExpired:
         killed = True
         _kill_session(process)
@@ -428,6 +429,7 @@ def run_batch(ontology: Ontology, cqs, config: ProverConfig,
     a missing journal means no test has run yet, and the run starts it.
     """
     import logging
+    import threading
     from concurrent.futures import ThreadPoolExecutor
 
     from . import tptp

@@ -69,18 +69,17 @@ class Tally:
     proved: dict[str, list[tuple[str, ProverOutcome]]]
 
 
-def tally(outcomes: dict[tuple[str, str], ProverOutcome]) -> Tally:
+def tally(outcomes: dict[tuple[str, str], ProverOutcome], cqs=()) -> Tally:
+    """The outcomes' tally. A question of the corpus ``cqs`` has the
+    pattern the corpus gives it; any other id's pattern is the id up to
+    its first colon, or the whole id if it has none."""
     proved = {TRUTH: [], FALSITY: []}
     for (cq_id, polarity), outcome in outcomes.items():
         if outcome.status == PROVED and polarity in proved:
             proved[polarity].append((cq_id, outcome))
-    return Tally(_pattern_by_id({cq_id for cq_id, _ in outcomes}), proved)
-
-
-def _pattern_by_id(cq_ids) -> dict[str, str]:
-    """Each question id's pattern: the id up to its first colon, or the
-    whole id if it has none."""
-    return {cq_id: cq_id.partition(":")[0] for cq_id in cq_ids}
+    pattern = {cq_id: cq_id.partition(":")[0] for cq_id, _ in outcomes}
+    pattern.update((cq.id, cq.pattern) for cq in cqs if cq.id in pattern)
+    return Tally(pattern, proved)
 
 
 def competency_report(tallied: Tally, *,
@@ -88,14 +87,17 @@ def competency_report(tallied: Tally, *,
                       expected_cqs=None) -> list[CompetencyRow]:
     """Per-pattern counts of proved truth and falsity tests, with a Total
     row; exclusive counts are tests proved here whose (question, polarity)
-    key is not in ``baseline_proved`` (see ``proved_keys``)."""
+    key is not in ``baseline_proved`` (see ``proved_keys``). A question of
+    ``expected_cqs`` that the tally lacks counts under its corpus
+    pattern."""
     pattern = tallied.pattern
     if expected_cqs is not None:
-        missing = {cq.id for cq in expected_cqs} - pattern.keys()
+        missing = {cq.id: cq.pattern for cq in expected_cqs
+                   if cq.id not in pattern}
         if missing:
             warnings.warn("journal incomplete; missing questions: "
                           + ", ".join(sorted(missing)), stacklevel=2)
-            pattern = {**pattern, **_pattern_by_id(missing)}
+            pattern = {**pattern, **missing}
     counts = Counter(pattern.values())
     # per polarity, proved tests and those of them the baseline lacks,
     # by pattern

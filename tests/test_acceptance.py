@@ -20,9 +20,9 @@ from ontoclose.closure import (
     complete_subclass, suggest_curation,
 )
 from ontoclose.prover import (
-    COUNTER_SATISFIABLE, ERROR, NON_PASSING, PASSING, PROVED, TIMEOUT,
-    TRUTH, UNKNOWN, ProverConfig, ProverOutcome, oracle_verdict, run_batch,
-    run_prover,
+    COUNTER_SATISFIABLE, ERROR, KILL_GRACE, NON_PASSING, PASSING, PROVED,
+    TIMEOUT, TRUTH, UNKNOWN, ProverConfig, ProverOutcome, oracle_verdict,
+    run_batch, run_prover,
 )
 from ontoclose.reports import efficiency_report, tally
 from ontoclose.taxonomy import DISJOINT, NONDISJOINT, OPEN, build_taxonomy
@@ -376,6 +376,7 @@ def test_criterion_10_harness_robustness(tmp_path):
     outcome = run_prover(problem, config)
     elapsed = time.perf_counter() - started
     assert outcome.status == TIMEOUT
-    assert elapsed <= limit + 5.0 + 1.0, "kill must land within limit + grace"
+    assert elapsed <= limit + KILL_GRACE + 1.0, \
+        "kill must land within limit + grace"
     report_pass(10, "stub provers classified correctly; sleeper killed after "
-                    f"{elapsed:.1f}s (limit {limit}s + 5s grace)")
+                    f"{elapsed:.1f}s (limit {limit}s + {KILL_GRACE:g}s grace)")

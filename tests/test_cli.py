@@ -358,35 +358,88 @@ def test_run_refuses_a_journal_that_is_a_directory(tmp_path, lexical_files,
     assert list(journal.iterdir()) == []
 
 
-def test_run_prover_env_override(tmp_path, lexical_files, monkeypatch):
-    corpus = _generate_corpus(tmp_path, lexical_files)
-    config = stub_provers.stub_config(tmp_path, stub_provers.COUNTER_SATISFIABLE)
-    monkeypatch.setenv("ONTOCLOSE_PROVER_COMMAND", config.command)
-    journal = tmp_path / "env_journal.jsonl"
-    assert run_cli("run", ONTOLOGY, "--cqs", corpus,
-                   "--journal", journal) == EXIT_OK
-    assert journal.exists()
-
-
-def test_env_overrides_for_limits(monkeypatch):
-    from ontoclose.cli import _prover_config
-    given = dict(command="prover {problem}", time_limit=300.0,
-                 memory_limit=2048, workers=1)
-    monkeypatch.setenv("ONTOCLOSE_TIME_LIMIT", "42.5")
-    monkeypatch.setenv("ONTOCLOSE_MEMORY_LIMIT", "512")
-    config = _prover_config(**given)
-    assert config.time_limit == 42.5
-    assert config.memory_limit_mib == 512
-    monkeypatch.setenv("ONTOCLOSE_PROVER_COMMAND", "other {problem}")
-    assert _prover_config(**given).command == "other {problem}"
-
-
 def test_run_without_prover_is_a_prover_error(tmp_path, lexical_files,
-                                              monkeypatch, capsys):
-    monkeypatch.delenv("ONTOCLOSE_PROVER_COMMAND", raising=False)
+                                              capsys):
     corpus = _generate_corpus(tmp_path, lexical_files)
     assert run_cli("run", ONTOLOGY, "--cqs", corpus,
                    "--journal", tmp_path / "j.jsonl") == EXIT_PROVER
+
+
+# each prover limit's ProverConfig field, run option and pipeline key
+LIMIT_SETTINGS = {"time_limit": ("--time-limit", "prover.time_limit"),
+                  "memory_limit_mib": ("--memory-limit", "prover.memory_limit"),
+                  "workers": ("--workers", "prover.workers")}
+
+
+def _prover_argv(tmp_path, lexical_files, command, prover_cmd, limits):
+    """Argv of a ``run`` or a one-mode ``pipeline`` on a prover, with the
+    prover command (if any) and the limits as the command takes them."""
+    mapping, antonymy, _ = lexical_files
+    if command == "run":
+        argv = ["run", ONTOLOGY, "--cqs",
+                _generate_corpus(tmp_path, lexical_files),
+                "--journal", tmp_path / "j.jsonl"]
+        argv += ["--prover-cmd", prover_cmd] if prover_cmd else []
+        for field, value in limits.items():
+            argv += [LIMIT_SETTINGS[field][0], value]
+        return argv
+    lines = [f"ontology={ONTOLOGY}", f"mapping={mapping}",
+             f"pairs.antonymy={antonymy}", f"out={tmp_path / 'results'}",
+             "oracle=false", "modes=subclass-only"]
+    lines += [f"prover.command={prover_cmd}"] if prover_cmd else []
+    lines += [f"{LIMIT_SETTINGS[field][1]}={value}"
+              for field, value in limits.items()]
+    config = tmp_path / "run.conf"
+    config.write_text("\n".join(lines) + "\n")
+    return ["pipeline", config]
+
+
+def _recorded_configs(monkeypatch) -> list:
+    """The ProverConfig of every prover batch that runs from now on."""
+    configs = []
+    real_batch = prover.run_batch
+
+    def recording_batch(ontology, cqs, config, *args, **kwargs):
+        configs.append(config)
+        return real_batch(ontology, cqs, config, *args, **kwargs)
+
+    monkeypatch.setattr(prover, "run_batch", recording_batch)
+    return configs
+
+
+@pytest.mark.parametrize("command", ["run", "pipeline"])
+def test_limits_left_out_take_the_prover_config_defaults(
+        tmp_path, lexical_files, monkeypatch, command):
+    stub = stub_provers.stub_config(tmp_path, stub_provers.COUNTER_SATISFIABLE)
+    configs = _recorded_configs(monkeypatch)
+    argv = _prover_argv(tmp_path, lexical_files, command, stub.command, {})
+    assert run_cli(*argv) == EXIT_OK
+    assert configs == [prover.ProverConfig(command=stub.command)]
+
+
+@pytest.mark.parametrize("command", ["run", "pipeline"])
+def test_prover_variables_change_no_run(tmp_path, lexical_files, monkeypatch,
+                                        capsys, command):
+    # these variables once won over the options and keys; the options and
+    # keys are now the one source of each setting
+    for name, value in (("ONTOCLOSE_PROVER_COMMAND", "/no/such {problem}"),
+                        ("ONTOCLOSE_TIME_LIMIT", "lots"),
+                        ("ONTOCLOSE_MEMORY_LIMIT", "1")):
+        monkeypatch.setenv(name, value)
+    stub = stub_provers.stub_config(tmp_path, stub_provers.COUNTER_SATISFIABLE)
+    configs = _recorded_configs(monkeypatch)
+    limits = {"time_limit": 7.5, "memory_limit_mib": 1024, "workers": 2}
+    argv = _prover_argv(tmp_path, lexical_files, command, stub.command,
+                        limits)
+    assert run_cli(*argv) == EXIT_OK
+    assert configs == [prover.ProverConfig(command=stub.command, **limits)]
+    # and a run given no command has none
+    argv = _prover_argv(tmp_path, lexical_files, command, None, {})
+    capsys.readouterr()
+    assert run_cli(*argv) == EXIT_PROVER
+    err = capsys.readouterr().err
+    assert "--prover-cmd" in err and "prover.command" in err
+    assert configs == [prover.ProverConfig(command=stub.command, **limits)]
 
 
 def test_run_inconsistent_ontology_exits_5(tmp_path, capsys):
@@ -440,6 +493,46 @@ def test_report_deterministic(tmp_path, lexical_files, capsys):
         (two / "efficiency.csv").read_bytes()
 
 
+def test_report_groups_questions_by_their_corpus_pattern(tmp_path, capsys):
+    # a question's pattern came from its id, so an id that does not begin
+    # with the corpus pattern made a row of its own
+    corpus = tmp_path / "cqs.kif"
+    corpus.write_text(
+        "; cq: q1\n; pattern: antonymy-1\n; kind: antonymy\n"
+        "; source: birth#n#2 death#n#1\n"
+        "(forall (X Y) (=> (and ($instance X Birth) ($instance Y Death)) "
+        "(not (equal X Y))))\n"
+        "; cq: q2\n; pattern: antonymy-1\n; kind: antonymy\n"
+        "; source: birth#n#2 death#n#1\n"
+        "(forall (X Y) (=> (and ($instance X Death) ($instance Y Birth)) "
+        "(not (equal X Y))))\n")
+    journal = tmp_path / "journal.jsonl"
+    closed = tmp_path / "closed.kif"
+    assert run_cli("close", ONTOLOGY, "--mode", "subclass+disjointness",
+                   "--out", closed) == EXIT_OK
+    assert run_cli("run", closed, "--oracle", "--cqs", corpus,
+                   "--journal", journal) == EXIT_OK
+    # q2 not run; a record of a question the corpus lacks keeps its id's
+    # pattern
+    records = [line for line in journal.read_text().splitlines()
+               if '"q2"' not in line]
+    records.append(json.dumps({"cq": "other:a:b", "polarity": "truth",
+                               "seconds": 1.0, "status": "proved",
+                               "used": []}))
+    journal.write_text("\n".join(records) + "\n")
+    out_dir = tmp_path / "reports"
+    with pytest.warns(UserWarning, match="missing questions: q2"):
+        assert run_cli("report", "--journal", journal, "--cqs", corpus,
+                       "--out-dir", out_dir) == EXIT_OK
+    assert (out_dir / "competency.csv").read_text().splitlines()[1:] == [
+        "antonymy-1,2,1,,0,,50.00", "other,1,1,,0,,100.00",
+        "Total,3,2,,0,,66.67"]
+    assert [line.split(",")[:2] for line in
+            (out_dir / "efficiency.csv").read_text().splitlines()[1:]] == [
+        ["antonymy-1", "+"], ["antonymy-1", "-"], ["other", "+"],
+        ["other", "-"], ["Total", "+"], ["Total", "-"]]
+
+
 def test_report_on_a_journal_line_that_is_not_a_record(tmp_path, capsys):
     journal = tmp_path / "journal.jsonl"
     for line in ("5",
@@ -477,12 +570,11 @@ def test_report_refuses_a_journal_it_cannot_read(tmp_path, lexical_files,
 
 
 def test_a_prover_run_and_pipeline_start_a_missing_journal(
-        tmp_path, lexical_files, monkeypatch):
+        tmp_path, lexical_files):
     # load_journal raises on a missing journal; a run that resumes from
     # one starts it, in a directory that does not exist yet too
     corpus = _generate_corpus(tmp_path, lexical_files)
     stub = stub_provers.stub_config(tmp_path, stub_provers.COUNTER_SATISFIABLE)
-    monkeypatch.setenv("ONTOCLOSE_PROVER_COMMAND", stub.command)
     tests = 2 * len(list_corpus_ids(corpus))
     mapping, antonymy, hyponymy = lexical_files
     config = tmp_path / "run.conf"
@@ -490,13 +582,13 @@ def test_a_prover_run_and_pipeline_start_a_missing_journal(
         f"ontology={ONTOLOGY}\nmapping={mapping}\n"
         f"pairs.hyponymy={hyponymy}\npairs.antonymy={antonymy}\n"
         f"out={tmp_path / 'new' / 'results'}\noracle=false\n"
-        "modes=subclass-only\n")
+        f"modes=subclass-only\nprover.command={stub.command}\n")
     assert run_cli("pipeline", config) == EXIT_OK
     journals = [tmp_path / "new" / "results" / "subclass-only" / "journal.jsonl"]
     for journal in (tmp_path / "journal.jsonl",
                     tmp_path / "other" / "journal.jsonl"):
-        assert run_cli("run", ONTOLOGY, "--cqs", corpus,
-                       "--journal", journal) == EXIT_OK
+        assert run_cli("run", ONTOLOGY, "--cqs", corpus, "--journal", journal,
+                       "--prover-cmd", stub.command) == EXIT_OK
         journals.append(journal)
     for journal in journals:
         assert len(journal.read_text().splitlines()) == tests, journal
@@ -756,7 +848,8 @@ def test_modes_over_one_oracle_taxonomy_share_one_oracle_pass(
         f"pairs.hyponymy={hyponymy}\npairs.antonymy={antonymy}\n"
         f"out={out}\noracle=true\nmodes={','.join(modes)}\n")
     real_run, real_load = prover.oracle_run_batch, prover.load_journal
-    passes, loads = [], []
+    real_efficiency = reports.efficiency_report
+    passes, loads, efficiency_tallies = [], [], []
 
     def counting_run(tax, cqs, journal_path):
         passes.append((tax, Path(journal_path).parent.name))
@@ -766,13 +859,21 @@ def test_modes_over_one_oracle_taxonomy_share_one_oracle_pass(
         loads.append(Path(path).parent.name)
         return real_load(path)
 
+    def counting_efficiency(tallied):
+        efficiency_tallies.append(tallied)
+        return real_efficiency(tallied)
+
     monkeypatch.setattr(prover, "oracle_run_batch", counting_run)
     monkeypatch.setattr(prover, "load_journal", counting_load)
+    monkeypatch.setattr(reports, "efficiency_report", counting_efficiency)
     assert run_cli("pipeline", config) == EXIT_OK
     monkeypatch.undo()
     assert [name for _, name in passes] == loads == [names[0], names[2],
                                                      names[3]]
     assert len({id(tax) for tax, _ in passes}) == 3
+    # a mode that shares a pass shares its efficiency rows too
+    assert len({id(tallied) for tallied in efficiency_tallies}) == \
+        len(efficiency_tallies) == 3
     assert (out / "owa" / "journal.jsonl").read_bytes() == \
         (out / "subclass-only" / "journal.jsonl").read_bytes()
 
@@ -830,10 +931,9 @@ def test_pipeline_runs_a_mode_named_twice(tmp_path, lexical_files):
         ["owa", "subclass-only", "owa"]
 
 
-def test_pipeline_with_stub_prover(tmp_path, lexical_files, monkeypatch):
+def test_pipeline_with_stub_prover(tmp_path, lexical_files):
     mapping, antonymy, hyponymy = lexical_files
     stub = stub_provers.stub_config(tmp_path, stub_provers.COUNTER_SATISFIABLE)
-    monkeypatch.setenv("ONTOCLOSE_PROVER_COMMAND", stub.command)
     modes = ["subclass-only", "subclass+disjointness"]
     out = tmp_path / "results"
     config = tmp_path / "run.conf"
@@ -841,7 +941,7 @@ def test_pipeline_with_stub_prover(tmp_path, lexical_files, monkeypatch):
         f"ontology={ONTOLOGY}\nmapping={mapping}\n"
         f"pairs.hyponymy={hyponymy}\npairs.antonymy={antonymy}\n"
         f"out={out}\noracle=false\nmodes={','.join(modes)}\n"
-        "prover.command=/no/such/prover {problem}\n"
+        f"prover.command={stub.command}\n"
         "prover.workers=2\nprover.time_limit=10\n")
     assert run_cli("pipeline", config) == EXIT_OK
     cq_ids = list_corpus_ids(out / "cqs.kif")
@@ -861,13 +961,12 @@ def test_pipeline_with_stub_prover(tmp_path, lexical_files, monkeypatch):
 
 
 def test_prover_pipeline_reports_equal_report_of_its_journals(
-        tmp_path, lexical_files, monkeypatch):
+        tmp_path, lexical_files):
     # the pipeline reports from its outcomes, report from their journal
     # lines: the efficiency tables, whose mE scales inverse times by 1000,
     # agree only if both read wall times at the journal's precision
     mapping, antonymy, hyponymy = lexical_files
     stub = stub_provers.stub_config(tmp_path, stub_provers.THEOREM)
-    monkeypatch.setenv("ONTOCLOSE_PROVER_COMMAND", stub.command)
     modes = ["subclass-only", "subclass+disjointness"]
     out = tmp_path / "results"
     config = tmp_path / "run.conf"
@@ -875,6 +974,7 @@ def test_prover_pipeline_reports_equal_report_of_its_journals(
         f"ontology={ONTOLOGY}\nmapping={mapping}\n"
         f"pairs.hyponymy={hyponymy}\npairs.antonymy={antonymy}\n"
         f"out={out}\noracle=false\nmodes={','.join(modes)}\n"
+        f"prover.command={stub.command}\n"
         "prover.workers=2\nprover.time_limit=10\n")
     assert run_cli("pipeline", config) == EXIT_OK
     baseline = ()  # the first mode's run is the baseline of the others
@@ -895,17 +995,17 @@ def test_prover_pipeline_reports_equal_report_of_its_journals(
 
 
 def test_pipeline_rerun_with_fewer_questions_reports_the_new_corpus(
-        tmp_path, lexical_files, monkeypatch):
+        tmp_path, lexical_files):
     mapping, antonymy, hyponymy = lexical_files
     hyponymy.write_text(HYPONYMY_TSV + "birth#n#2\tprocess#n#2\n")
     stub = stub_provers.stub_config(tmp_path, stub_provers.COUNTER_SATISFIABLE)
-    monkeypatch.setenv("ONTOCLOSE_PROVER_COMMAND", stub.command)
     out = tmp_path / "results"
     config = tmp_path / "run.conf"
     config.write_text(
         f"ontology={ONTOLOGY}\nmapping={mapping}\n"
         f"pairs.hyponymy={hyponymy}\npairs.antonymy={antonymy}\n"
         f"out={out}\noracle=false\nmodes=subclass-only\n"
+        f"prover.command={stub.command}\n"
         "prover.workers=2\nprover.time_limit=10\n")
 
     def total_count():
@@ -954,7 +1054,6 @@ def test_a_run_builds_the_taxonomy_once(tmp_path, lexical_files, monkeypatch,
         monkeypatch.setattr(module, "build_taxonomy", counting_build)
     mapping, antonymy, hyponymy = lexical_files
     stub = stub_provers.stub_config(tmp_path, stub_provers.COUNTER_SATISFIABLE)
-    monkeypatch.setenv("ONTOCLOSE_PROVER_COMMAND", stub.command)
     if command == "stats":
         argv = ("stats", ONTOLOGY, "--mode", "subclass+nondisjointness")
     else:
@@ -966,7 +1065,7 @@ def test_a_run_builds_the_taxonomy_once(tmp_path, lexical_files, monkeypatch,
             f"ontology={ONTOLOGY}\nmapping={mapping}\n"
             f"pairs.hyponymy={hyponymy}\npairs.antonymy={antonymy}\n"
             f"out={tmp_path / 'results'}\noracle={str(oracle).lower()}\n"
-            f"modes={','.join(modes)}\n"
+            f"modes={','.join(modes)}\nprover.command={stub.command}\n"
             "prover.workers=2\nprover.time_limit=10\n")
         argv = ("pipeline", config)
     assert run_cli(*argv) == EXIT_OK
@@ -979,17 +1078,17 @@ def test_a_run_builds_the_taxonomy_once(tmp_path, lexical_files, monkeypatch,
 
 @pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "prover"])
 def test_pipeline_leaves_no_reference_cycles(tmp_path, lexical_files,
-                                             monkeypatch, oracle):
+                                             oracle):
     # commands run with the cyclic collector off, so any cycle the code
     # builds stays in memory until the process ends
     mapping, antonymy, hyponymy = lexical_files
     stub = stub_provers.stub_config(tmp_path, stub_provers.THEOREM)
-    monkeypatch.setenv("ONTOCLOSE_PROVER_COMMAND", stub.command)
     config = tmp_path / "run.conf"
     config.write_text(
         f"ontology={ONTOLOGY}\nmapping={mapping}\n"
         f"pairs.hyponymy={hyponymy}\npairs.antonymy={antonymy}\n"
         f"out={tmp_path / 'results'}\noracle={str(oracle).lower()}\n"
+        f"prover.command={stub.command}\n"
         "prover.workers=2\nprover.time_limit=10\n")
     gc.collect()
     flags = gc.get_debug()
@@ -1073,11 +1172,12 @@ def test_an_oracle_pipeline_loads_no_prover_machinery(tmp_path,
         "from ontoclose import cli\n"
         "assert cli.main(['pipeline', sys.argv[1]]) == 0", config)
     assert "ontoclose.prover" in loaded
-    assert not loaded & {"ontoclose.tptp", "logging", "concurrent.futures"}
+    assert not loaded & {"ontoclose.tptp", "logging", "concurrent.futures",
+                         "subprocess", "selectors", "signal"}
 
 
 # ---------------------------------------------------------------------------
-# Input errors name the file, config key or variable at fault (exit 3)
+# Input errors name the file or config key at fault (exit 3)
 # ---------------------------------------------------------------------------
 
 def test_text_that_is_not_utf8_names_its_file(tmp_path, capsys):
@@ -1101,43 +1201,28 @@ def test_pipeline_config_number_names_its_key(tmp_path, lexical_files,
     assert f"{config}: {key}: expected " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("variable", [cli.ENV_TIME_LIMIT,
-                                      cli.ENV_MEMORY_LIMIT])
-def test_limit_variable_names_itself(tmp_path, lexical_files, monkeypatch,
-                                     capsys, variable):
-    corpus = _generate_corpus(tmp_path, lexical_files)
-    monkeypatch.setenv(variable, "lots")
-    assert run_cli("run", ONTOLOGY, "--cqs", corpus,
-                   "--journal", tmp_path / "j.jsonl",
-                   "--prover-cmd", "prover {problem}") == EXIT_DATA
-    assert f"{variable}: expected " in capsys.readouterr().err
-    assert not (tmp_path / "j.jsonl").exists()
-
-
-# each limit no prover run can take, by name: its option, config key and
-# environment variable, the value given and the cap the error names
+# each limit no prover run can take, by name: its option and config key,
+# the value given and the cap the error names
 UNREACHABLE_LIMITS = {
-    "inf": ("--time-limit", "prover.time_limit", cli.ENV_TIME_LIMIT, "inf",
+    "inf": ("--time-limit", "prover.time_limit", "inf",
             f"at most {MAX_TIME_LIMIT} seconds"),
-    "3e6": ("--time-limit", "prover.time_limit", cli.ENV_TIME_LIMIT, "3e6",
+    "3e6": ("--time-limit", "prover.time_limit", "3e6",
             f"at most {MAX_TIME_LIMIT} seconds"),
-    "memory": ("--memory-limit", "prover.memory_limit", cli.ENV_MEMORY_LIMIT,
-               str(10**14), f"at most {MAX_MEMORY_LIMIT_MIB} MiB"),
+    "memory": ("--memory-limit", "prover.memory_limit", str(10**14),
+               f"at most {MAX_MEMORY_LIMIT_MIB} MiB"),
 }
 
 
 @pytest.mark.parametrize("limit", sorted(UNREACHABLE_LIMITS))
-@pytest.mark.parametrize("source", ["option", "config", "variable"])
+@pytest.mark.parametrize("source", ["option", "config"])
 def test_a_time_limit_no_wait_can_reach_is_a_prover_error(
-        tmp_path, lexical_files, monkeypatch, capsys, source, limit):
+        tmp_path, lexical_files, capsys, source, limit):
     # Popen.communicate could not wait that long, nor could prlimit take
     # that many bytes: the run used to end in an OverflowError traceback
     # with the prover left unreaped
-    option, key, variable, value, message = UNREACHABLE_LIMITS[limit]
+    option, key, value, message = UNREACHABLE_LIMITS[limit]
     mapping, antonymy, hyponymy = lexical_files
     stub = stub_provers.stub_config(tmp_path, stub_provers.COUNTER_SATISFIABLE)
-    monkeypatch.delenv(cli.ENV_TIME_LIMIT, raising=False)
-    monkeypatch.delenv(cli.ENV_MEMORY_LIMIT, raising=False)
     if source == "config":
         config = tmp_path / "run.conf"
         config.write_text(
@@ -1150,11 +1235,7 @@ def test_a_time_limit_no_wait_can_reach_is_a_prover_error(
         corpus = _generate_corpus(tmp_path, lexical_files)
         argv = ("run", ONTOLOGY, "--cqs", corpus,
                 "--journal", tmp_path / "j.jsonl", "--prover-cmd",
-                stub.command)
-        if source == "option":
-            argv += (option, value)
-        else:
-            monkeypatch.setenv(variable, value)
+                stub.command, option, value)
     assert run_cli(*argv) == EXIT_PROVER
     assert message in capsys.readouterr().err
     assert not (tmp_path / "j.jsonl").exists()

@@ -1,5 +1,6 @@
 import random
 import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -17,11 +18,13 @@ from ontoclose.prover import oracle_verdict
 from ontoclose.taxonomy import (
     DISJOINT, NONDISJOINT, ClassGraph, Taxonomy, TaxonomyError, build_taxonomy,
 )
+from ontoclose.tptp import AxiomBlock
 
 from conftest import (
     DATA_DIR, antonymy_cq, call_depth_limit, load_ontology, overlap_cq,
     subclass_chain, subset_cq,
 )
+from fof_reader import ADVERSARIAL_NAMES, read_problem
 from normal_form import normalize
 from witness_model import WitnessModel
 import witness_oracle
@@ -577,6 +580,30 @@ def test_every_closed_ontology_has_the_witness_model():
                             assert model.holds(cq.conjecture), where
                         if verdict.falsity.proved:
                             assert not model.holds(cq.conjecture), where
+
+
+def test_every_emitted_closed_axiom_holds_in_the_witness_model():
+    # the same model check on what a prover reads: each line of the axiom
+    # block of a closed ontology and the background axioms, read back
+    # through the block's table
+    background = [replace(ax, id=f"bg_{ax.id}")
+                  for ax in load_ontology("organism_process.kif")
+                  if not kif.is_unit_clause(ax.formula)]
+    rng = random.Random(6161)
+    inputs = [kif.parse_kif(ADVERSARIAL_NAMES)] + [
+        taxonomy_to_ontology(witness_oracle.random_taxonomy(rng, max_classes=7))
+        for _ in range(30)]
+    for round_, ontology in enumerate(inputs):
+        tax = build_taxonomy(ontology)
+        curation = suggest_curation(tax, SUBCLASS_DISJOINT).candidates
+        for mode in MODES:
+            closed = apply_closure(ontology, mode, curation, tax=tax)
+            model = WitnessModel(closed)
+            block = AxiomBlock(kif.Ontology([*closed, *background]))
+            read = read_problem(block.text, block.table.demangle)
+            assert len(read) == len(closed) + len(background)
+            for name, _, formula in read:
+                assert model.holds(formula), (round_, mode, name)
 
 
 def test_input_taxonomy_with_appended_facts_equals_a_rebuild():

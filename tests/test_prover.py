@@ -56,9 +56,6 @@ def test_config_validation():
         with pytest.raises(ProverError,
                            match=f"at most {MAX_TIME_LIMIT} seconds"):
             ProverConfig(command="prover {problem}", time_limit=limit)
-    for grace in (float("inf"), float("nan"), -1):
-        with pytest.raises(ProverError):
-            ProverConfig(command="prover {problem}", grace=grace)
     # resource.prlimit takes the cap's bytes as a C long: run_prover used
     # to raise OverflowError and leave its prover unreaped
     for mib in (10**14, MAX_MEMORY_LIMIT_MIB + 1, float("inf")):
@@ -75,8 +72,7 @@ def test_config_validation():
 def test_a_run_at_the_time_limit_cap_waits_for_its_prover(tmp_path,
                                                           problem_file):
     config = stub_provers.stub_config(
-        tmp_path, stub_provers.COUNTER_SATISFIABLE,
-        time_limit=MAX_TIME_LIMIT, grace=MAX_TIME_LIMIT)
+        tmp_path, stub_provers.COUNTER_SATISFIABLE, time_limit=MAX_TIME_LIMIT)
     assert run_prover(problem_file, config).status == COUNTER_SATISFIABLE
 
 
@@ -134,9 +130,11 @@ def test_counter_satisfiable_stub(tmp_path, problem_file):
     assert outcome.used == ()
 
 
-def test_sleeper_stub_is_killed(tmp_path, problem_file):
+def test_sleeper_stub_is_killed(tmp_path, problem_file, monkeypatch):
+    # the kill lands at the time limit plus the grace
+    monkeypatch.setattr("ontoclose.prover.KILL_GRACE", 0.4)
     config = stub_provers.stub_config(tmp_path, stub_provers.SLEEPER,
-                                      time_limit=0.4, grace=0.4)
+                                      time_limit=0.4)
     start = time.perf_counter()
     outcome = run_prover(problem_file, config)
     elapsed = time.perf_counter() - start
@@ -192,15 +190,14 @@ def test_run_batch_caps_every_prover(tmp_path, organism_process):
 def test_run_prover_spawns_without_preexec_fn(tmp_path, problem_file,
                                               monkeypatch):
     # without a preexec_fn CPython spawns through vfork, not a full fork
-    from ontoclose import prover
     spawns = []
-    real_popen = prover.subprocess.Popen
+    real_popen = subprocess.Popen
 
     def recording_popen(*args, **kwargs):
         spawns.append(kwargs)
         return real_popen(*args, **kwargs)
 
-    monkeypatch.setattr(prover.subprocess, "Popen", recording_popen)
+    monkeypatch.setattr(subprocess, "Popen", recording_popen)
     config = stub_provers.stub_config(tmp_path, stub_provers.THEOREM)
     assert run_prover(problem_file, config).status == PROVED
     assert len(spawns) == 1 and "preexec_fn" not in spawns[0]

@@ -79,6 +79,26 @@ def test_competency_exclusive_counts_against_weaker_baseline():
     assert rows[0].falsity_exclusive == 1
 
 
+def test_a_corpus_gives_each_question_its_pattern():
+    # ids need not begin with their pattern; an id the corpus lacks keeps
+    # its prefix, and a corpus question the journal lacks counts under
+    # its corpus pattern
+    corpus = [SimpleNamespace(id="q1", pattern="antonymy-1"),
+              SimpleNamespace(id="q2", pattern="antonymy-1")]
+    data = journal(record("q1", TRUTH, "proved"),
+                   record("other:a", FALSITY, "proved"))
+    tallied = tally(data, corpus)
+    assert tallied.pattern == {"q1": "antonymy-1", "other:a": "other"}
+    with pytest.warns(UserWarning, match="missing questions: q2"):
+        rows = competency_report(tallied, expected_cqs=corpus)
+    assert [(r.pattern, r.count, r.truth_proved, r.falsity_proved)
+            for r in rows] == [("antonymy-1", 2, 1, 0), ("other", 1, 0, 1),
+                               ("Total", 3, 1, 1)]
+    assert [(r.pattern, r.polarity) for r in efficiency_report(tallied)
+            if r.N or r.t] == [("antonymy-1", "+"), ("other", "-"),
+                               ("Total", "+"), ("Total", "-")]
+
+
 def test_competency_warns_on_incomplete_journal():
     expected = [antonymy_cq("A", "B"), antonymy_cq("C", "D")]
     data = journal(record(expected[0].id, TRUTH, "proved"))
@@ -231,11 +251,16 @@ def test_round2_is_half_even():
 # Both reports against a plain reference
 # ---------------------------------------------------------------------------
 
-def _reference_competency(records, baseline_proved, expected_ids):
-    ids = {cq for cq, _ in records} | set(expected_ids or ())
+def _reference_pattern(cq, corpus):
+    """The corpus's pattern of a question in it, else its id's prefix."""
+    return corpus[cq] if cq in corpus else cq.split(":", 1)[0]
+
+
+def _reference_competency(records, baseline_proved, corpus):
+    ids = {cq for cq, _ in records} | set(corpus)
     rows = []
-    for pattern in sorted({cq.split(":", 1)[0] for cq in ids}):
-        mine = [cq for cq in ids if cq.split(":", 1)[0] == pattern]
+    for pattern in sorted({_reference_pattern(cq, corpus) for cq in ids}):
+        mine = [cq for cq in ids if _reference_pattern(cq, corpus) == pattern]
         proved = {polarity: [(cq, polarity) for cq in mine
                              if (cq, polarity) in records
                              and records[cq, polarity].status == "proved"]
@@ -273,16 +298,16 @@ def _reference_efficiency_cell(pattern, label, cell):
         sum(len(used) for used in proofs) / len(proofs) if proofs else 0.0)
 
 
-def _reference_efficiency(records):
+def _reference_efficiency(records, corpus):
     proved = sorted((key, outcome) for key, outcome in records.items()
                     if outcome.status == "proved")
     rows = []
-    patterns = sorted({cq.split(":", 1)[0] for cq, _ in records})
+    patterns = sorted({_reference_pattern(cq, corpus) for cq, _ in records})
     for pattern in patterns + ["Total"]:
         for polarity, label in ((TRUTH, "+"), (FALSITY, "-")):
             rows.append(_reference_efficiency_cell(pattern, label, [
                 outcome for (cq, pol), outcome in proved if pol == polarity
-                and pattern in ("Total", cq.split(":", 1)[0])]))
+                and pattern in ("Total", _reference_pattern(cq, corpus))]))
     return rows
 
 
@@ -313,17 +338,21 @@ def test_reports_equal_a_plain_reference_on_random_journals():
         baseline = (None if rng.random() < 0.4 else
                     {key for key in data if rng.random() < 0.5}
                     | {("elsewhere:1", TRUTH)})
+        # a corpus pattern is mostly its id's prefix, as generated ids
+        # begin with their pattern, and sometimes another one
         expected = (None if rng.random() < 0.4 else
-                    [SimpleNamespace(id=cq) for cq in ids
-                     if rng.random() < 0.9]
-                    + [SimpleNamespace(id=f"a:missing{trial}")])
-        expected_ids = None if expected is None else [cq.id for cq in expected]
+                    [SimpleNamespace(id=cq, pattern=rng.choice(
+                        [cq.split(":", 1)[0]] * 3 + ["a", "b"]))
+                     for cq in ids + [f"a:missing{trial}"]
+                     if rng.random() < 0.9])
+        corpus = {cq.id: cq.pattern for cq in expected or ()}
         # one pre-pass for both reports, as the command line makes it:
         # the questions missing from the journal leave it as it was
-        tallied = tally(data)
+        tallied = tally(data, expected or ())
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             rows = competency_report(tallied, baseline_proved=baseline,
                                      expected_cqs=expected)
-        assert rows == _reference_competency(data, baseline, expected_ids)
-        assert efficiency_report(tallied) == _reference_efficiency(data)
+        assert rows == _reference_competency(data, baseline, corpus)
+        assert efficiency_report(tallied) == _reference_efficiency(data,
+                                                                   corpus)

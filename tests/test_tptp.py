@@ -3,12 +3,20 @@ import re
 import sys
 import threading
 
+import warnings
+from dataclasses import replace
+
 import pytest
 
 from ontoclose import kif
+from ontoclose.closure import apply_closure
+from ontoclose.modes import MODES, OWA
 from ontoclose.tptp import (
     AxiomBlock, MangleTable, UnsupportedConstructError, emit_problem, to_fof,
 )
+
+from conftest import antonymy_cq, load_ontology, overlap_cq, subset_cq
+from fof_reader import ADVERSARIAL_NAMES, read_problem
 
 
 FOF_LINE = re.compile(
@@ -278,3 +286,56 @@ def test_one_axiom_block_under_many_threads(organism_process):
     # the block's own table took none of the problems' names
     assert block.table.demangle("c__unicorn") is None
     assert block.table.demangle("c__birth_2") is None
+
+
+# ---------------------------------------------------------------------------
+# Every emitted line reads back as its source
+# ---------------------------------------------------------------------------
+
+def _read_back_input(name: str) -> kif.Ontology:
+    """A fixture ontology, or the adversarial names with the background
+    axioms of organism_process.kif, which name $instance."""
+    if name != "adversarial names":
+        return load_ontology(name)
+    background = [replace(ax, id=f"bg_{ax.id}")
+                  for ax in load_ontology("organism_process.kif")
+                  if not kif.is_unit_clause(ax.formula)]
+    return kif.Ontology([*kif.parse_kif(ADVERSARIAL_NAMES), *background])
+
+
+@pytest.mark.parametrize("name", [
+    "organism_process.kif", "agent.kif", "blood_cell.kif", "shapes.kif",
+    "sound_process.kif", "adversarial names",
+])
+def test_every_emitted_line_reads_back_as_its_source(name):
+    ontology = _read_back_input(name)
+    # shapes.kif declares a pair both disjoint and non-disjoint: the
+    # closing modes refuse it
+    for mode in (OWA,) if name == "shapes.kif" else MODES:
+        with warnings.catch_warnings():  # undecided sibling pairs
+            warnings.simplefilter("ignore", UserWarning)
+            closed = apply_closure(ontology, mode)
+        block = AxiomBlock(closed)
+        demangle = block.table.demangle
+        read = read_problem(block.text, demangle)
+        assert [(demangle(n), role) for n, role, _ in read] == \
+            [(ax.id, "axiom") for ax in closed], mode
+        assert [kif.rename_bound(f) for _, _, f in read] == \
+            [kif.rename_bound(ax.formula) for ax in closed], mode
+        # conjectures over the block's symbols: the negation of an axiom,
+        # and both tests of questions once the block names $instance
+        tests = [kif.Not(closed.axioms[-1].formula)]
+        atoms = [f for ax in closed for f in kif.subformulas(ax.formula)
+                 if isinstance(f, kif.Atom)]
+        if any(atom.predicate == "$instance" for atom in atoms):
+            classes = sorted({t.name for atom in atoms for t in atom.args
+                              if t.kind == kif.CONSTANT})[:4]
+            tests += [test for a in classes for b in classes
+                      for make in (overlap_cq, subset_cq, antonymy_cq)
+                      for test in (make(a, b).conjecture,
+                                   kif.Not(make(a, b).conjecture))]
+        for formula in tests:
+            text = emit_problem(block, formula, {"mode": mode}, "cq_truth")
+            *axioms, (_, role, conjecture) = read_problem(text, demangle)
+            assert axioms == read and role == "conjecture"
+            assert kif.rename_bound(conjecture) == kif.rename_bound(formula)
