@@ -361,6 +361,7 @@ def cmd_pipeline(args) -> int:
     # each closure appends, its oracle
     tax = taxonomy.build_taxonomy(ontology)
     input_text = kif.serialize_kif(ontology)
+    input_stats = kif.count_metrics(ontology)
     labeled_stats = []
     baseline_proved = None
     last_tax = last_journal = None  # of the last oracle pass
@@ -369,7 +370,8 @@ def cmd_pipeline(args) -> int:
         closed = closure.apply_closure(ontology, mode, curation, tax=tax)
         additions = closed.axioms[len(ontology):]
         _write(mode_dir / "closed.kif", input_text + kif.serialize_kif(additions))
-        labeled_stats.append((mode, kif.count_metrics(closed)))
+        labeled_stats.append((mode,
+                              input_stats + kif.count_metrics(additions)))
         journal = mode_dir / "journal.jsonl"
         oracle_tax = None if prover_config else tax.with_axioms(additions)
         if oracle_tax is not None and oracle_tax is last_tax:

@@ -184,6 +184,11 @@ class SizeStats:
     not_count: int = 0
     equality_count: int = 0
 
+    def __add__(self, other: "SizeStats") -> "SizeStats":
+        """The metrics of two axiom lists joined."""
+        return SizeStats(*(getattr(self, f.name) + getattr(other, f.name)
+                           for f in fields(self)))
+
     def as_csv_row(self) -> str:
         return ",".join(str(getattr(self, f.name)) for f in fields(self))
 

@@ -34,7 +34,7 @@ ERROR = "error"
 
 # seconds a prover may run past its time limit before it is killed
 KILL_GRACE = 5.0
-# Popen.communicate waits at most 2**31 - 1 ms (poll takes an int of
+# run_prover's selector waits at most 2**31 - 1 ms (poll takes an int of
 # milliseconds), about 24.8 days; a time limit of at most a million
 # seconds plus the grace stays within it
 MAX_TIME_LIMIT = 1_000_000
@@ -92,7 +92,9 @@ class ProverConfig:
     and must be finite and at most ``MAX_TIME_LIMIT``.
     ``memory_limit_mib`` caps the prover's address space and is at most
     ``MAX_MEMORY_LIMIT_MIB``. The defaults here are the only ones: the
-    ``run`` options and ``pipeline`` keys left out take them.
+    ``run`` options and ``pipeline`` keys left out take them. The
+    command is split into ``argv`` once, as ``shlex`` splits it; one it
+    cannot split is a :class:`ProverError` before any prover starts.
     """
     command: str
     time_limit: float = 300.0
@@ -114,6 +116,15 @@ class ProverConfig:
                               f"{MAX_MEMORY_LIMIT_MIB} MiB")
         if self.workers < 1:
             raise ProverError("worker count must be at least 1")
+        import shlex
+
+        try:
+            argv = tuple(shlex.split(self.command))
+        except ValueError as exc:
+            raise ProverError(f"prover command {self.command!r} cannot be "
+                              f"split: {exc}") from None
+        # derived, not a field: equality and replace() see the command
+        object.__setattr__(self, "argv", argv)
 
 
 @dataclass(frozen=True, slots=True)
@@ -159,6 +170,20 @@ def _kill_session(process) -> None:
         pass
 
 
+def _fail(process, start: float, detail: str) -> ProverOutcome:
+    """Kill the prover's session, reap it and fail its test with ``detail``."""
+    _kill_session(process)
+    process.communicate()
+    return ProverOutcome(status=ERROR, wall_time=time.perf_counter() - start,
+                         detail=detail)
+
+
+def _text(chunks: list[bytes]) -> str:
+    """A stream's bytes decoded whole, as text-mode ``Popen`` decodes it."""
+    text = b"".join(chunks).decode("utf-8", "replace")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def run_prover(problem_path: "str | Path", config: ProverConfig) -> ProverOutcome:
     """One external prover process on one problem file.
 
@@ -167,26 +192,33 @@ def run_prover(problem_path: "str | Path", config: ProverConfig) -> ProverOutcom
     without such code, CPython spawns through ``vfork``, which is much
     cheaper per test and safe under ``run_batch``'s threads. The cost is a short window in
     which the prover runs uncapped, between its ``exec`` and the
-    ``prlimit`` call. The child is not reaped before ``communicate``, so
-    its pid cannot be reused in that window. A cap that cannot be set
+    ``prlimit`` call. The child is not reaped until its output is read,
+    so its pid cannot be reused in that window. A cap that cannot be set
     (say, above the inherited hard limit) kills the child's session and
     fails this test with an error outcome.
+
+    One selector watches the child's stdout and stderr and a pidfd
+    (Linux 5.3 or later) that turns readable when the child exits, so the
+    child is reaped as soon as it has exited and its output has closed,
+    with no sleep between polls. Past ``time_limit + KILL_GRACE`` its
+    session is killed and the output drained. A pidfd that cannot be
+    opened fails the test as a cap that cannot be set does.
     """
     # imported here, as are the batch's threads and the problem renderer:
     # oracle runs use none of them
     import resource
-    import shlex
+    import selectors
     import subprocess
 
     argv = [part.replace("{problem}", str(problem_path))
-            for part in shlex.split(config.command)]
+            for part in config.argv]
     limit_bytes = config.memory_limit_mib * 1024 * 1024
 
     start = time.perf_counter()
     try:
         process = subprocess.Popen(
             argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            encoding="utf-8", errors="replace", start_new_session=True)
+            start_new_session=True)
     except OSError as exc:
         return ProverOutcome(status=ERROR, wall_time=time.perf_counter() - start,
                              detail=f"spawn failed: {exc}")
@@ -194,25 +226,41 @@ def run_prover(problem_path: "str | Path", config: ProverConfig) -> ProverOutcom
         resource.prlimit(process.pid, resource.RLIMIT_AS,
                          (limit_bytes, limit_bytes))
     except (OSError, ValueError) as exc:
-        _kill_session(process)
-        process.communicate()
-        return ProverOutcome(
-            status=ERROR, wall_time=time.perf_counter() - start,
-            detail=f"cannot cap the prover's address space at "
-                   f"{config.memory_limit_mib} MiB: {exc}")
+        return _fail(process, start,
+                     f"cannot cap the prover's address space at "
+                     f"{config.memory_limit_mib} MiB: {exc}")
+    try:
+        pidfd = os.pidfd_open(process.pid)
+    except OSError as exc:
+        return _fail(process, start,
+                     f"cannot open a pidfd on the prover: {exc}")
+    chunks = {process.stdout.fileno(): [], process.stderr.fileno(): []}
+    deadline = start + config.time_limit + KILL_GRACE
     killed = False
     try:
-        stdout, stderr = process.communicate(
-            timeout=config.time_limit + KILL_GRACE)
-    except subprocess.TimeoutExpired:
-        killed = True
-        _kill_session(process)
-        stdout, stderr = process.communicate()
+        with process.stdout, process.stderr, \
+                selectors.PollSelector() as selector:
+            for fd in (pidfd, *chunks):
+                selector.register(fd, selectors.EVENT_READ)
+            while selector.get_map():
+                timeout = None if killed else deadline - time.perf_counter()
+                if not killed and timeout <= 0:
+                    killed, timeout = True, None
+                    _kill_session(process)
+                for key, _ in selector.select(timeout):
+                    data = os.read(key.fd, 32768) if key.fd != pidfd else b""
+                    if data:
+                        chunks[key.fd].append(data)
+                    else:
+                        selector.unregister(key.fd)
+    finally:
+        os.close(pidfd)
+    process.wait()  # returns at once: the pidfd reported the exit
     wall = time.perf_counter() - start
-    output = (stdout or "") + "\n" + (stderr or "")
     if killed:
         return ProverOutcome(status=TIMEOUT, wall_time=wall,
                              detail="killed at time limit plus grace")
+    output = "\n".join(map(_text, chunks.values()))
     szs, used = parse_prover_output(output)
     if szs is None:
         detail = output.strip()[:2000] or f"exit code {process.returncode}, no output"
@@ -428,7 +476,6 @@ def run_batch(ontology: Ontology, cqs, config: ProverConfig,
     question and polarity, so an interrupted run resumes where it stopped;
     a missing journal means no test has run yet, and the run starts it.
     """
-    import logging
     import threading
     from concurrent.futures import ThreadPoolExecutor
 
@@ -451,6 +498,8 @@ def run_batch(ontology: Ontology, cqs, config: ProverConfig,
         used = tuple(block.table.demangle(n) or n for n in outcome.used)
         outcome = replace(outcome, used=used) if used else outcome
         if outcome.status == ERROR:
+            import logging
+
             logging.getLogger(__name__).warning(
                 "prover error on %s %s test: %s", cq.id, polarity,
                 outcome.detail)

@@ -38,6 +38,61 @@ sys.stdout.buffer.flush()
 print("% SZS status Theorem for " + sys.argv[1])
 """
 
+# Closes its output, then exits 0.3 s later: the pipes reach end of file
+# well before the process can be reaped.
+CLOSES_THEN_SLEEPS = """
+import os
+import sys
+import time
+
+print("% SZS status Theorem for " + sys.argv[1], flush=True)
+devnull = os.open(os.devnull, os.O_WRONLY)
+os.dup2(devnull, 1)
+os.dup2(devnull, 2)
+time.sleep(0.3)
+"""
+
+# Starts a background child in its session, writes the child's pid to
+# <problem>.child, closes its output and sleeps past any test's limit.
+CLOSES_THEN_HANGS = """
+import os
+import subprocess
+import sys
+import time
+
+child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"],
+                         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+with open(sys.argv[1] + ".child", "w") as handle:
+    handle.write(str(child.pid))
+print("% SZS status Theorem for " + sys.argv[1], flush=True)
+devnull = os.open(os.devnull, os.O_WRONLY)
+os.dup2(devnull, 1)
+os.dup2(devnull, 2)
+time.sleep(60)
+"""
+
+# Writes more than 64 KiB to each stream, with CRLF and lone CR line ends,
+# bytes that are not UTF-8 and a two-byte character, then (when asked)
+# the SZS line.
+LOUD = """
+import sys
+
+for stream, name in ((sys.stdout.buffer, b"out"), (sys.stderr.buffer, b"err")):
+    stream.write(b"caf\\xc3\\xa9 \\xff\\xfe half\\r\\nlone\\rend\\r\\n" * 40)
+    for n in range(3000):
+        stream.write(b"fof(%s_%d, axiom, p).\\r\\n" % (name, n))
+    stream.flush()
+if {szs}:
+    print("% SZS status Theorem for " + sys.argv[1])
+"""
+
+
+def loud(szs: bool) -> str:
+    """The body of a stub with large, untidy output, and an SZS line at
+    its end if ``szs``."""
+    return LOUD.format(szs=szs)
+
+
 # A genuinely sound (if nearly useless) decision procedure: the conjecture
 # is entailed when it appears verbatim among the axioms.
 TRIVIAL_ENTAILMENT = """

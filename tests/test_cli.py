@@ -442,6 +442,21 @@ def test_prover_variables_change_no_run(tmp_path, lexical_files, monkeypatch,
     assert configs == [prover.ProverConfig(command=stub.command, **limits)]
 
 
+@pytest.mark.parametrize("command", ["run", "pipeline"])
+def test_a_command_shlex_cannot_split_is_a_prover_error(
+        tmp_path, lexical_files, capsys, command):
+    # it fails before any input is read: no questions, no closure and
+    # no problem file
+    prover_cmd = "sh 'unclosed {problem}"
+    argv = _prover_argv(tmp_path, lexical_files, command, prover_cmd, {})
+    capsys.readouterr()
+    assert run_cli(*argv) == EXIT_PROVER
+    assert f"prover command {prover_cmd!r} cannot be split" in \
+        capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.p"))
+    assert not (tmp_path / "results").exists()
+
+
 def test_run_inconsistent_ontology_exits_5(tmp_path, capsys):
     bad = tmp_path / "bad.kif"
     bad.write_text("($disjoint A B)\n($subclass C A)\n($subclass C B)\n")
@@ -1217,7 +1232,7 @@ UNREACHABLE_LIMITS = {
 @pytest.mark.parametrize("source", ["option", "config"])
 def test_a_time_limit_no_wait_can_reach_is_a_prover_error(
         tmp_path, lexical_files, capsys, source, limit):
-    # Popen.communicate could not wait that long, nor could prlimit take
+    # the prover wait could not be that long, nor could prlimit take
     # that many bytes: the run used to end in an OverflowError traceback
     # with the prover left unreaped
     option, key, value, message = UNREACHABLE_LIMITS[limit]

@@ -397,6 +397,13 @@ def test_count_metrics_empty():
     assert kif.count_metrics(kif.Ontology()) == SizeStats()
 
 
+def test_count_metrics_of_a_joined_list_is_the_sum():
+    axioms = list(kif.parse_kif((DATA_DIR / "organism_process.kif").read_text()))
+    for cut in (0, 7, len(axioms)):
+        assert kif.count_metrics(axioms[:cut]) + kif.count_metrics(
+            axioms[cut:]) == kif.count_metrics(kif.Ontology(axioms))
+
+
 def _independent_recount(text: str) -> dict:
     """Tiny second implementation of the counting rules, used as an oracle."""
     clean_lines = [line.split(";", 1)[0] for line in text.splitlines()]

@@ -8,7 +8,7 @@ import sys
 import textwrap
 import time
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -50,7 +50,7 @@ def test_config_validation():
         ProverConfig(command="prover {problem}", time_limit=float("nan"))
     with pytest.raises(ProverError):
         ProverConfig(command="prover {problem}", workers=0)
-    # Popen.communicate cannot wait that long: inf overflows int(), and
+    # the prover wait cannot be that long: inf overflows int(), and
     # 3e6 s overflows poll's int of milliseconds
     for limit in (float("inf"), 3e6, MAX_TIME_LIMIT + 1):
         with pytest.raises(ProverError,
@@ -67,6 +67,23 @@ def test_config_validation():
             ProverConfig(command="prover {problem}", memory_limit_mib=mib)
     assert ProverConfig(command="prover {problem}",
                         memory_limit_mib=MAX_MEMORY_LIMIT_MIB)
+
+
+def test_the_command_is_split_once_when_configured(tmp_path, problem_file,
+                                                  monkeypatch):
+    # an unsplittable command fails when configured, not at a first test
+    command = "sh 'unclosed {problem}"
+    with pytest.raises(ProverError, match=re.escape(
+            f"prover command {command!r} cannot be split")):
+        ProverConfig(command=command)
+    config = stub_provers.stub_config(tmp_path, stub_provers.THEOREM)
+    # the split is derived, not a field
+    assert [f.name for f in fields(ProverConfig)] == \
+        ["command", "time_limit", "memory_limit_mib", "workers"]
+    assert replace(config, workers=2).argv == config.argv
+    import shlex
+    monkeypatch.setattr(shlex, "split", None)  # a split per test fails
+    assert run_prover(problem_file, config).status == PROVED
 
 
 def test_a_run_at_the_time_limit_cap_waits_for_its_prover(tmp_path,
@@ -141,6 +158,74 @@ def test_sleeper_stub_is_killed(tmp_path, problem_file, monkeypatch):
     assert outcome.status == TIMEOUT
     assert elapsed < 5.0
     assert outcome.wall_time >= 0.4
+
+
+def test_a_prover_is_reaped_when_it_exits_not_after_a_sleep(
+        tmp_path, problem_file, monkeypatch):
+    # its pipes close 0.3 s before it exits: the harness waits for the
+    # exit itself, with no sleep between polls of waitpid
+    config = stub_provers.stub_config(tmp_path,
+                                      stub_provers.CLOSES_THEN_SLEEPS)
+    sleeps = []
+    real_sleep = time.sleep
+
+    def counting_sleep(seconds):
+        sleeps.append(seconds)
+        real_sleep(seconds)
+
+    monkeypatch.setattr(time, "sleep", counting_sleep)
+    outcome = run_prover(problem_file, config)
+    assert outcome.status == PROVED
+    assert outcome.wall_time >= 0.3
+    assert sleeps == []
+
+
+def _gone(pid: int) -> bool:
+    """Whether no process ``pid`` runs: none exists, or a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            # the state follows the parenthesised command name
+            return handle.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def test_a_prover_that_closes_its_output_is_still_killed_at_the_deadline(
+        tmp_path, problem_file, monkeypatch):
+    monkeypatch.setattr("ontoclose.prover.KILL_GRACE", 0.2)
+    config = stub_provers.stub_config(tmp_path, stub_provers.CLOSES_THEN_HANGS,
+                                      time_limit=1.0)
+    outcome = run_prover(problem_file, config)
+    assert outcome.status == TIMEOUT
+    assert outcome.detail == "killed at time limit plus grace"
+    assert 1.2 <= outcome.wall_time < 10.0
+    # the kill takes the prover's whole session, its background child too
+    child = int(Path(f"{problem_file}.child").read_text())
+    deadline = time.monotonic() + 10.0
+    while not _gone(child) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert _gone(child)
+
+
+@pytest.mark.parametrize("szs", [True, False])
+def test_large_untidy_output_reads_as_text_mode_communicate_reads_it(
+        tmp_path, problem_file, szs):
+    config = stub_provers.stub_config(tmp_path, stub_provers.loud(szs))
+    argv = config.command.replace("{problem}", str(problem_file)).split()
+    done = subprocess.run(argv, capture_output=True, encoding="utf-8",
+                          errors="replace", timeout=60)
+    output = done.stdout + "\n" + done.stderr
+    assert len(done.stdout) > 65536 and len(done.stderr) > 65536
+    outcome = run_prover(problem_file, config)
+    if szs:
+        assert outcome.status == PROVED
+        assert outcome.used == parse_prover_output(output)[1]
+        assert len(outcome.used) == 6000
+    else:
+        assert outcome.status == ERROR
+        assert outcome.detail == \
+            f"no SZS status line; output: {output.strip()[:2000]}"
+        assert "\ufffd" in outcome.detail and "\r" not in outcome.detail
 
 
 def test_garbage_stub(tmp_path, problem_file):
