@@ -118,9 +118,8 @@ def load_curation(text: str, source_name: str = "<curation>") -> CurationFile:
 
 
 def serialize_curation(curation: CurationFile) -> str:
-    # no Ontology around the units: their ids can coincide (A_B/C, A/B_C)
-    return "".join(kif.serialize_formula(ax.formula) + "\n"
-                   for ax in _curation_axioms(curation, disjoint_only=False))
+    return kif.serialize_kif(
+        Ontology(_curation_axioms(curation, disjoint_only=False)))
 
 
 def _conflict_free(tax: Taxonomy) -> Taxonomy:
@@ -222,7 +221,10 @@ def _curation_gaps(tax: Taxonomy) -> list[tuple[tuple[str, str], str]]:
 
 def _unit(pred: str, p: tuple[str, str], prefix: str, provenance: str) -> Axiom:
     a, b = p
-    return Axiom(id=f"{prefix}_{a}_{b}",
+    # each "_" inside a name is written "_;", and no KIF symbol holds ";",
+    # so the "_" between the two names tells any two pairs apart
+    names = "_".join(name.replace("_", "_;") for name in p)
+    return Axiom(id=f"{prefix}_{names}",
                  formula=Atom(pred, (const(a), const(b))),
                  provenance=provenance)
 

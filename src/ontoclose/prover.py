@@ -95,6 +95,9 @@ class ProverConfig:
     ``run`` options and ``pipeline`` keys left out take them. The
     command is split into ``argv`` once, as ``shlex`` splits it; one it
     cannot split is a :class:`ProverError` before any prover starts.
+    Its program is looked up on ``PATH`` once too, as ``executable``;
+    one not found there is ``None``, which leaves each spawn to look up
+    the name as given, as ``Popen`` does.
     """
     command: str
     time_limit: float = 300.0
@@ -117,14 +120,16 @@ class ProverConfig:
         if self.workers < 1:
             raise ProverError("worker count must be at least 1")
         import shlex
+        import shutil
 
         try:
             argv = tuple(shlex.split(self.command))
         except ValueError as exc:
             raise ProverError(f"prover command {self.command!r} cannot be "
                               f"split: {exc}") from None
-        # derived, not a field: equality and replace() see the command
+        # derived, not fields: equality and replace() see the command
         object.__setattr__(self, "argv", argv)
+        object.__setattr__(self, "executable", shutil.which(argv[0]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,8 +222,8 @@ def run_prover(problem_path: "str | Path", config: ProverConfig) -> ProverOutcom
     start = time.perf_counter()
     try:
         process = subprocess.Popen(
-            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            start_new_session=True)
+            argv, executable=config.executable, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, start_new_session=True)
     except OSError as exc:
         return ProverOutcome(status=ERROR, wall_time=time.perf_counter() - start,
                              detail=f"spawn failed: {exc}")
@@ -350,104 +355,92 @@ def _journal_tail(outcome: ProverOutcome) -> str:
             f'"status": {_quote(outcome.status)}, "used": [{used}]}}\n')
 
 
-def append_journal(path: "str | Path", tests) -> None:
-    """Append one journal line per (question id, polarity, outcome) test,
-    through one open file. Each line is rendered field by field: the keys
-    ``cq``, ``polarity``, ``seconds`` (the wall time's ``repr``),
-    ``status`` and ``used`` in that order, with the separators and ASCII
-    escapes of ``json.dumps``, then a newline. The part after the
-    polarity is rendered once per distinct outcome."""
+def append_journal(handle, tests) -> None:
+    """Write one journal line per (question id, polarity, outcome) test to
+    ``handle``, a text file its caller opened, and flush it. Each line is
+    rendered field by field: the keys ``cq``, ``polarity``, ``seconds``
+    (the wall time's ``repr``), ``status`` and ``used`` in that order,
+    with the separators and ASCII escapes of ``json.dumps``, then a
+    newline. The part after the polarity is rendered once per distinct
+    outcome."""
     # by id, holding each outcome so that its id is not reused
     tails: dict[int, tuple[ProverOutcome, str]] = {}
-    with open(path, "a", encoding="utf-8") as handle:
-        for cq_id, polarity, outcome in tests:
-            entry = tails.get(id(outcome))
-            if entry is None:
-                entry = tails[id(outcome)] = (outcome, _journal_tail(outcome))
-            handle.write(f'{{"cq": {_quote(cq_id)}, '
-                         f'"polarity": {_quote(polarity)}{entry[1]}')
+    for cq_id, polarity, outcome in tests:
+        entry = tails.get(id(outcome))
+        if entry is None:
+            entry = tails[id(outcome)] = (outcome, _journal_tail(outcome))
+        handle.write(f'{{"cq": {_quote(cq_id)}, '
+                     f'"polarity": {_quote(polarity)}{entry[1]}')
+    handle.flush()
 
 
 # the largest number of seconds a report can take as a float
 _MAX_SECONDS = sys.float_info.max
-
-
-def _index_records(path: Path, numbered
-                   ) -> dict[tuple[str, str], ProverOutcome]:
-    """Journal outcomes by (question, polarity), from (line number, decoded
-    line) pairs, equal records sharing one outcome; the first line that is
-    not a record raises :class:`ProverError` naming it."""
-    outcomes, shared = {}, {}
-    for lineno, record in numbered:
-        try:
-            cq_id, polarity = record["cq"], record["polarity"]
-            status, seconds = record["status"], record["seconds"]
-            used = record.get("used", [])
-        except (KeyError, TypeError):
-            cq_id = None
-        # type() rather than isinstance(): the decoder makes no subclass,
-        # and a bool is not a number of seconds
-        if not (type(cq_id) is str and type(polarity) is str
-                and type(status) is str
-                and (type(seconds) is float or type(seconds) is int)
-                and 0 <= seconds <= _MAX_SECONDS
-                and type(used) is list
-                and (not used or all(type(name) is str for name in used))):
-            raise ProverError(
-                f"{path}:{lineno}: journal line is not a record with string "
-                "cq, polarity and status, a finite non-negative number of "
-                "seconds and, if any, a list of strings as used")
-        key = (status, seconds, tuple(used))
-        outcome = shared.get(key)
-        if outcome is None:
-            outcome = shared[key] = ProverOutcome(*key)
-        outcomes[cq_id, polarity] = outcome
-    return outcomes
-
-
 # one JSON value at the start of a string, and the index after it
 _decode_value = json.JSONDecoder().raw_decode
-
-
-def _streamed_records(path: Path, lines):
-    """(line number, decoded line) of each line but blank ones and a last
-    one with no newline (torn by a kill mid-append); the first other line
-    that is not one JSON value raises :class:`ProverError` naming it."""
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            record, end = _decode_value(line)
-        except json.JSONDecodeError:
-            end = len(line)
-        if line[end:] != "\n":
-            if not line.strip() or line[-1] != "\n":
-                continue
-            # surrounding whitespace (say, the CR of a CRLF line) is
-            # accepted; anything else raises the decoder's own message
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ProverError(
-                    f"{path}:{lineno}: bad journal line: {exc}") from None
-        yield lineno, record
 
 
 def load_journal(path: "str | Path"
                  ) -> dict[tuple[str, str], ProverOutcome]:
     """The outcome of each test in the journal, by (question, polarity),
-    streamed a line at a time with each line decoded once. Blank lines,
-    and an unterminated last line torn by a kill mid-append, are skipped;
-    the first other line that is not one JSON object with string ``cq``,
-    ``polarity`` and ``status``, a finite non-negative number ``seconds``
-    (not a bool) and, if any, a list of strings ``used`` raises
-    :class:`ProverError` naming it, as do bytes that are not UTF-8. A
-    missing journal raises ``FileNotFoundError``, as ``open`` does."""
+    streamed a line at a time with each line decoded once, equal records
+    sharing one outcome. Blank lines, and an unterminated last line torn
+    by a kill mid-append, are skipped; the first other line that is not
+    one JSON object with string ``cq``, ``polarity`` and ``status``, a
+    finite non-negative number ``seconds`` (not a bool) and, if any, a
+    list of strings ``used`` raises :class:`ProverError` naming it, as do
+    bytes that are not UTF-8. A missing journal raises
+    ``FileNotFoundError``, as ``open`` does."""
     path = Path(path)
+    outcomes, shared = {}, {}
     with open(path, encoding="utf-8", newline="\n") as handle:
         try:
-            return _index_records(path, _streamed_records(path, handle))
+            for lineno, line in enumerate(handle, start=1):
+                try:
+                    record, end = _decode_value(line)
+                except json.JSONDecodeError:
+                    end = len(line)
+                if line[end:] != "\n":
+                    if not line.strip() or line[-1] != "\n":
+                        continue
+                    # surrounding whitespace (say, the CR of a CRLF line)
+                    # is accepted; anything else raises the decoder's own
+                    # message
+                    try:
+                        record = json.loads(line)
+                    except json.JSONDecodeError as exc:
+                        raise ProverError(
+                            f"{path}:{lineno}: bad journal line: {exc}"
+                        ) from None
+                try:
+                    cq_id, polarity = record["cq"], record["polarity"]
+                    status, seconds = record["status"], record["seconds"]
+                    used = record.get("used", [])
+                except (KeyError, TypeError):
+                    cq_id = None
+                # type() rather than isinstance(): the decoder makes no
+                # subclass, and a bool is not a number of seconds
+                if not (type(cq_id) is str and type(polarity) is str
+                        and type(status) is str
+                        and (type(seconds) is float or type(seconds) is int)
+                        and 0 <= seconds <= _MAX_SECONDS
+                        and type(used) is list
+                        and (not used
+                             or all(type(name) is str for name in used))):
+                    raise ProverError(
+                        f"{path}:{lineno}: journal line is not a record with "
+                        "string cq, polarity and status, a finite "
+                        "non-negative number of seconds and, if any, a list "
+                        "of strings as used")
+                key = (status, seconds, tuple(used))
+                outcome = shared.get(key)
+                if outcome is None:
+                    outcome = shared[key] = ProverOutcome(*key)
+                outcomes[cq_id, polarity] = outcome
         except UnicodeDecodeError as exc:
             raise ProverError(
                 f"{path}: journal is not UTF-8 text: {exc}") from None
+    return outcomes
 
 
 def _drop_torn_tail(path: "str | Path") -> None:
@@ -504,7 +497,7 @@ def run_batch(ontology: Ontology, cqs, config: ProverConfig,
                 "prover error on %s %s test: %s", cq.id, polarity,
                 outcome.detail)
         with lock:
-            append_journal(journal_path, [(cq.id, polarity, outcome)])
+            append_journal(journal, [(cq.id, polarity, outcome)])
         return outcome
 
     def evaluate(cq: CompetencyQuestion) -> Verdict:
@@ -519,7 +512,8 @@ def run_batch(ontology: Ontology, cqs, config: ProverConfig,
         return Verdict(cq.id, outcomes[TRUTH], outcomes[FALSITY])
 
     Path(workdir).mkdir(parents=True, exist_ok=True)
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+    with open(journal_path, "a", encoding="utf-8") as journal, \
+            ThreadPoolExecutor(max_workers=config.workers) as pool:
         verdicts = list(pool.map(evaluate, cqs))
     executed = [o for v in verdicts for o in (v.truth, v.falsity) if o]
     if executed and all(o.status == ERROR for o in executed):
@@ -562,7 +556,7 @@ def oracle_run_batch(tax: Taxonomy, cqs,
     verdict is recomputed, so the journal is rewritten with this run's
     records."""
     verdicts = [oracle_verdict(tax, cq) for cq in cqs]
-    Path(journal_path).unlink(missing_ok=True)
-    append_journal(journal_path, verdict_tests(verdicts))
+    with open(journal_path, "w", encoding="utf-8") as journal:
+        append_journal(journal, verdict_tests(verdicts))
     _raise_on_contradiction(verdicts)
     return verdicts

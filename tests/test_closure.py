@@ -1,5 +1,6 @@
 import random
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -10,13 +11,14 @@ from ontoclose.closure import (
     ClosureConflictError, CurationError, CurationFile, CurationIncompleteError,
     apply_closure, assume_disjointness, assume_nondisjointness,
     complete_subclass, load_curation, serialize_curation, suggest_curation,
-    support_axioms,
+    support_axioms, _unit,
 )
 from ontoclose.kif import Forall, Implies, Or
 from ontoclose.modes import MODES
-from ontoclose.prover import oracle_verdict
+from ontoclose.prover import FALSITY, TRUTH, oracle_verdict, write_problem
 from ontoclose.taxonomy import (
-    DISJOINT, NONDISJOINT, ClassGraph, Taxonomy, TaxonomyError, build_taxonomy,
+    DISJOINT, NONDISJOINT, OPEN, ClassGraph, Taxonomy, TaxonomyError,
+    build_taxonomy,
 )
 from ontoclose.tptp import AxiomBlock
 
@@ -45,6 +47,33 @@ def taxonomy_to_ontology(tax):
         only = next(iter(tax.classes))
         lines.append(f"($instance something {only})")
     return kif.parse_kif("\n".join(lines))
+
+
+def with_curated_disjoint(rng, tax, candidates, count=2):
+    """``candidates`` plus curated ``$disjoint`` facts on up to ``count``
+    pairs that are open once the candidates are merged, each kept only if
+    the facts stay free of conflicts."""
+    merged = tax.with_facts(nondisjoint=candidates.nondisjoint,
+                            inheritable_nondisjoint=candidates.inheritable)
+    names = sorted(tax.classes)
+    open_pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]
+                  if merged.pair_status(a, b) == OPEN]
+    disjoint = []
+    for p in rng.sample(open_pairs, min(count, len(open_pairs))):
+        if not merged.with_facts(disjoint=[*disjoint, p]).find_conflicts():
+            disjoint.append(p)
+    return CurationFile.from_pairs(candidates.nondisjoint,
+                                   candidates.inheritable, disjoint)
+
+
+def model_background():
+    """The non-unit axioms of ``organism_process.kif``, which give the
+    predicates their meaning, renamed apart from the closure's ids."""
+    background = [replace(ax, id=f"bg_{ax.id}")
+                  for ax in load_ontology("organism_process.kif")
+                  if not kif.is_unit_clause(ax.formula)]
+    assert len(background) == 6
+    return background
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +413,7 @@ def test_curation_round_trip():
              "(inheritableNonDisjoint Birth Death)\n"
              "(disjoint RedBloodCell WhiteBloodCell)\n")
     assert load_curation(plain) == cur
-    # each kind sorted; names that join to the same text stay two entries
+    # each kind sorted; names that join to the same text keep two ids
     joined = CurationFile.from_pairs(disjoint=[("A_B", "C"), ("B", "A"),
                                                ("A", "B_C")])
     assert serialize_curation(joined) == (
@@ -532,6 +561,30 @@ def test_apply_closure_unknown_mode(organism_process):
         apply_closure(organism_process, "open-world")
 
 
+def test_pair_axiom_ids_never_collide():
+    # with a plain "_" between the names, A_B/C and A/B_C both gave
+    # A_B_C, and A_/B and A/_B both gave A__B
+    joined = [("A_B", "C"), ("A", "B_C"), ("A_", "B"), ("A", "_B")]
+    for prefix in ("cwad", "cwan_ind", "cwan_nd", "cur_nd", "cur_ind",
+                   "cur_dis"):
+        ids = {_unit("$disjoint", p, prefix, "curation").id for p in joined}
+        assert len(ids) == len(joined), prefix
+        # names without "_" keep the ids they had
+        assert _unit("$disjoint", ("A", "C"), prefix, "curation").id == \
+            f"{prefix}_A_C"
+    siblings = kif.parse_kif("($subclass A_B T) ($subclass C T) "
+                             "($subclass A T) ($subclass B_C T)")
+    closed = apply_closure(siblings, SUBCLASS_DISJOINT)
+    assert {"cwad_A_;B_C", "cwad_A_B_;C"} <= {ax.id for ax in closed}
+    both = kif.parse_kif("($subclass A_B T) ($subclass C T) ($subclass A T) "
+                         "($subclass B_C T) ($subclass D A_B) ($subclass D C) "
+                         "($subclass E A) ($subclass E B_C)")
+    closed = apply_closure(both, SUBCLASS_NONDISJOINT)
+    assert {"cwan_ind_A_;B_C", "cwan_ind_A_B_;C"} <= {ax.id for ax in closed}
+    curation = CurationFile.from_pairs(disjoint=joined)
+    assert load_curation(serialize_curation(curation)) == curation
+
+
 # ---------------------------------------------------------------------------
 # Closure totality and duality on random taxonomies
 # ---------------------------------------------------------------------------
@@ -555,15 +608,16 @@ def test_every_closed_ontology_has_the_witness_model():
     # inconsistent: every axiom it returns, and the background axioms that
     # give the predicates their meaning, hold in one finite model, and so
     # does every test the oracle proves
-    background = [ax for ax in load_ontology("organism_process.kif")
-                  if not kif.is_unit_clause(ax.formula)]
-    assert len(background) == 6
-    rng = random.Random(5151)
+    background = model_background()
+    rng, curation_rng = random.Random(5151), random.Random(5252)
+    curated = 0
     for round_ in range(120):
         ontology = taxonomy_to_ontology(
             witness_oracle.random_taxonomy(rng, max_classes=7))
         tax = build_taxonomy(ontology)
-        curation = suggest_curation(tax, SUBCLASS_DISJOINT).candidates
+        curation = with_curated_disjoint(
+            curation_rng, tax, suggest_curation(tax, SUBCLASS_DISJOINT).candidates)
+        curated += bool(curation.disjoint)
         for mode in MODES:
             closed = apply_closure(ontology, mode, curation, tax=tax)
             model = WitnessModel(closed)
@@ -580,22 +634,24 @@ def test_every_closed_ontology_has_the_witness_model():
                             assert model.holds(cq.conjecture), where
                         if verdict.falsity.proved:
                             assert not model.holds(cq.conjecture), where
+    assert curated > 30
 
 
-def test_every_emitted_closed_axiom_holds_in_the_witness_model():
+def test_every_emitted_closed_axiom_holds_in_the_witness_model(tmp_path):
     # the same model check on what a prover reads: each line of the axiom
     # block of a closed ontology and the background axioms, read back
-    # through the block's table
-    background = [replace(ax, id=f"bg_{ax.id}")
-                  for ax in load_ontology("organism_process.kif")
-                  if not kif.is_unit_clause(ax.formula)]
-    rng = random.Random(6161)
+    # through the block's table, and the conjecture line of the problem
+    # of every test the oracle proves
+    background = model_background()
+    rng, curation_rng = random.Random(6161), random.Random(6262)
     inputs = [kif.parse_kif(ADVERSARIAL_NAMES)] + [
         taxonomy_to_ontology(witness_oracle.random_taxonomy(rng, max_classes=7))
         for _ in range(30)]
+    proved = Counter()
     for round_, ontology in enumerate(inputs):
         tax = build_taxonomy(ontology)
-        curation = suggest_curation(tax, SUBCLASS_DISJOINT).candidates
+        curation = with_curated_disjoint(
+            curation_rng, tax, suggest_curation(tax, SUBCLASS_DISJOINT).candidates)
         for mode in MODES:
             closed = apply_closure(ontology, mode, curation, tax=tax)
             model = WitnessModel(closed)
@@ -604,6 +660,28 @@ def test_every_emitted_closed_axiom_holds_in_the_witness_model():
             assert len(read) == len(closed) + len(background)
             for name, _, formula in read:
                 assert model.holds(formula), (round_, mode, name)
+            if round_ > 5:  # problem files cost time: six inputs suffice
+                continue
+            oracle_tax = build_taxonomy(closed)
+            names = sorted(oracle_tax.classes)
+            for shape, question in (("overlap", overlap_cq),
+                                    ("subset", subset_cq),
+                                    ("distinct", antonymy_cq)):
+                for cq in (question(a, b) for a in names for b in names):
+                    verdict = oracle_verdict(oracle_tax, cq)
+                    for polarity, outcome in ((TRUTH, verdict.truth),
+                                              (FALSITY, verdict.falsity)):
+                        if not outcome.proved:
+                            continue
+                        problem = write_problem(block, cq, polarity, tmp_path)
+                        [(_, role, conjecture)] = read_problem(
+                            problem.read_text().splitlines()[-1],
+                            block.table.demangle)
+                        where = (round_, mode, cq.id, polarity)
+                        assert role == "conjecture", where
+                        assert model.holds(conjecture), where
+                        proved[shape, polarity] += 1
+    assert len(proved) == 6, proved
 
 
 def test_input_taxonomy_with_appended_facts_equals_a_rebuild():

@@ -256,6 +256,24 @@ def test_spawn_failure(problem_file):
     assert "spawn failed" in outcome.detail
 
 
+def test_the_program_is_looked_up_once_when_configured(tmp_path, problem_file,
+                                                      monkeypatch):
+    import shutil
+
+    script = tmp_path / "theorem.sh"
+    script.write_text("echo '% SZS status Theorem'\n")
+    config = ProverConfig(command=f"sh {script} {{problem}}")
+    assert config.executable == shutil.which("sh")
+    # a program not found keeps its name, and each spawn looks it up
+    missing = ProverConfig(command="no-such-prover {problem}")
+    assert missing.executable is None
+    outcome = run_prover(problem_file, missing)
+    assert outcome.detail == ("spawn failed: [Errno 2] No such file or "
+                              "directory: 'no-such-prover'")
+    monkeypatch.setattr(os, "get_exec_path", None)  # a lookup per spawn fails
+    assert run_prover(problem_file, config).status == PROVED
+
+
 def test_the_address_space_cap_reaches_the_prover(tmp_path, problem_file):
     config = stub_provers.stub_config(tmp_path, stub_provers.capped_at(512),
                                       memory_limit_mib=512)
@@ -388,7 +406,8 @@ def test_outcome_holds_its_wall_time_at_the_journals_precision(tmp_path):
     assert outcome.wall_time == 0.123457
     written = ProverOutcome(PROVED, 2 / 3)
     journal = tmp_path / "journal.jsonl"
-    append_journal(journal, [("q", TRUTH, written)])
+    with open(journal, "a", encoding="utf-8") as handle:
+        append_journal(handle, [("q", TRUTH, written)])
     assert load_journal(journal) == {("q", TRUTH): written}
 
 
@@ -450,8 +469,10 @@ def test_run_batch_unknown(tmp_path, organism_process):
 def test_journal_round_trip(tmp_path):
     journal = tmp_path / "results.jsonl"
     outcome = ProverOutcome(status=PROVED, wall_time=1.25, used=("orig_1",))
-    append_journal(journal, [("cq-1", TRUTH, outcome)])
-    append_journal(journal, [("cq-1", FALSITY, ProverOutcome(GAVE_UP, 0.5))])
+    with open(journal, "a", encoding="utf-8") as handle:
+        append_journal(handle, [("cq-1", TRUTH, outcome)])
+    with open(journal, "a", encoding="utf-8") as handle:
+        append_journal(handle, [("cq-1", FALSITY, ProverOutcome(GAVE_UP, 0.5))])
     assert load_journal(journal) == {("cq-1", TRUTH): outcome,
                                      ("cq-1", FALSITY): ProverOutcome(
                                          GAVE_UP, 0.5)}
@@ -525,8 +546,9 @@ def test_load_journal_reads_a_line_longer_than_its_read_buffer(tmp_path):
     journal = tmp_path / "journal.jsonl"
     long = ProverOutcome(PROVED, 0.5, used=tuple(
         f"axiom_{i}" for i in range(10_000)))
-    append_journal(journal, [("q", TRUTH, long), ("q", FALSITY, long),
-                             ("r", TRUTH, ProverOutcome(GAVE_UP, 1.0))])
+    with open(journal, "a", encoding="utf-8") as handle:
+        append_journal(handle, [("q", TRUTH, long), ("q", FALSITY, long),
+                                ("r", TRUTH, ProverOutcome(GAVE_UP, 1.0))])
     assert len(journal.read_text().split("\n")[0]) > 10 * io.DEFAULT_BUFFER_SIZE
     assert load_journal(journal) == {("q", TRUTH): long,
                                      ("q", FALSITY): long,
@@ -668,9 +690,10 @@ def test_journal_lines_are_json_dumps_of_the_record(tmp_path):
     tests = [(cq_id, polarity, outcome)
              for cq_id, outcome in zip(ADVERSARIAL_NAMES * 3, outcomes)
              for polarity in (TRUTH, FALSITY, "polar\\ity")]
-    append_journal(journal, tests)
-    append_journal(journal, [])
-    append_journal(journal, iter(tests[:1]))
+    with open(journal, "a", encoding="utf-8") as handle:
+        append_journal(handle, tests)
+        append_journal(handle, [])
+        append_journal(handle, iter(tests[:1]))
     expected = "".join(json.dumps(journal_record(*test), sort_keys=True)
                        + "\n" for test in tests + tests[:1])
     assert journal.read_bytes() == expected.encode("utf-8")
@@ -706,6 +729,43 @@ def test_run_batch_resumes_after_a_torn_last_line(tmp_path, organism_process):
     assert [v.value for v in verdicts] == [UNKNOWN, UNKNOWN]
     lines = journal.read_text().splitlines()
     assert len(lines) == 4  # the torn record was run again, on a line of its own
+    assert len(load_journal(journal)) == 4
+
+
+def test_run_batch_opens_its_journal_once_and_flushes_each_line(
+        tmp_path, organism_process, monkeypatch):
+    import builtins
+
+    from ontoclose import prover
+
+    config = stub_provers.stub_config(tmp_path, stub_provers.COUNTER_SATISFIABLE)
+    journal = tmp_path / "journal.jsonl"
+    cqs = [antonymy_cq("Birth", "Death"), antonymy_cq("Breathing", "Mating")]
+    modes, lines_seen = [], []
+    real_open, real_run = builtins.open, prover.run_prover
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if file == journal:
+            modes.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    def recording_run(path, config):
+        # a kill now would keep every line of the tests that finished
+        lines_seen.append(journal.read_bytes().count(b"\n")
+                          if journal.exists() else 0)
+        return real_run(path, config)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(prover, "run_prover", recording_run)
+    run_batch(organism_process, cqs, config, journal, tmp_path / "problems")
+    # the resume load finds no journal; then one open for the whole batch
+    assert modes == ["r", "a"]
+    assert lines_seen == [0, 1, 2, 3]
+    journal.write_bytes(journal.read_bytes()[:-10])
+    modes.clear()
+    run_batch(organism_process, cqs, config, journal, tmp_path / "problems")
+    # load, cut the torn line, then one open to append the test run again
+    assert modes == ["r", "r+b", "a"]
     assert len(load_journal(journal)) == 4
 
 
