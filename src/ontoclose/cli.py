@@ -186,7 +186,7 @@ def cmd_gen_cqs(args) -> int:
         args.mapping, args.hyponymy, args.antonymy, args.template or ())
     if args.split_dir:
         for pattern, group in questions.group_by_pattern(all_questions).items():
-            safe = pattern.replace("(", "_").replace(")", "").strip("_")
+            safe = pattern.replace("(", "_").replace(")", "")
             _write(Path(args.split_dir) / f"{safe}.kif",
                    questions.write_cq_corpus(group))
     _write_or_print(args.out, questions.write_cq_corpus(all_questions))
@@ -319,6 +319,13 @@ def cmd_pipeline(args) -> int:
                    taxonomy)
 
     config = load_config(args.config)
+    known = {"ontology", "curation", "mapping", "out", "modes", "oracle",
+             "prover.command", "prover.time_limit", "prover.memory_limit",
+             "prover.workers",
+             *(f"pairs.{kind}" for kind in lexicon.PAIR_KINDS)}
+    for key in config:
+        if key not in known:
+            raise kif.KifError(f"{args.config}: unknown key {key!r}")
     for required in ("ontology", "mapping", "out"):
         if not config.get(required):
             raise kif.KifError(f"{args.config}: needs a path in '{required}='")

@@ -165,24 +165,6 @@ def parse_prover_output(output: str) -> tuple["str | None", tuple[str, ...]]:
     return szs, tuple(cites)
 
 
-def _kill_session(process) -> None:
-    """Kill every process in the session a ``Popen`` started."""
-    import signal
-
-    try:
-        os.killpg(process.pid, signal.SIGKILL)
-    except ProcessLookupError:
-        pass
-
-
-def _fail(process, start: float, detail: str) -> ProverOutcome:
-    """Kill the prover's session, reap it and fail its test with ``detail``."""
-    _kill_session(process)
-    process.communicate()
-    return ProverOutcome(status=ERROR, wall_time=time.perf_counter() - start,
-                         detail=detail)
-
-
 def _text(chunks: list[bytes]) -> str:
     """A stream's bytes decoded whole, as text-mode ``Popen`` decodes it."""
     text = b"".join(chunks).decode("utf-8", "replace")
@@ -197,22 +179,23 @@ def run_prover(problem_path: "str | Path", config: ProverConfig) -> ProverOutcom
     without such code, CPython spawns through ``vfork``, which is much
     cheaper per test and safe under ``run_batch``'s threads. The cost is a short window in
     which the prover runs uncapped, between its ``exec`` and the
-    ``prlimit`` call. The child is not reaped until its output is read,
-    so its pid cannot be reused in that window. A cap that cannot be set
-    (say, above the inherited hard limit) kills the child's session and
-    fails this test with an error outcome.
+    ``prlimit`` call. The child is not reaped until its outcome is known,
+    so its pid cannot be reused in that window.
 
     One selector watches the child's stdout and stderr and a pidfd
     (Linux 5.3 or later) that turns readable when the child exits, so the
     child is reaped as soon as it has exited and its output has closed,
-    with no sleep between polls. Past ``time_limit + KILL_GRACE`` its
-    session is killed and the output drained. A pidfd that cannot be
-    opened fails the test as a cap that cannot be set does.
+    with no sleep between polls. A prover still running at
+    ``time_limit + KILL_GRACE``, or whose cap or pidfd cannot be set, has
+    its session killed and is reaped at once, its pipes closed unread:
+    its ``timeout`` or ``error`` outcome does not use its output, and a
+    descendant that left the session cannot hold the test open.
     """
     # imported here, as are the batch's threads and the problem renderer:
     # oracle runs use none of them
     import resource
     import selectors
+    import signal
     import subprocess
 
     argv = [part.replace("{problem}", str(problem_path))
@@ -227,44 +210,53 @@ def run_prover(problem_path: "str | Path", config: ProverConfig) -> ProverOutcom
     except OSError as exc:
         return ProverOutcome(status=ERROR, wall_time=time.perf_counter() - start,
                              detail=f"spawn failed: {exc}")
+    chunks = {process.stdout.fileno(): [], process.stderr.fileno(): []}
+    # why the prover is killed; None once it has exited on its own
+    status, detail = TIMEOUT, "killed at time limit plus grace"
+    pidfd = None
+    # what went wrong if the next call raises
+    failure = (f"cannot cap the prover's address space at "
+               f"{config.memory_limit_mib} MiB")
     try:
         resource.prlimit(process.pid, resource.RLIMIT_AS,
                          (limit_bytes, limit_bytes))
-    except (OSError, ValueError) as exc:
-        return _fail(process, start,
-                     f"cannot cap the prover's address space at "
-                     f"{config.memory_limit_mib} MiB: {exc}")
-    try:
+        failure = "cannot open a pidfd on the prover"
         pidfd = os.pidfd_open(process.pid)
-    except OSError as exc:
-        return _fail(process, start,
-                     f"cannot open a pidfd on the prover: {exc}")
-    chunks = {process.stdout.fileno(): [], process.stderr.fileno(): []}
-    deadline = start + config.time_limit + KILL_GRACE
-    killed = False
-    try:
-        with process.stdout, process.stderr, \
-                selectors.PollSelector() as selector:
+    except (OSError, ValueError) as exc:
+        status, detail = ERROR, f"{failure}: {exc}"
+    else:
+        deadline = start + config.time_limit + KILL_GRACE
+        with selectors.PollSelector() as selector:
             for fd in (pidfd, *chunks):
                 selector.register(fd, selectors.EVENT_READ)
             while selector.get_map():
-                timeout = None if killed else deadline - time.perf_counter()
-                if not killed and timeout <= 0:
-                    killed, timeout = True, None
-                    _kill_session(process)
+                timeout = deadline - time.perf_counter()
+                if timeout <= 0:
+                    break
                 for key, _ in selector.select(timeout):
                     data = os.read(key.fd, 32768) if key.fd != pidfd else b""
                     if data:
                         chunks[key.fd].append(data)
                     else:
                         selector.unregister(key.fd)
+            else:  # both pipes at end of file and the prover exited
+                detail = None
     finally:
-        os.close(pidfd)
-    process.wait()  # returns at once: the pidfd reported the exit
+        # the one kill, of the prover's whole session; it also runs when
+        # an exception leaves the loop
+        if detail is not None:
+            try:
+                os.killpg(process.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        process.stdout.close()
+        process.stderr.close()
+        if pidfd is not None:
+            os.close(pidfd)
+        process.wait()  # returns at once: the prover exited or was killed
     wall = time.perf_counter() - start
-    if killed:
-        return ProverOutcome(status=TIMEOUT, wall_time=wall,
-                             detail="killed at time limit plus grace")
+    if detail is not None:
+        return ProverOutcome(status=status, wall_time=wall, detail=detail)
     output = "\n".join(map(_text, chunks.values()))
     szs, used = parse_prover_output(output)
     if szs is None:

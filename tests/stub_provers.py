@@ -71,6 +71,22 @@ os.dup2(devnull, 2)
 time.sleep(60)
 """
 
+# Starts a child in a session of its own, which inherits its stdout and
+# stderr, writes the child's pid to <problem>.child and sleeps past any
+# test's limit: a kill of the prover's session leaves the child running
+# with the prover's output open.
+ESCAPES = """
+import subprocess
+import sys
+import time
+
+child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(10)"],
+                         start_new_session=True)
+with open(sys.argv[1] + ".child", "w") as handle:
+    handle.write(str(child.pid))
+time.sleep(60)
+"""
+
 # Writes more than 64 KiB to each stream, with CRLF and lone CR line ends,
 # bytes that are not UTF-8 and a two-byte character, then (when asked)
 # the SZS line.

@@ -168,6 +168,30 @@ def test_gen_cqs_template(tmp_path, lexical_files):
     assert "template(part-overlap)" in out.read_text()
 
 
+def test_gen_cqs_split_dir_gives_every_pattern_its_own_file(tmp_path,
+                                                          lexical_files):
+    # template(x) and template(x_) were both written to template_x.kif
+    mapping, _, _ = lexical_files
+    pairs = tmp_path / "parts.tsv"
+    pairs.write_text("birth#n#2\tdeath#n#1\n")
+    specs = []
+    for name in ("x", "x_"):
+        template = tmp_path / f"{name}.kif"
+        template.write_text(
+            f"; template: {name}\n; kind: meronymy-part\n"
+            "(exists (X Y) (and ($instance X C1) ($instance Y C2) "
+            "(part X Y)))\n")
+        specs += ["--template", f"{template}:{pairs}"]
+    split = tmp_path / "split"
+    assert run_cli("gen-cqs", "--mapping", mapping, *specs,
+                   "--out", tmp_path / "cqs.kif", "--split-dir", split) == EXIT_OK
+    assert sorted(f.name for f in split.iterdir()) == \
+        ["template_x.kif", "template_x_.kif"]
+    assert "; pattern: template(x)\n" in (split / "template_x.kif").read_text()
+    assert "; pattern: template(x_)\n" in \
+        (split / "template_x_.kif").read_text()
+
+
 def test_gen_cqs_writes_exact_corpus_bytes(tmp_path, capsys):
     # every built-in pattern: noun and verb hyponymy pairs whose first
     # synset is mapped by =, + and @, a synset mapped to two classes, two
@@ -1314,6 +1338,23 @@ def test_pipeline_config_value_that_selects_nothing_is_refused(
     before = sorted(tmp_path.iterdir())
     assert run_cli("pipeline", config) == EXIT_DATA
     assert f"{config}: {message}" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_pipeline_config_key_it_does_not_know_is_refused(
+        tmp_path, lexical_files, monkeypatch, capsys):
+    # a misspelt prover.time_limit ran with the default limit, and a
+    # misspelt key that selects a path or a mode was dropped unread
+    mapping, antonymy, _ = lexical_files
+    config = tmp_path / "run.conf"
+    config.write_text(f"ontology={ONTOLOGY}\nmapping={mapping}\n"
+                      f"pairs.antonymy={antonymy}\nout=results\nmodes=owa\n"
+                      "prover.timelimit=10\n")
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert run_cli("pipeline", config) == EXIT_DATA
+    assert f"{config}: unknown key 'prover.timelimit'" in \
+        capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == before
 
 

@@ -1,8 +1,10 @@
+import errno
 import io
 import json
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 import textwrap
@@ -205,6 +207,85 @@ def test_a_prover_that_closes_its_output_is_still_killed_at_the_deadline(
     while not _gone(child) and time.monotonic() < deadline:
         time.sleep(0.01)
     assert _gone(child)
+
+
+def _open_fds() -> list[str]:
+    return os.listdir("/proc/self/fd")
+
+
+def _recording_popen(monkeypatch) -> list:
+    """The list each ``subprocess.Popen`` made from now on is put in."""
+    made = []
+    real_popen = subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        made.append(real_popen(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", recording_popen)
+    return made
+
+
+def test_a_killed_prover_is_reaped_without_waiting_for_its_output(
+        tmp_path, problem_file, monkeypatch):
+    # a child that left the prover's session holds its output open for
+    # 10 s; the killed prover is reaped at once, its pipes closed unread
+    monkeypatch.setattr("ontoclose.prover.KILL_GRACE", 0.2)
+    config = stub_provers.stub_config(tmp_path, stub_provers.ESCAPES,
+                                      time_limit=0.5)
+    fds = _open_fds()
+    start = time.perf_counter()
+    try:
+        outcome = run_prover(problem_file, config)
+        elapsed = time.perf_counter() - start
+    finally:
+        child = Path(f"{problem_file}.child")
+        if child.exists():
+            try:
+                os.kill(int(child.read_text()), signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+    assert outcome.status == TIMEOUT
+    assert outcome.detail == "killed at time limit plus grace"
+    assert 0.7 <= outcome.wall_time and elapsed < 2.0
+    assert _open_fds() == fds
+
+
+def test_a_pidfd_that_cannot_be_opened_fails_the_test_and_kills_the_prover(
+        tmp_path, problem_file, monkeypatch):
+    def no_pidfd(pid):
+        raise OSError(errno.ENOSYS, "Function not implemented")
+
+    monkeypatch.setattr(os, "pidfd_open", no_pidfd)
+    made = _recording_popen(monkeypatch)
+    config = stub_provers.stub_config(tmp_path, stub_provers.SLEEPER)
+    fds = _open_fds()
+    start = time.perf_counter()
+    outcome = run_prover(problem_file, config)
+    assert time.perf_counter() - start < 5.0
+    assert outcome.status == ERROR
+    assert outcome.detail == ("cannot open a pidfd on the prover: "
+                              "[Errno 38] Function not implemented")
+    # the sleeper was killed and reaped, not waited for
+    assert [p.returncode for p in made] == [-signal.SIGKILL]
+    assert _open_fds() == fds
+
+
+def test_a_fault_while_reading_still_kills_and_reaps_the_prover(
+        tmp_path, problem_file, monkeypatch):
+    import selectors
+
+    def failing_select(self, timeout=None):
+        raise RuntimeError("select failed")
+
+    monkeypatch.setattr(selectors.PollSelector, "select", failing_select)
+    made = _recording_popen(monkeypatch)
+    config = stub_provers.stub_config(tmp_path, stub_provers.SLEEPER)
+    fds = _open_fds()
+    with pytest.raises(RuntimeError, match="select failed"):
+        run_prover(problem_file, config)
+    assert [p.returncode for p in made] == [-signal.SIGKILL]
+    assert _open_fds() == fds
 
 
 @pytest.mark.parametrize("szs", [True, False])
