@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
+from collections import Counter, namedtuple
 from pathlib import Path
 
 from .modes import MODES, OWA, SUBCLASS_DISJOINT, SUBCLASS_NONDISJOINT
@@ -23,6 +24,8 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_PROVER = 4
 EXIT_INCONSISTENT = 5
+
+_GENERATED = "generated {} questions; skipped {} unmapped pairs"
 
 def _read(path: str) -> str:
     from . import kif
@@ -91,7 +94,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    from . import closure, kif, taxonomy
+    from . import closure, kif, reports, taxonomy
 
     ontology = _load_ontology(args.ontology)
     labeled = [("original", kif.count_metrics(ontology))]
@@ -103,19 +106,11 @@ def cmd_stats(args) -> int:
                                            prune=prune, tax=tax)
             label = f"{args.mode} ({'pruned' if prune else 'unpruned'})"
             labeled.append((label, kif.count_metrics(closed)))
-    sys.stdout.write(_write_size_stats(labeled, args.csv))
-    return EXIT_OK
-
-
-def _write_size_stats(labeled, path: "str | Path | None") -> str:
-    """Size metrics table of (label, SizeStats) rows as CSV, written to
-    ``path`` when one is given."""
-    from . import reports
-
     text = reports.render_size_stats_csv(labeled)
-    if path:
-        _write(path, text)
-    return text
+    if args.csv:
+        _write(args.csv, text)
+    sys.stdout.write(text)
+    return EXIT_OK
 
 
 def cmd_close(args) -> int:
@@ -190,8 +185,7 @@ def cmd_gen_cqs(args) -> int:
             _write(Path(args.split_dir) / f"{safe}.kif",
                    questions.write_cq_corpus(group))
     _write_or_print(args.out, questions.write_cq_corpus(all_questions))
-    print(f"generated {len(all_questions)} questions; "
-          f"skipped {skipped} unmapped pairs", file=sys.stderr)
+    print(_GENERATED.format(len(all_questions), skipped), file=sys.stderr)
     return EXIT_OK
 
 
@@ -224,26 +218,34 @@ def _prover_config(command: "str | None", **limits) -> prover.ProverConfig:
         key: value for key, value in limits.items() if value is not None})
 
 
+def _evaluate(ontology, cqs, journal: "str | Path", config,
+              workdir: "str | Path | None" = None, tax=None, **options) -> list:
+    """Verdicts on ``cqs``, journalled in ``journal``: without a prover
+    ``config`` the oracle's, asked of ``tax`` (or ``ontology``'s taxonomy),
+    else ``prover.run_batch``'s with ``options``, asked of ``ontology`` with
+    problem files in ``workdir`` (or ``problems`` beside the journal)."""
+    from . import prover, taxonomy
+
+    Path(journal).parent.mkdir(parents=True, exist_ok=True)
+    if config is None:
+        return prover.oracle_run_batch(
+            tax or taxonomy.build_taxonomy(ontology), cqs, journal)
+    return prover.run_batch(ontology, cqs, config, journal,
+                            workdir or Path(journal).parent / "problems",
+                            **options)
+
+
 def cmd_run(args) -> int:
-    from . import prover, questions, taxonomy
+    from . import questions
 
     config = None if args.oracle else _prover_config(
         args.prover_cmd, time_limit=args.time_limit,
         memory_limit_mib=args.memory_limit, workers=args.workers)
     ontology = _load_ontology(args.ontology)
     cqs = questions.read_cq_corpus(_read(args.cqs), args.cqs)
-    Path(args.journal).parent.mkdir(parents=True, exist_ok=True)
-    if config is None:
-        verdicts = prover.oracle_run_batch(taxonomy.build_taxonomy(ontology),
-                                           cqs, args.journal)
-    else:
-        workdir = args.problems or str(Path(args.journal).parent / "problems")
-        verdicts = prover.run_batch(ontology, cqs, config, args.journal,
-                                    workdir,
-                                    short_circuit=not args.no_short_circuit)
-    counts: dict[str, int] = {}
-    for verdict in verdicts:
-        counts[verdict.value] = counts.get(verdict.value, 0) + 1
+    verdicts = _evaluate(ontology, cqs, args.journal, config, args.problems,
+                         short_circuit=not args.no_short_circuit)
+    counts = Counter(verdict.value for verdict in verdicts)
     summary = ", ".join(f"{value}: {counts[value]}" for value in sorted(counts))
     print(f"evaluated {len(verdicts)} questions ({summary})", file=sys.stderr)
     return EXIT_OK
@@ -291,9 +293,9 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 def load_config(path: str) -> dict[str, str]:
-    """The config's ``key=value`` settings. A ``#`` that starts a line or
-    follows whitespace starts a comment, which runs to the end of the
-    line."""
+    """The config's ``key=value`` settings, each key set once. A ``#``
+    that starts a line or follows whitespace starts a comment, which runs
+    to the end of the line."""
     import re
 
     from . import kif
@@ -307,9 +309,14 @@ def load_config(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise kif.KifError(f"{path}:{lineno}: expected key=value")
-        key, value = line.split("=", 1)
-        config[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in config:
+            raise kif.KifError(f"{path}:{lineno}: key {key!r} set twice")
+        config[key] = value
     return config
+
+
+_Pass = namedtuple("_Pass", "tax journal outcomes tallied efficiency")
 
 
 def cmd_pipeline(args) -> int:
@@ -330,14 +337,15 @@ def cmd_pipeline(args) -> int:
         if not config.get(required):
             raise kif.KifError(f"{args.config}: needs a path in '{required}='")
     out = Path(config["out"])
-    modes = [m.strip() for m in
-             config.get("modes", ",".join(MODES)).split(",")
+    modes = [m.strip() for m in config.get("modes", ",".join(MODES)).split(",")
              if m.strip()]
     if not modes:
         raise kif.KifError(f"{args.config}: 'modes=' names no mode")
-    for mode in modes:
+    for i, mode in enumerate(modes):
         if mode not in MODES:
             raise kif.KifError(f"{args.config}: unknown mode {mode!r}")
+        if mode in modes[:i]:
+            raise kif.KifError(f"{args.config}: mode {mode!r} named twice")
     for kind in lexicon.PAIR_KINDS:
         if kind not in (lexicon.HYPONYMY, lexicon.ANTONYMY) \
                 and config.get(f"pairs.{kind}"):
@@ -359,10 +367,11 @@ def cmd_pipeline(args) -> int:
         prover_config = _prover_config(config.get("prover.command"), **limits)
     ontology = _load_ontology(config["ontology"])
     curation = _load_curation(config.get("curation"))
-    cqs, _ = _generate_questions(config["mapping"],
-                                 config.get(f"pairs.{lexicon.HYPONYMY}"),
-                                 config.get(f"pairs.{lexicon.ANTONYMY}"))
+    cqs, skipped = _generate_questions(config["mapping"],
+                                       config.get(f"pairs.{lexicon.HYPONYMY}"),
+                                       config.get(f"pairs.{lexicon.ANTONYMY}"))
     _write(out / "cqs.kif", questions.write_cq_corpus(cqs))
+    print(_GENERATED.format(len(cqs), skipped), file=sys.stderr)
 
     # one taxonomy serves every mode's closure and, with the pair facts
     # each closure appends, its oracle
@@ -370,49 +379,40 @@ def cmd_pipeline(args) -> int:
     input_text = kif.serialize_kif(ontology)
     input_stats = kif.count_metrics(ontology)
     labeled_stats = []
-    baseline_proved = None
-    last_tax = last_journal = None  # of the last oracle pass
+    baseline = last = None  # last: the last pass (tax None on a prover)
     for mode in modes:
         mode_dir = out / mode.replace("+", "_")
         closed = closure.apply_closure(ontology, mode, curation, tax=tax)
         additions = closed.axioms[len(ontology):]
         _write(mode_dir / "closed.kif", input_text + kif.serialize_kif(additions))
-        labeled_stats.append((mode,
-                              input_stats + kif.count_metrics(additions)))
+        labeled_stats.append((mode, input_stats + kif.count_metrics(additions)))
         journal = mode_dir / "journal.jsonl"
         oracle_tax = None if prover_config else tax.with_axioms(additions)
-        if oracle_tax is not None and oracle_tax is last_tax:
-            # additions without pair facts leave the taxonomy, and so
-            # every verdict and the efficiency rows, as the last oracle
-            # pass found them
-            if journal != last_journal:  # else the mode is named twice
-                shutil.copyfile(last_journal, journal)
+        if oracle_tax is not None and oracle_tax is getattr(last, "tax", None):
+            # additions without pair facts leave the taxonomy, so every
+            # verdict and the efficiency rows, as the last pass found them
+            shutil.copyfile(last.journal, journal)
         else:
-            outcomes = tallied = None  # hold one run's results at a time
-            if oracle_tax is not None:
-                prover.oracle_run_batch(oracle_tax, cqs, journal)
-                # the reports count what the journal holds, read back
-                # (bench/run.py requires the journal load span)
-                outcomes = prover.load_journal(journal)
-                last_tax, last_journal = oracle_tax, journal
-            else:
-                verdicts = prover.run_batch(closed, cqs, prover_config,
-                                            journal, mode_dir / "problems",
-                                            mode_label=mode)
-                # a resumed journal can hold records of questions no longer
-                # in the corpus: report this run's verdicts only
-                outcomes = {(cq_id, polarity): outcome
-                            for cq_id, polarity, outcome
-                            in prover.verdict_tests(verdicts)}
-                del verdicts
+            last = None  # hold one pass's results at a time
+            verdicts = _evaluate(closed, cqs, journal, prover_config,
+                                 tax=oracle_tax, mode_label=mode)
+            # a resumed journal can hold records of questions no longer
+            # in the corpus: report this run's verdicts only
+            outcomes = {(cq_id, polarity): outcome for cq_id, polarity, outcome
+                        in prover.verdict_tests(verdicts)}
+            del verdicts
+            # bench/run.py times reading the oracle's journal back
+            outcomes = prover.load_journal(journal) if oracle_tax else outcomes
             tallied = reports.tally(outcomes, cqs)
-            efficiency = reports.efficiency_report(tallied)
-        _write_reports(tallied, baseline_proved, cqs, efficiency, mode_dir)
-        if baseline_proved is None:
-            baseline_proved = reports.proved_keys(outcomes)
+            last = _Pass(oracle_tax, journal, outcomes, tallied,
+                         reports.efficiency_report(tallied))
+            del outcomes, tallied
+        _write_reports(last.tallied, baseline, cqs, last.efficiency, mode_dir)
+        if baseline is None:
+            baseline = reports.proved_keys(last.outcomes)
         # free this mode's ontology before the next closure
         del closed, additions
-    _write_size_stats(labeled_stats, out / "stats.csv")
+    _write(out / "stats.csv", reports.render_size_stats_csv(labeled_stats))
     print(f"pipeline complete; outputs in {out}", file=sys.stderr)
     return EXIT_OK
 

@@ -724,6 +724,20 @@ def test_config_comment_after_a_value_is_not_part_of_it(tmp_path,
          "hyponymy.tsv"}
 
 
+def test_config_key_set_twice_is_refused(tmp_path, lexical_files, capsys):
+    # the last modes= was kept: the pipeline ran subclass+disjointness
+    # alone and exited 0
+    mapping, antonymy, _ = lexical_files
+    config = tmp_path / "run.conf"
+    config.write_text(
+        f"ontology={ONTOLOGY}\nmapping={mapping}\npairs.antonymy={antonymy}\n"
+        f"modes=owa\nout={tmp_path / 'results'}\n"
+        " modes = subclass+disjointness\n")
+    assert run_cli("pipeline", config) == EXIT_DATA
+    assert f"{config}:6: key 'modes' set twice" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
 def test_config_lines_end_at_newline_only(tmp_path):
     # str.splitlines would also break at U+2028 and call "b.kif" line 2
     ontology = f"{tmp_path}/a\u2028b.kif"
@@ -757,6 +771,26 @@ def test_pipeline_end_to_end(tmp_path, lexical_files):
     atoms = [int(line.split(",")[4]) for line in stats_lines]
     assert atoms[0] <= atoms[1] <= atoms[2]
     assert atoms[1] <= atoms[3]
+
+
+def test_pipeline_says_how_many_unmapped_pairs_it_skipped(tmp_path,
+                                                         lexical_files,
+                                                         capsys):
+    # pipeline dropped the count that gen-cqs prints
+    mapping, _, hyponymy = lexical_files
+    antonymy = tmp_path / "antonymy.tsv"
+    antonymy.write_text("birth#n#2\tdeath#n#1\nghost#n#1\tdeath#n#1\n")
+    config = tmp_path / "run.conf"
+    config.write_text(
+        f"ontology={ONTOLOGY}\nmapping={mapping}\npairs.antonymy={antonymy}\n"
+        f"pairs.hyponymy={hyponymy}\nout={tmp_path / 'results'}\n"
+        "modes=owa\n")
+    assert run_cli("gen-cqs", "--mapping", mapping, "--hyponymy", hyponymy,
+                   "--antonymy", antonymy) == EXIT_OK
+    generated = capsys.readouterr().err
+    assert generated == "generated 2 questions; skipped 1 unmapped pairs\n"
+    assert run_cli("pipeline", config) == EXIT_OK
+    assert capsys.readouterr().err.startswith(generated)
 
 
 def test_pipeline_warns_of_an_undeclared_curated_class_once(tmp_path,
@@ -831,18 +865,26 @@ def _journal_without_seconds(path):
                   for line in path.read_text().splitlines())
 
 
-def test_pipeline_matches_the_stages_run_by_hand(tmp_path, lexical_files):
+@pytest.mark.parametrize("oracle", ["true", "false"])
+def test_pipeline_matches_the_stages_run_by_hand(tmp_path, lexical_files,
+                                                 oracle):
     mapping, antonymy, hyponymy = lexical_files
     curation = tmp_path / "curation.kif"
     curation.write_text("($nonDisjoint Breathing Digesting)\n")
     modes = ["owa", "subclass-only", "subclass+disjointness",
              "subclass+nondisjointness"]
+    # the stub's proofs cite orig_1, an input axiom, which keeps its name
+    # when run reads closed.kif back
+    stub = stub_provers.stub_config(tmp_path, stub_provers.THEOREM)
+    evaluator = (("--oracle",) if oracle == "true"
+                 else ("--prover-cmd", stub.command))
     out = tmp_path / "pipeline"
     config = tmp_path / "run.conf"
     config.write_text(
         f"ontology={ONTOLOGY}\ncuration={curation}\nmapping={mapping}\n"
         f"pairs.hyponymy={hyponymy}\npairs.antonymy={antonymy}\n"
-        f"out={out}\noracle=true\nmodes={','.join(modes)}\n")
+        f"out={out}\noracle={oracle}\nmodes={','.join(modes)}\n"
+        f"prover.command={stub.command}\n")
     assert run_cli("pipeline", config) == EXIT_OK
 
     by_hand = tmp_path / "by_hand"
@@ -857,7 +899,7 @@ def test_pipeline_matches_the_stages_run_by_hand(tmp_path, lexical_files):
         journal = mode_dir / "journal.jsonl"
         assert run_cli("close", ONTOLOGY, "--mode", mode, "--curation",
                        curation, "--out", closed) == EXIT_OK
-        assert run_cli("run", closed, "--oracle", "--cqs", cqs,
+        assert run_cli("run", closed, *evaluator, "--cqs", cqs,
                        "--journal", journal) == EXIT_OK
         baseline = ("--baseline", first_journal) if first_journal else ()
         assert run_cli("report", "--journal", journal, "--cqs", cqs,
@@ -953,21 +995,17 @@ def test_modes_over_one_oracle_taxonomy_share_one_oracle_pass(
     assert written == {name: text.encode() for name, text in expected.items()}
 
 
-def test_pipeline_runs_a_mode_named_twice(tmp_path, lexical_files):
-    # the second owa shares the pass whose journal it would copy onto
-    # itself
+def test_pipeline_refuses_a_mode_named_twice(tmp_path, lexical_files,
+                                            capsys):
+    # a second owa ran again into the first one's directory
     mapping, antonymy, _ = lexical_files
-    out = tmp_path / "results"
     config = tmp_path / "run.conf"
     config.write_text(
         f"ontology={ONTOLOGY}\nmapping={mapping}\npairs.antonymy={antonymy}\n"
-        f"out={out}\nmodes=owa,subclass-only,owa\n")
-    assert run_cli("pipeline", config) == EXIT_OK
-    assert (out / "owa" / "journal.jsonl").read_bytes() == \
-        (out / "subclass-only" / "journal.jsonl").read_bytes()
-    assert [line.split(",")[0] for line in
-            (out / "stats.csv").read_text().splitlines()[1:]] == \
-        ["owa", "subclass-only", "owa"]
+        f"out={tmp_path / 'results'}\nmodes=owa,subclass-only,owa\n")
+    assert run_cli("pipeline", config) == EXIT_DATA
+    assert f"{config}: mode 'owa' named twice" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
 
 
 def test_pipeline_with_stub_prover(tmp_path, lexical_files):
