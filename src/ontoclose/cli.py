@@ -316,7 +316,7 @@ def load_config(path: str) -> dict[str, str]:
     return config
 
 
-_Pass = namedtuple("_Pass", "tax journal outcomes tallied efficiency")
+_Pass = namedtuple("_Pass", "tax journal proved tallied efficiency")
 
 
 def cmd_pipeline(args) -> int:
@@ -397,19 +397,21 @@ def cmd_pipeline(args) -> int:
             verdicts = _evaluate(closed, cqs, journal, prover_config,
                                  tax=oracle_tax, mode_label=mode)
             # a resumed journal can hold records of questions no longer
-            # in the corpus: report this run's verdicts only
-            outcomes = {(cq_id, polarity): outcome for cq_id, polarity, outcome
-                        in prover.verdict_tests(verdicts)}
+            # in the corpus: a prover pass reports this run's verdicts only
+            outcomes = None if oracle_tax else {
+                (cq_id, polarity): outcome for cq_id, polarity, outcome
+                in prover.verdict_tests(verdicts)}
             del verdicts
-            # bench/run.py times reading the oracle's journal back
-            outcomes = prover.load_journal(journal) if oracle_tax else outcomes
+            if outcomes is None:
+                # bench/run.py times reading the oracle's journal back
+                outcomes = prover.load_journal(journal)
             tallied = reports.tally(outcomes, cqs)
-            last = _Pass(oracle_tax, journal, outcomes, tallied,
-                         reports.efficiency_report(tallied))
+            last = _Pass(oracle_tax, journal, reports.proved_keys(outcomes),
+                         tallied, reports.efficiency_report(tallied))
             del outcomes, tallied
         _write_reports(last.tallied, baseline, cqs, last.efficiency, mode_dir)
         if baseline is None:
-            baseline = reports.proved_keys(last.outcomes)
+            baseline = last.proved
         # free this mode's ontology before the next closure
         del closed, additions
     _write(out / "stats.csv", reports.render_size_stats_csv(labeled_stats))

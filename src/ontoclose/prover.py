@@ -368,8 +368,6 @@ def append_journal(handle, tests) -> None:
 
 # the largest number of seconds a report can take as a float
 _MAX_SECONDS = sys.float_info.max
-# one JSON value at the start of a string, and the index after it
-_decode_value = json.JSONDecoder().raw_decode
 
 
 def load_journal(path: "str | Path"
@@ -388,22 +386,15 @@ def load_journal(path: "str | Path"
     with open(path, encoding="utf-8", newline="\n") as handle:
         try:
             for lineno, line in enumerate(handle, start=1):
+                if line[-1] != "\n" or not line.strip():
+                    continue
+                # surrounding whitespace (say, the CR of a CRLF line) is
+                # accepted; anything else raises the decoder's own message
                 try:
-                    record, end = _decode_value(line)
-                except json.JSONDecodeError:
-                    end = len(line)
-                if line[end:] != "\n":
-                    if not line.strip() or line[-1] != "\n":
-                        continue
-                    # surrounding whitespace (say, the CR of a CRLF line)
-                    # is accepted; anything else raises the decoder's own
-                    # message
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise ProverError(
-                            f"{path}:{lineno}: bad journal line: {exc}"
-                        ) from None
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ProverError(
+                        f"{path}:{lineno}: bad journal line: {exc}") from None
                 try:
                     cq_id, polarity = record["cq"], record["polarity"]
                     status, seconds = record["status"], record["seconds"]

@@ -219,10 +219,6 @@ class Taxonomy:
         r1, r2 = related[c1], related[c2]
         if len(r2) < len(r1):
             r1, r2 = r2, r1
-        if len(pairs) < len(r1):
-            # fewer pairs than the smaller related set: a scan costs less
-            return any((a in r1 and b in r2 or a in r2 and b in r1)
-                       and pair(a, b) != skip for a, b in pairs)
         # walk the smaller related set and look its partners up in the other
         partners = pairs.partners
         for a in r1:

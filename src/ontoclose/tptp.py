@@ -60,9 +60,8 @@ class MangleTable:
         return self._mangle("constant", "c__", name)
 
     def axiom_name(self, axiom_id: str) -> str:
-        key = ("name", axiom_id)
-        if key in self._forward:
-            return self._forward[key]
+        # every call claims a new name: ids are unique in an ontology, and
+        # a conjecture named like an axiom must not take the axiom's name
         base = _SANITIZE.sub("_", axiom_id).lower().strip("_") or "ax"
         if not base[0].isalpha():
             base = "ax_" + base

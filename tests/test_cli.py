@@ -518,6 +518,13 @@ def test_report_from_journal(tmp_path, lexical_files, capsys):
         assert fields[3] == "0" and fields[5] == "0"
 
 
+def test_report_over_an_empty_journal(tmp_path, capsys):
+    journal = tmp_path / "journal.jsonl"
+    journal.write_text("")
+    assert run_cli("report", "--journal", journal) == EXIT_OK
+    assert "Total    0      0    0    0.00 %" in capsys.readouterr().out
+
+
 def test_report_deterministic(tmp_path, lexical_files, capsys):
     corpus = _generate_corpus(tmp_path, lexical_files)
     journal = tmp_path / "journal.jsonl"
@@ -930,11 +937,21 @@ def test_modes_over_one_oracle_taxonomy_share_one_oracle_pass(
         f"out={out}\noracle=true\nmodes={','.join(modes)}\n")
     real_run, real_load = prover.oracle_run_batch, prover.load_journal
     real_efficiency = reports.efficiency_report
+    real_tests = prover.verdict_tests
     passes, loads, efficiency_tallies = [], [], []
+    running, tests_calls = [], []  # tests_calls: whether a pass was running
 
     def counting_run(tax, cqs, journal_path):
         passes.append((tax, Path(journal_path).parent.name))
-        return real_run(tax, cqs, journal_path)
+        running.append(journal_path)
+        try:
+            return real_run(tax, cqs, journal_path)
+        finally:
+            running.pop()
+
+    def counting_tests(verdicts):
+        tests_calls.append(bool(running))
+        return real_tests(verdicts)
 
     def counting_load(path):
         loads.append(Path(path).parent.name)
@@ -947,11 +964,15 @@ def test_modes_over_one_oracle_taxonomy_share_one_oracle_pass(
     monkeypatch.setattr(prover, "oracle_run_batch", counting_run)
     monkeypatch.setattr(prover, "load_journal", counting_load)
     monkeypatch.setattr(reports, "efficiency_report", counting_efficiency)
+    monkeypatch.setattr(prover, "verdict_tests", counting_tests)
     assert run_cli("pipeline", config) == EXIT_OK
     monkeypatch.undo()
     assert [name for _, name in passes] == loads == [names[0], names[2],
                                                      names[3]]
     assert len({id(tax) for tax, _ in passes}) == 3
+    # the pass journals its verdicts' tests; the pipeline reports from the
+    # journal and makes no tests of its own
+    assert tests_calls == [True] * 3
     # a mode that shares a pass shares its efficiency rows too
     assert len({id(tallied) for tallied in efficiency_tallies}) == \
         len(efficiency_tallies) == 3
@@ -1005,6 +1026,18 @@ def test_pipeline_refuses_a_mode_named_twice(tmp_path, lexical_files,
         f"out={tmp_path / 'results'}\nmodes=owa,subclass-only,owa\n")
     assert run_cli("pipeline", config) == EXIT_DATA
     assert f"{config}: mode 'owa' named twice" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
+
+
+def test_pipeline_refuses_a_mode_it_does_not_know(tmp_path, lexical_files,
+                                                  capsys):
+    mapping, antonymy, _ = lexical_files
+    config = tmp_path / "run.conf"
+    config.write_text(
+        f"ontology={ONTOLOGY}\nmapping={mapping}\npairs.antonymy={antonymy}\n"
+        f"out={tmp_path / 'results'}\nmodes=owa,closed\n")
+    assert run_cli("pipeline", config) == EXIT_DATA
+    assert f"{config}: unknown mode 'closed'" in capsys.readouterr().err
     assert not (tmp_path / "results").exists()
 
 
@@ -1446,6 +1479,17 @@ def test_template_syntax_error_names_its_file(tmp_path, lexical_files,
     assert run_cli("gen-cqs", "--mapping", mapping, "--template",
                    f"{template}:{pairs}") == EXIT_DATA
     assert f"{template}: unbalanced '(' (line 3, " in capsys.readouterr().err
+
+
+def test_template_without_its_pairs_file_is_a_data_error(tmp_path,
+                                                         lexical_files,
+                                                         capsys):
+    mapping, _, _ = lexical_files
+    template = tmp_path / "overlap.kif"
+    assert run_cli("gen-cqs", "--mapping", mapping,
+                   "--template", template) == EXIT_DATA
+    assert "--template takes TEMPLATE_FILE:PAIRS_FILE" in \
+        capsys.readouterr().err
 
 
 def test_template_pairs_row_error_names_its_file(tmp_path, lexical_files,

@@ -393,6 +393,17 @@ def test_count_metrics_nondisjoint_support_axiom():
     assert stats.formula_count == 1
 
 
+def test_count_metrics_counts_a_negated_atom_as_a_unit_clause():
+    text = ("(not ($disjoint Birth Death))\n"
+            "(not (not ($disjoint Birth Death)))\n")
+    stats = kif.count_metrics(kif.parse_kif(text))
+    assert stats.unit_clause_count == 1
+    assert stats.formula_count == 1
+    assert stats.not_count == 3
+    assert stats.atom_count == 2
+    assert _independent_recount(text)["units"] == 1
+
+
 def test_count_metrics_empty():
     assert kif.count_metrics(kif.Ontology()) == SizeStats()
 

@@ -69,7 +69,10 @@ def test_load_mapping_empty():
 
 
 def test_load_mapping_accumulates_per_synset():
-    text = "s#n#1\tAlpha+\ns#n#1\tBeta+\nother#n#1\tGamma=\n"
+    # a repeated link is read once
+    text = ("s#n#1\tAlpha+\ns#n#1\tBeta+\nother#n#1\tGamma=\n"
+            "s#n#1\tAlpha+\n")
+    assert len(load_mapping(text)) == 3
     index = MappingIndex(load_mapping(text))
     links = index.concepts_for("s#n#1")
     assert [l.concept for l in links] == ["Alpha", "Beta"]
@@ -111,6 +114,7 @@ def test_mapping_index_order_is_lexicographic():
     ("s#n#1\tConcept\n", 1),      # no relation symbol
     ("s#n#1\tX*\n", 1),           # unknown symbol
     ("s#n#1\n", 1),               # missing column
+    ("s#n#1\t=\n", 1),            # no class name
     ("ok#n#1\tFine=\n\tBad=\n", 2),
 ])
 def test_load_mapping_malformed_rows(text, lineno):

@@ -638,16 +638,19 @@ def test_load_journal_reads_a_line_longer_than_its_read_buffer(tmp_path):
 
 def test_load_journal_ends_lines_at_newline_only(tmp_path):
     # a raw U+2028 in a string ends a line for str.splitlines, not for the
-    # journal; a CR before the newline is whitespace around the record
+    # journal; a CR before the newline, or spaces before the record, are
+    # whitespace around it
     journal = tmp_path / "journal.jsonl"
     separated = GOOD_LINE.replace('"q"', '"a\u2028b"')
-    journal.write_bytes(f"{separated}\n{GOOD_LINE}\r\n\r\n".encode()
-                        + b'{"cq": "c"}\r\n')
-    with pytest.raises(ProverError, match=re.escape(f"{journal}:4:")):
+    indented = "  \t" + GOOD_LINE.replace('"q"', '"s"')
+    text = f"{separated}\n{GOOD_LINE}\r\n\r\n{indented}\n"
+    journal.write_bytes(text.encode() + b'{"cq": "c"}\r\n')
+    with pytest.raises(ProverError, match=re.escape(f"{journal}:5:")):
         load_journal(journal)
-    journal.write_bytes(f"{separated}\n{GOOD_LINE}\r\n\r\n".encode())
+    journal.write_bytes(text.encode())
     assert load_journal(journal) == {("a\u2028b", TRUTH): ProverOutcome(
-        PROVED, 0.5), ("q", TRUTH): ProverOutcome(PROVED, 0.5)}
+        PROVED, 0.5), ("q", TRUTH): ProverOutcome(PROVED, 0.5),
+        ("s", TRUTH): ProverOutcome(PROVED, 0.5)}
 
 
 def test_load_journal_rejects_a_late_byte_that_is_not_utf8(tmp_path):

@@ -81,6 +81,14 @@ def test_variable_name_clashes_get_suffixes():
     assert "? [X2] :" in text
 
 
+def test_names_that_cannot_start_an_identifier_take_a_prefix():
+    # a digit cannot start a variable; a zero-arity predicate has no
+    # argument list
+    formula = kif.parse_formula_text(
+        "(forall (?1 ?_x) (=> (Raining) ($p ?1 ?_x)))")
+    assert to_fof(formula) == "! [V1,X] : (s__raining => s__p(V1,X))"
+
+
 def test_open_formula_is_rejected():
     with pytest.raises(UnsupportedConstructError):
         to_fof(kif.parse_formula_text("($instance ?x Birth)"))
@@ -129,6 +137,23 @@ def test_axiom_names_keep_provenance_prefix():
     assert table.axiom_name("comp_OrganismProcess") == "comp_organismprocess"
     assert table.axiom_name("cwad_Birth_Death") == "cwad_birth_death"
     assert table.axiom_name("orig_1") == "orig_1"
+    # a name must start with a letter
+    assert table.axiom_name("1") == "ax_1"
+    assert table.axiom_name("_") == "ax"
+
+
+def test_a_conjecture_named_like_an_axiom_gets_a_name_of_its_own():
+    # the conjecture took the name of the axiom whose id it shared
+    formula = kif.parse_formula_text("($subclass Birth OrganismProcess)")
+    block = AxiomBlock(kif.Ontology([kif.Axiom("cq_truth", formula,
+                                               "original")]))
+    text = emit_problem(block, formula, conjecture_name="cq_truth")
+    check_problem_text(text)
+    assert text.splitlines() == [
+        "fof(cq_truth, axiom, s__subclass(c__birth,c__organismprocess)).",
+        "fof(cq_truth_2, conjecture, "
+        "s__subclass(c__birth,c__organismprocess))."]
+    assert block.table.demangle("cq_truth") == "cq_truth"
 
 
 # ---------------------------------------------------------------------------
