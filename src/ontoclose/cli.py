@@ -31,7 +31,7 @@ def _read(path: str) -> str:
     from . import kif
 
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise kif.KifError(f"cannot read {path}: {exc}") from None
 

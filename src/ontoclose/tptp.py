@@ -33,25 +33,26 @@ class MangleTable:
     """Reversible symbol renaming for one emission run."""
 
     def __init__(self):
+        # symbols only; every name claimed maps back to its symbol or id
         self._forward: dict[tuple[str, str], str] = {}
-        self._backward: dict[str, tuple[str, str]] = {}
+        self._backward: dict[str, str] = {}
 
-    def _claim(self, namespace: str, original: str, candidate: str) -> str:
+    def _claim(self, original: str, candidate: str) -> str:
         chosen, n = candidate, 1
         while chosen in self._backward:
             n += 1
             chosen = f"{candidate}_{n}"
-        self._forward[(namespace, original)] = chosen
-        self._backward[chosen] = (namespace, original)
+        self._backward[chosen] = original
         return chosen
 
     def _mangle(self, namespace: str, prefix: str, original: str) -> str:
         key = (namespace, original)
-        if key in self._forward:
-            return self._forward[key]
-        base = (_SANITIZE.sub("_", original.lstrip("$")).lower().strip("_")
-                or "x")
-        return self._claim(namespace, original, prefix + base)
+        name = self._forward.get(key)
+        if name is None:
+            base = (_SANITIZE.sub("_", original.lstrip("$")).lower().strip("_")
+                    or "x")
+            name = self._forward[key] = self._claim(original, prefix + base)
+        return name
 
     def predicate(self, name: str) -> str:
         return self._mangle("predicate", "s__", name)
@@ -65,11 +66,10 @@ class MangleTable:
         base = _SANITIZE.sub("_", axiom_id).lower().strip("_") or "ax"
         if not base[0].isalpha():
             base = "ax_" + base
-        return self._claim("name", axiom_id, base)
+        return self._claim(axiom_id, base)
 
     def demangle(self, mangled: str) -> "str | None":
-        entry = self._backward.get(mangled)
-        return entry[1] if entry else None
+        return self._backward.get(mangled)
 
     def _overlay(self) -> "MangleTable":
         """A table that starts with this one's names and records new ones

@@ -1229,7 +1229,12 @@ def test_main_restores_the_collector_state(tmp_path, monkeypatch,
         seen.append(gc.isenabled())
         return real_parse(args)
 
+    def failing_stats(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("not a data error")
+
     monkeypatch.setattr(cli, "cmd_parse", spying_parse)
+    monkeypatch.setattr(cli, "cmd_stats", failing_stats)
     bad = tmp_path / "bad.kif"
     bad.write_text("($disjoint Birth Death")
     was_enabled = gc.isenabled()
@@ -1240,9 +1245,13 @@ def test_main_restores_the_collector_state(tmp_path, monkeypatch,
         assert gc.isenabled() is collecting
         assert run_cli("parse", bad) == EXIT_DATA
         assert gc.isenabled() is collecting
+        # any other exception is no exit code of ours: main re-raises it
+        with pytest.raises(RuntimeError, match="not a data error"):
+            run_cli("stats", ONTOLOGY)
+        assert gc.isenabled() is collecting
     finally:
         (gc.enable if was_enabled else gc.disable)()
-    assert seen == [False, False]
+    assert seen == [False, False, False]
 
 
 # ---------------------------------------------------------------------------
@@ -1296,6 +1305,29 @@ def test_text_that_is_not_utf8_names_its_file(tmp_path, capsys):
     assert run_cli("parse", bad) == EXIT_DATA
     err = capsys.readouterr().err
     assert f"cannot read {bad}: 'utf-8' codec can't decode byte 0xff" in err
+
+
+def test_a_leading_byte_order_mark_is_not_read(tmp_path, capsys):
+    bom = b"\xef\xbb\xbf"
+    mapping = tmp_path / "mapping.tsv"
+    mapping.write_bytes(bom + b"birth#n#2\tBirth=\ndeath#n#1\tDeath=\n")
+    antonymy = tmp_path / "antonymy.tsv"
+    antonymy.write_bytes(b"birth#n#2\tdeath#n#1\n")
+    out = tmp_path / "cqs.kif"
+    assert run_cli("gen-cqs", "--mapping", mapping, "--antonymy", antonymy,
+                   "--out", out) == EXIT_OK
+    assert "generated 1 questions; skipped 0" in capsys.readouterr().err
+    assert "; cq: antonymy-1:birth#n#2:death#n#1:Birth:Death" \
+        in out.read_text(encoding="utf-8")
+    # only the mark at the very start is dropped; a later U+FEFF is part
+    # of its symbol
+    ontology = tmp_path / "bom.kif"
+    ontology.write_bytes(bom + "($disjoint Birth De\ufeffath)\n".encode())
+    canonical = tmp_path / "canonical.kif"
+    assert run_cli("parse", ontology, "--out", canonical) == EXIT_OK
+    (axiom,) = kif.parse_kif(canonical.read_text(encoding="utf-8"))
+    assert axiom.formula == kif.Atom(
+        "$disjoint", (kif.const("Birth"), kif.const("De\ufeffath")))
 
 
 @pytest.mark.parametrize("key", ["prover.workers", "prover.time_limit",

@@ -118,6 +118,7 @@ def test_syntax_errors_carry_position(text, line):
      "'and' takes at least 2 subformulas, found 1", 2, 2),
     ("; (\n($p A)))", "unbalanced ')'", 2, 7),
     ("; )\n(($p A) ; (\n B)", "expression head", 2, 3),
+    ("(forall ((X)) ($p X))", "variable list entries must be symbols", 1, 11),
 ])
 def test_syntax_error_positions(text, message, line, column):
     with pytest.raises(KifSyntaxError) as err:
@@ -175,6 +176,30 @@ def test_constant_named_like_a_renamed_variable_is_no_duplicate():
     ontology = kif.parse_kif(
         "(forall (X) ($p X _v0))\n(forall (X) ($p _v0 X))")
     assert len(ontology) == 2
+
+
+@pytest.mark.parametrize("text,found", [
+    ("", 0), ("; only a comment\n", 0), ("($p A)\n($q B)", 2)])
+def test_parse_formula_text_takes_exactly_one_formula(text, found):
+    with pytest.raises(kif.KifError,
+                       match=f"expected exactly one formula, found {found}"):
+        kif.parse_formula_text(text)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: kif.Term("function", "f"), "bad term kind: 'function'"),
+    (lambda: kif.Term(kif.CONSTANT, ""), "empty term name"),
+    (lambda: Atom("", ()), "empty predicate name"),
+    (lambda: kif.And((Atom("$p", ()),)), "'and' needs at least two"),
+    (lambda: kif.Or((Atom("$p", ()),)), "'or' needs at least two"),
+    (lambda: Forall((), Atom("$p", ())), "binds no variables"),
+    (lambda: kif.Exists((), Atom("$p", ())), "binds no variables"),
+    (lambda: kif.Axiom("a", Atom("$p", ()), "imported"),
+     "unknown provenance: 'imported'"),
+])
+def test_ast_nodes_refuse_malformed_fields(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,11 @@ def test_load_relations_unknown_kind():
         load_synset_relations("a#n#1\tb#n#1\n", "synonymy")
 
 
+def test_mapping_link_refuses_an_unknown_relation():
+    with pytest.raises(ValueError, match="unknown mapping relation: '\\*'"):
+        MappingLink("birth#n#2", "Birth", "*")
+
+
 def test_load_mapping_symbols():
     text = ("birth#n#2\tBirth=\n"
             "lobby#n#2\tPoliticalOrganization+\n"

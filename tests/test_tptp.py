@@ -253,6 +253,13 @@ def _check_against_fresh(block, ontology, formula, metadata):
     for name in AXIOM_NAME.findall(want_text):
         assert block.table.demangle(name) == want_table.demangle(name), name
     assert block.table._backward == names
+    # the block's table names forward only symbols; each axiom name reads
+    # back as its axiom's id
+    assert {namespace for namespace, _ in block.table._forward} \
+        <= {"predicate", "constant"}
+    for ax, name in zip(ontology, AXIOM_NAME.findall(block.text),
+                        strict=True):
+        assert block.table.demangle(name) == ax.id
 
 
 def test_emission_reusing_the_axiom_block_equals_a_fresh_render(
