@@ -281,6 +281,10 @@ def cmd_report(args) -> int:
     expected = (questions.read_cq_corpus(_read(args.cqs), args.cqs)
                 if args.cqs else None)
     tallied = reports.tally(outcomes, expected or ())
+    truths = {cq_id for cq_id, _ in tallied.proved[prover.TRUTH]}
+    both = [q for q, _ in tallied.proved[prover.FALSITY] if q in truths]
+    if both:
+        raise prover.InconsistencyError(both)
     tables = _write_reports(tallied, baseline_proved, expected,
                             reports.efficiency_report(tallied), args.out_dir)
     sys.stdout.write(tables["competency.txt"] + "\n"
@@ -316,7 +320,7 @@ def load_config(path: str) -> dict[str, str]:
     return config
 
 
-_Pass = namedtuple("_Pass", "tax journal proved tallied efficiency")
+_Pass = namedtuple("_Pass", "tax journal tallied efficiency")
 
 
 def cmd_pipeline(args) -> int:
@@ -397,21 +401,19 @@ def cmd_pipeline(args) -> int:
             verdicts = _evaluate(closed, cqs, journal, prover_config,
                                  tax=oracle_tax, mode_label=mode)
             # a resumed journal can hold records of questions no longer
-            # in the corpus: a prover pass reports this run's verdicts only
-            outcomes = None if oracle_tax else {
-                (cq_id, polarity): outcome for cq_id, polarity, outcome
-                in prover.verdict_tests(verdicts)}
+            # in the corpus: a pass reports this run's verdicts only
+            outcomes = {(cq_id, polarity): outcome for cq_id, polarity, outcome
+                        in prover.verdict_tests(verdicts)}
             del verdicts
-            if outcomes is None:
-                # bench/run.py times reading the oracle's journal back
-                outcomes = prover.load_journal(journal)
             tallied = reports.tally(outcomes, cqs)
-            last = _Pass(oracle_tax, journal, reports.proved_keys(outcomes),
-                         tallied, reports.efficiency_report(tallied))
+            last = _Pass(oracle_tax, journal, tallied,
+                         reports.efficiency_report(tallied))
             del outcomes, tallied
         _write_reports(last.tallied, baseline, cqs, last.efficiency, mode_dir)
         if baseline is None:
-            baseline = last.proved
+            # the baseline, read back as report --baseline reads one; this
+            # one journal read a run makes is bench/run.py's journal_load
+            baseline = reports.proved_keys(prover.load_journal(journal))
         # free this mode's ontology before the next closure
         del closed, additions
     _write(out / "stats.csv", reports.render_size_stats_csv(labeled_stats))

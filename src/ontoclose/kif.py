@@ -380,16 +380,9 @@ class _SexpSymbol(str):
     column: int
 
 
-class _Unlocated(Exception):
-    """A syntax error found among tokens that carry no position."""
-
-
-def _error(message: str, token: str) -> Exception:
-    """The syntax error at ``token``; without the token's position, the
-    signal to read the text again with positions (see ``parse_axioms``)."""
-    if isinstance(token, _SexpSymbol):
-        return KifSyntaxError(message, token.line, token.column)
-    return _Unlocated()
+class _Syntax(Exception):
+    """A syntax error, as its message and the token it names; only
+    ``parse_axioms`` words it, with the token's position."""
 
 
 def _located_tokens(text: str) -> Iterator[_SexpSymbol]:
@@ -446,12 +439,12 @@ def _read_sexprs(tokens):
                 form.append(tok)
             if tok[0] == '"':
                 if len(tok) == 1 or tok[-1] != '"':
-                    raise _error("unterminated string", tok)
+                    raise _Syntax("unterminated string", tok)
                 line += tok.count("\n")
     if unbalanced:
-        raise _error("unbalanced ')'", unbalanced)
+        raise _Syntax("unbalanced ')'", unbalanced)
     if form is not None:
-        raise _error("unbalanced '('", enclosing[-1][1])
+        raise _Syntax("unbalanced '('", enclosing[-1][1])
     return forms
 
 
@@ -473,8 +466,8 @@ def _first_symbol(form, fallback: str) -> str:
 def _parse_term(form, bound: frozenset[str], close_tok: str,
                 terms: dict) -> Term:
     if isinstance(form, list):
-        raise _error("expected a term, found a nested expression",
-                     _first_symbol(form, close_tok))
+        raise _Syntax("expected a term, found a nested expression",
+                      _first_symbol(form, close_tok))
     # every bound name is a variable token: ?name or uppercase
     key = (VARIABLE if form in bound or form[0] == "?" else CONSTANT, form)
     term = terms.get(key)
@@ -488,18 +481,18 @@ def _parse_formula(form, bound: frozenset[str], close_tok: str,
     """The formula of a form; ``terms`` holds the terms made so far, for
     the whole text to share one object per term."""
     if not isinstance(form, list):
-        raise _error(f"expected a formula, found bare symbol {form!r}", form)
+        raise _Syntax(f"expected a formula, found bare symbol {form!r}", form)
     if not form:
-        raise _error("empty expression", close_tok)
+        raise _Syntax("empty expression", close_tok)
     head, *args = form
     if isinstance(head, list):
-        raise _error("expression head must be a connective or predicate",
-                     _first_symbol(head, close_tok))
+        raise _Syntax("expression head must be a connective or predicate",
+                      _first_symbol(head, close_tok))
     name = str(head)
     if name == "and" or name == "or":
         if len(args) < 2:
-            raise _error(f"'{name}' takes at least 2 subformulas, "
-                         f"found {len(args)}", head)
+            raise _Syntax(f"'{name}' takes at least 2 subformulas, "
+                          f"found {len(args)}", head)
         parts = tuple([_parse_formula(a, bound, close_tok, terms)
                        for a in args])
         return And(parts) if name == "and" else Or(parts)
@@ -508,8 +501,8 @@ def _parse_formula(form, bound: frozenset[str], close_tok: str,
                                  for a in args]))
     count, what = _ARITY[name]
     if len(args) != count:
-        raise _error(f"'{name}' takes {what}, found {len(args)} arguments",
-                     head)
+        raise _Syntax(f"'{name}' takes {what}, found {len(args)} arguments",
+                      head)
     if name == "not":
         return Not(_parse_formula(args[0], bound, close_tok, terms))
     if name == "equal":
@@ -518,16 +511,16 @@ def _parse_formula(form, bound: frozenset[str], close_tok: str,
     if name == "forall" or name == "exists":
         var_list = args[0]
         if not isinstance(var_list, list) or not var_list:
-            raise _error(f"'{name}' needs a parenthesized variable list",
-                         head)
+            raise _Syntax(f"'{name}' needs a parenthesized variable list",
+                          head)
         for v in var_list:
             if isinstance(v, list):
-                raise _error("variable list entries must be symbols",
-                             _first_symbol(v, close_tok))
+                raise _Syntax("variable list entries must be symbols",
+                              _first_symbol(v, close_tok))
             if not (v[0] == "?" or v.isupper()
                     and any(c.isalpha() for c in v)):
-                raise _error(f"{str(v)!r} is not a variable "
-                             f"(use ?name or UPPERCASE)", v)
+                raise _Syntax(f"{str(v)!r} is not a variable "
+                              f"(use ?name or UPPERCASE)", v)
         names = tuple(map(str, var_list))
         body = _parse_formula(args[1], bound | frozenset(names), close_tok,
                               terms)
@@ -543,7 +536,7 @@ def _parse_forms(tokens, source_name: str) -> list[Axiom]:
     for i, (form, line, close_tok) in enumerate(_read_sexprs(tokens),
                                                 start=1):
         if not isinstance(form, list):
-            raise _error(f"top-level symbol {form!r} is not a formula", form)
+            raise _Syntax(f"top-level symbol {form!r} is not a formula", form)
         axioms.append(Axiom(
             id=f"orig_{i}",
             formula=_parse_formula(form, frozenset(), close_tok, terms),
@@ -556,15 +549,16 @@ def parse_axioms(text: str, source_name: str = "<string>") -> list[Axiom]:
     alpha-equivalent ones included. A syntax error names ``source_name``."""
     try:
         return _parse_forms(_TOKEN.findall(text), source_name)
-    except _Unlocated:
+    except _Syntax:
         pass
     # the tokens held no positions: the same reader and checks over the
-    # same tokens with positions raise the same error, located
+    # same tokens with positions raise the same error at a located token
     try:
         _parse_forms(_located_tokens(text), source_name)
-    except KifSyntaxError as exc:
-        exc.args = (f"{source_name}: {exc}",)
-        raise
+    except _Syntax as exc:
+        message, token = exc.args
+        raise KifSyntaxError(f"{source_name}: {message}", token.line,
+                             token.column) from None
     raise AssertionError("a syntax error went unlocated")
 
 

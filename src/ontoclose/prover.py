@@ -12,7 +12,6 @@ installed.
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 import sys
@@ -40,6 +39,10 @@ KILL_GRACE = 5.0
 MAX_TIME_LIMIT = 1_000_000
 # resource.prlimit takes the address-space cap in bytes as a C long
 MAX_MEMORY_LIMIT_MIB = sys.maxsize // (1024 * 1024)
+# the most seconds an outcome, and so a journal line, may hold: reports
+# print a time to two decimals in decimal's default 28-digit context,
+# which cannot hold 10**26
+_MAX_SECONDS = 1e25
 
 TRUTH = "truth"
 FALSITY = "falsity"
@@ -142,8 +145,9 @@ class ProverOutcome:
 
     def __post_init__(self):
         # written so that a NaN wall time fails too
-        if not 0 <= self.wall_time < math.inf:
-            raise ValueError("wall time must be finite and non-negative")
+        if not 0 <= self.wall_time <= _MAX_SECONDS:
+            raise ValueError("wall time must be non-negative and at most "
+                             f"{_MAX_SECONDS:g} seconds")
         # the journal's precision, so that an outcome reads the same as
         # its journal line does
         object.__setattr__(self, "wall_time", round(self.wall_time, 6))
@@ -366,10 +370,6 @@ def append_journal(handle, tests) -> None:
     handle.flush()
 
 
-# the largest number of seconds a report can take as a float
-_MAX_SECONDS = sys.float_info.max
-
-
 def load_journal(path: "str | Path"
                  ) -> dict[tuple[str, str], ProverOutcome]:
     """The outcome of each test in the journal, by (question, polarity),
@@ -377,9 +377,9 @@ def load_journal(path: "str | Path"
     sharing one outcome. Blank lines, and an unterminated last line torn
     by a kill mid-append, are skipped; the first other line that is not
     one JSON object with string ``cq``, ``polarity`` and ``status``, a
-    finite non-negative number ``seconds`` (not a bool) and, if any, a
-    list of strings ``used`` raises :class:`ProverError` naming it, as do
-    bytes that are not UTF-8. A missing journal raises
+    number ``seconds`` (not a bool) from 0 to ``_MAX_SECONDS`` and, if
+    any, a list of strings ``used`` raises :class:`ProverError` naming
+    it, as do bytes that are not UTF-8. A missing journal raises
     ``FileNotFoundError``, as ``open`` does."""
     path = Path(path)
     outcomes, shared = {}, {}
@@ -412,9 +412,9 @@ def load_journal(path: "str | Path"
                              or all(type(name) is str for name in used))):
                     raise ProverError(
                         f"{path}:{lineno}: journal line is not a record with "
-                        "string cq, polarity and status, a finite "
-                        "non-negative number of seconds and, if any, a list "
-                        "of strings as used")
+                        "string cq, polarity and status, a number of seconds "
+                        f"from 0 to {_MAX_SECONDS:g} and, if any, a list of "
+                        "strings as used")
                 key = (status, seconds, tuple(used))
                 outcome = shared.get(key)
                 if outcome is None:

@@ -321,18 +321,20 @@ class Taxonomy:
         return "\n".join(lines) + ("\n" if lines else "")
 
     def to_dot(self) -> str:
+        def q(name: str) -> str:  # a DOT string, each " in it escaped
+            return '"' + name.replace('"', '\\"') + '"'
         lines = ["digraph taxonomy {"]
         for c in sorted(self.classes):
-            lines.append(f'  "{c}";')
+            lines.append(f"  {q(c)};")
         for sub in sorted(self.classes):
             for sup in sorted(self._graph.parents[sub]):
-                lines.append(f'  "{sub}" -> "{sup}";')
+                lines.append(f"  {q(sub)} -> {q(sup)};")
         for pairs, style, label in (
                 (self.explicit_disjoint, "dashed", "disjoint"),
                 (self.explicit_nondisjoint, "dotted", "nonDisjoint"),
                 (self.explicit_inheritable, "dotted", "inheritableNonDisjoint")):
             for a, b in sorted(pairs):
-                lines.append(f'  "{a}" -> "{b}" [dir=none, style={style}, '
+                lines.append(f'  {q(a)} -> {q(b)} [dir=none, style={style}, '
                              f'label="{label}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"

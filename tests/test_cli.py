@@ -593,6 +593,43 @@ def test_report_on_a_journal_line_that_is_not_a_record(tmp_path, capsys):
         assert f"{journal}:2:" in capsys.readouterr().err
 
 
+def _proved(cq_id, polarity, seconds=0.5):
+    return json.dumps({"cq": cq_id, "polarity": polarity, "seconds": seconds,
+                       "status": "proved", "used": []}) + "\n"
+
+
+def test_report_refuses_a_question_with_both_tests_proved(tmp_path, capsys):
+    # run and pipeline write such a journal before they exit 5; a report
+    # of it printed a resolved share of 200.00 % and exited 0
+    journal = tmp_path / "journal.jsonl"
+    both = ["antonymy-1:a#n#1:b#n#1:A:B", "antonymy-1:c#n#1:d#n#1:C:D"]
+    journal.write_text(_proved(both[0], "truth") + _proved("q:1", "truth")
+                       + _proved(both[0], "falsity")
+                       + _proved(both[1], "falsity")
+                       + _proved(both[1], "truth"))
+    out_dir = tmp_path / "reports"
+    assert run_cli("report", "--journal", journal,
+                   "--out-dir", out_dir) == EXIT_INCONSISTENT
+    captured = capsys.readouterr()
+    assert f"for: {both[0]}, {both[1]}\n" in captured.err
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
+def test_report_prints_the_largest_number_of_seconds_a_journal_holds(
+        tmp_path, capsys):
+    # a report of 1e26 seconds died in decimal's 28-digit default context
+    journal = tmp_path / "journal.jsonl"
+    journal.write_text(_proved("q:1", "truth", 1e25)
+                       + _proved("q:2", "truth", 1e25))
+    assert run_cli("report", "--journal", journal) == EXIT_OK
+    assert "10000000000000000000000000.00" in capsys.readouterr().out
+    journal.write_text(_proved("q:1", "truth", 1e26))
+    assert run_cli("report", "--journal", journal) == EXIT_PROVER
+    err = capsys.readouterr().err
+    assert f"{journal}:1:" in err and "1e+25" in err
+
+
 def test_report_refuses_a_journal_it_cannot_read(tmp_path, lexical_files,
                                                   capsys):
     # a missing journal read as an empty one: an empty report, and a
@@ -967,12 +1004,13 @@ def test_modes_over_one_oracle_taxonomy_share_one_oracle_pass(
     monkeypatch.setattr(prover, "verdict_tests", counting_tests)
     assert run_cli("pipeline", config) == EXIT_OK
     monkeypatch.undo()
-    assert [name for _, name in passes] == loads == [names[0], names[2],
-                                                     names[3]]
+    assert [name for _, name in passes] == [names[0], names[2], names[3]]
+    # the run reads one journal back: the first mode's, its baseline
+    assert loads == [names[0]]
     assert len({id(tax) for tax, _ in passes}) == 3
-    # the pass journals its verdicts' tests; the pipeline reports from the
-    # journal and makes no tests of its own
-    assert tests_calls == [True] * 3
+    # a pass journals its verdicts' tests, and the pipeline makes that
+    # pass's outcomes once from the same verdicts
+    assert tests_calls == [True, False] * 3
     # a mode that shares a pass shares its efficiency rows too
     assert len({id(tallied) for tallied in efficiency_tallies}) == \
         len(efficiency_tallies) == 3

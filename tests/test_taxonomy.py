@@ -486,17 +486,32 @@ def test_edge_tsv_and_dot(organism_process):
 
 
 def test_dot_draws_each_kind_of_pair():
-    tax = Taxonomy(ClassGraph("ABCD", [("B", "A")]), disjoint=[("D", "B")],
-                   nondisjoint=[("C", "B")],
-                   inheritable_nondisjoint=[("D", "C")])
-    assert tax.to_dot() == (
-        'digraph taxonomy {\n'
-        '  "A";\n'
-        '  "B";\n'
-        '  "C";\n'
-        '  "D";\n'
-        '  "B" -> "A";\n'
-        '  "B" -> "D" [dir=none, style=dashed, label="disjoint"];\n'
-        '  "B" -> "C" [dir=none, style=dotted, label="nonDisjoint"];\n'
-        '  "C" -> "D" [dir=none, style=dotted, label="inheritableNonDisjoint"];\n'
-        '}\n')
+    # the second taxonomy names a class by a KIF string: each " in a
+    # name is escaped in its DOT string
+    for tax, expected in (
+            (Taxonomy(ClassGraph("ABCD", [("B", "A")]), disjoint=[("D", "B")],
+                      nondisjoint=[("C", "B")],
+                      inheritable_nondisjoint=[("D", "C")]),
+             'digraph taxonomy {\n'
+             '  "A";\n'
+             '  "B";\n'
+             '  "C";\n'
+             '  "D";\n'
+             '  "B" -> "A";\n'
+             '  "B" -> "D" [dir=none, style=dashed, label="disjoint"];\n'
+             '  "B" -> "C" [dir=none, style=dotted, label="nonDisjoint"];\n'
+             '  "C" -> "D" [dir=none, style=dotted, '
+             'label="inheritableNonDisjoint"];\n'
+             '}\n'),
+            (tax_of('($subclass "Big Cat" Animal) ($subclass Dog Animal) '
+                    '($disjoint "Big Cat" Dog)'),
+             'digraph taxonomy {\n'
+             '  "\\"Big Cat\\"";\n'
+             '  "Animal";\n'
+             '  "Dog";\n'
+             '  "\\"Big Cat\\"" -> "Animal";\n'
+             '  "Dog" -> "Animal";\n'
+             '  "\\"Big Cat\\"" -> "Dog" [dir=none, style=dashed, '
+             'label="disjoint"];\n'
+             '}\n')):
+        assert tax.to_dot() == expected
