@@ -484,15 +484,13 @@ def run_batch(ontology: Ontology, cqs, config: ProverConfig,
         return outcome
 
     def evaluate(cq: CompetencyQuestion) -> Verdict:
-        outcomes: dict[str, ProverOutcome | None] = {TRUTH: None, FALSITY: None}
-        for polarity in (TRUTH, FALSITY):
-            outcome = done.get((cq.id, polarity))
-            if outcome is None:
-                outcome = run_test(cq, polarity)
-            outcomes[polarity] = outcome
-            if polarity == TRUTH and short_circuit and outcome.proved:
-                break
-        return Verdict(cq.id, outcomes[TRUTH], outcomes[FALSITY])
+        # a recorded test is never run again; short-circuit only skips
+        # running the falsity test
+        truth = done.get((cq.id, TRUTH)) or run_test(cq, TRUTH)
+        falsity = done.get((cq.id, FALSITY))
+        if falsity is None and not (short_circuit and truth.proved):
+            falsity = run_test(cq, FALSITY)
+        return Verdict(cq.id, truth, falsity)
 
     Path(workdir).mkdir(parents=True, exist_ok=True)
     with open(journal_path, "a", encoding="utf-8") as journal, \

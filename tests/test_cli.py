@@ -616,6 +616,30 @@ def test_report_refuses_a_question_with_both_tests_proved(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_run_refuses_a_resumed_question_with_both_tests_proved(tmp_path,
+                                                               capsys):
+    # a resumed proved truth record hid the proved falsity record: the run
+    # printed "evaluated 1 questions (passing: 1)" and exited 0
+    cq_id = "antonymy-1:birth#n#2:death#n#1:Birth:Death"
+    corpus = tmp_path / "cqs.kif"
+    corpus.write_text(
+        f"; cq: {cq_id}\n; pattern: antonymy-1\n; kind: antonymy\n"
+        "; source: birth#n#2 death#n#1\n"
+        "(forall (X Y) (=> (and ($instance X Birth) ($instance Y Death)) "
+        "(not (equal X Y))))\n")
+    journal = tmp_path / "journal.jsonl"
+    journal.write_text(_proved(cq_id, "truth") + _proved(cq_id, "falsity"))
+    recorded = journal.read_bytes()
+    assert run_cli("report", "--journal", journal) == EXIT_INCONSISTENT
+    refused = capsys.readouterr().err
+    assert run_cli("run", ONTOLOGY, "--cqs", corpus, "--journal", journal,
+                   "--prover-cmd", "true {problem}") == EXIT_INCONSISTENT
+    captured = capsys.readouterr()
+    assert captured.err == refused
+    assert refused.endswith(f"for: {cq_id}\n")
+    assert journal.read_bytes() == recorded  # no test was run again
+
+
 def test_report_prints_the_largest_number_of_seconds_a_journal_holds(
         tmp_path, capsys):
     # a report of 1e26 seconds died in decimal's 28-digit default context

@@ -684,6 +684,58 @@ def test_every_emitted_closed_axiom_holds_in_the_witness_model(tmp_path):
     assert len(proved) == 6, proved
 
 
+def test_every_open_oracle_answer_has_a_countermodel():
+    # the other direction: no prover could answer a test the oracle leaves
+    # open, since a finite model of the closed axioms and the background
+    # axioms makes the test fail. The candidates are the witness model and,
+    # for each pair of classes, the witness model with one more object in
+    # every class above either; a candidate counts once every axiom holds
+    # in it. Subset falsity tests are left out: the oracle leaves some of
+    # them open that the closed axioms entail, and they join this test
+    # once the oracle decides them exactly.
+    background = model_background()
+    rng, curation_rng = random.Random(7171), random.Random(7272)
+    certified, models_kept = Counter(), 0
+    for round_ in range(20):
+        ontology = taxonomy_to_ontology(
+            witness_oracle.random_taxonomy(rng, max_classes=7))
+        tax = build_taxonomy(ontology)
+        curation = with_curated_disjoint(
+            curation_rng, tax, suggest_curation(tax, SUBCLASS_DISJOINT).candidates)
+        for mode in MODES:
+            closed = apply_closure(ontology, mode, curation, tax=tax)
+            axioms = [ax.formula for ax in (*closed, *background)]
+            oracle_tax = build_taxonomy(closed)
+            names = sorted(oracle_tax.classes)
+            base = WitnessModel(closed)
+            # an extra witness whose placement the model has already is
+            # merged, which leaves the model as it is
+            candidates = [base] + [
+                model for model in (WitnessModel(closed, [(a, b)])
+                                    for i, a in enumerate(names)
+                                    for b in names[i + 1:])
+                if len(model.domain) > len(base.domain)]
+            models = [model for model in candidates
+                      if all(model.holds(f) for f in axioms)]
+            models_kept += len(models)
+            for shape, question in (("overlap", overlap_cq),
+                                    ("subset", subset_cq),
+                                    ("distinct", antonymy_cq)):
+                for cq in (question(a, b) for a in names for b in names):
+                    verdict = oracle_verdict(oracle_tax, cq)
+                    where = (round_, mode, cq.id)
+                    if not verdict.truth.proved:
+                        assert not all(model.holds(cq.conjecture)
+                                       for model in models), (*where, TRUTH)
+                        certified[shape, TRUTH] += 1
+                    if not verdict.falsity.proved and shape != "subset":
+                        assert any(model.holds(cq.conjecture)
+                                   for model in models), (*where, FALSITY)
+                        certified[shape, FALSITY] += 1
+    assert len(certified) == 5, certified
+    assert models_kept > 20 * len(MODES), models_kept  # extra witnesses count
+
+
 def test_input_taxonomy_with_appended_facts_equals_a_rebuild():
     # what cmd_pipeline hands the oracle in place of build_taxonomy(closed)
     rng = random.Random(4242)

@@ -871,6 +871,60 @@ def test_run_batch_aborts_on_contradiction(tmp_path, organism_process):
                                                   FALSITY: PROVED}
 
 
+def _resume_from(journal, cq, **outcomes):
+    """Write a journal that records ``cq``'s outcomes by polarity."""
+    with open(journal, "w", encoding="utf-8") as handle:
+        append_journal(handle, [(cq.id, polarity, outcome)
+                                for polarity, outcome in outcomes.items()])
+
+
+def test_a_resumed_question_with_both_tests_proved_is_refused(
+        tmp_path, organism_process, monkeypatch):
+    # the recorded falsity test used to go unread after a proved truth
+    # record, so such a journal resumed as passing
+    from ontoclose import prover
+
+    config = stub_provers.stub_config(tmp_path, stub_provers.THEOREM)
+    cq = antonymy_cq("Birth", "Death")
+    journal = tmp_path / "j.jsonl"
+    _resume_from(journal, cq, truth=ProverOutcome(PROVED, 0.5),
+                 falsity=ProverOutcome(PROVED, 0.5))
+    calls = []
+    monkeypatch.setattr(prover, "run_prover",
+                        lambda path, config: calls.append(path))
+    with pytest.raises(InconsistencyError) as err:
+        run_batch(organism_process, [cq], config, journal, tmp_path / "work")
+    assert err.value.cq_ids == (cq.id,)
+    assert calls == []
+
+
+def test_a_resumed_proved_falsity_meets_a_proved_truth_run(
+        tmp_path, organism_process):
+    config = stub_provers.stub_config(tmp_path, stub_provers.THEOREM)
+    cq = antonymy_cq("Birth", "Death")
+    journal = tmp_path / "j.jsonl"
+    _resume_from(journal, cq, falsity=ProverOutcome(PROVED, 0.5))
+    with pytest.raises(InconsistencyError) as err:
+        run_batch(organism_process, [cq], config, journal, tmp_path / "work")
+    assert err.value.cq_ids == (cq.id,)
+
+
+def test_a_resumed_open_falsity_is_kept_and_not_run_again(
+        tmp_path, organism_process):
+    config = stub_provers.stub_config(tmp_path, stub_provers.THEOREM)
+    cq = antonymy_cq("Birth", "Death")
+    journal = tmp_path / "j.jsonl"
+    recorded = ProverOutcome(GAVE_UP, 0.5)
+    _resume_from(journal, cq, falsity=recorded)
+    work = tmp_path / "work"
+    [verdict] = run_batch(organism_process, [cq], config, journal, work)
+    assert verdict.value == PASSING
+    assert verdict.truth.proved
+    assert verdict.falsity == recorded
+    assert len(list(work.glob(f"*_{TRUTH}.p"))) == 1
+    assert not list(work.glob(f"*_{FALSITY}.p"))
+
+
 def test_run_batch_problem_files_are_distinct_per_question(tmp_path,
                                                           organism_process):
     # ids that differ only in characters a file-name slug would flatten

@@ -3,8 +3,8 @@
 The domain holds the classes and witness objects. Each demanded overlap
 gets an object placed in every class above either of its two classes:
 each class with itself, each explicit ``$nonDisjoint`` pair, and each
-descendant combination of an ``$inheritableNonDisjoint`` pair (objects
-with one placement are merged). Then:
+descendant combination of an ``$inheritableNonDisjoint`` pair, and each
+``extra`` pair given (objects with one placement are merged). Then:
 
 * ``$subclass`` is reachability over the direct edges, reflexive on every
   element;
@@ -14,9 +14,11 @@ with one placement are merged). Then:
 * ``$nonDisjoint`` is the explicit set, and ``$inheritableNonDisjoint``
   its closure down both sides.
 
-When the ontology's taxonomy is free of conflicts, this is a model of its
-structural facts, of the closure's support, completion and assumption
-axioms, and of the background axioms of ``organism_process.kif``.
+When the ontology's taxonomy is free of conflicts and no ``extra`` pair
+is given, this is a model of its structural facts, of the closure's
+support, completion and assumption axioms, and of the background axioms
+of ``organism_process.kif``. An extra witness can overlap a disjoint
+pair, so with ``extra`` pairs the caller checks the axioms it needs.
 Reachability is recomputed from the direct edges, as in
 ``witness_oracle``.
 """
@@ -36,7 +38,7 @@ def _both_ways(pairs) -> set[tuple]:
 
 
 class WitnessModel:
-    def __init__(self, ontology: kif.Ontology):
+    def __init__(self, ontology: kif.Ontology, extra=()):
         tax = build_taxonomy(ontology)
         classes, parents = _raw_relations(tax)
         children = {c: set() for c in classes}
@@ -48,7 +50,7 @@ class WitnessModel:
         inheritable = {(p, q) for a, b in _both_ways(tax.explicit_inheritable)
                        for p in downs[a] for q in downs[b]}
         demands = ({(c, c) for c in classes} | set(tax.explicit_nondisjoint)
-                   | inheritable)
+                   | inheritable | set(extra))
         placements = sorted({frozenset(ups[a] | ups[b]) for a, b in demands},
                             key=sorted)
         objects = [("witness", i) for i in range(len(placements))]
